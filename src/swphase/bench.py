@@ -28,6 +28,7 @@ MAX_TIMER_RESOLUTION_S = 1e-6
 DEFAULT_WARMUP_SAMPLES = 2000
 DEFAULT_REPS = 5
 DEFAULT_CHUNK_SAMPLES = 4000
+SLICE_SAMPLES = 250          # streams take turns at this granularity
 
 # Static per-sample floating-point operation counts of each stage's inner
 # step, by kind. They follow from the recurrences and do not depend on the
@@ -76,29 +77,52 @@ class CostReport:
     op_counts: dict = field(default_factory=dict)
 
 
-def _bench_stream(fn, warm, chunk, reps: int) -> list:
-    """Median-friendly ns/sample of fn over chunk, loop overhead removed."""
-    for xi in warm:
-        fn(xi)
-    base = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        for xi in chunk:
-            pass
-        base.append(time.perf_counter_ns() - t0)
-    overhead = min(base)
-    out = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        for xi in chunk:
+def _interleaved_ns(streams: dict, reps: int) -> dict:
+    """Time each stream's step function over its chunk, slice by slice.
+
+    streams maps a name to (fn, warm, chunk); all chunks have one length.
+    Every fn runs over its warm samples first. Each repetition then cuts
+    the chunks into slices of SLICE_SAMPLES and lets the streams take turns
+    slice by slice. On a shared host the speed changes within a second, so
+    this way a change reaches all streams alike. Each slice's loop
+    overhead, its fastest empty pass, is subtracted.
+
+    Returns {name: array (reps, slices)} of ns per slice.
+    """
+    for fn, warm, _ in streams.values():
+        for xi in warm:
             fn(xi)
-        dt = time.perf_counter_ns() - t0
-        out.append(max(0.0, (dt - overhead) / len(chunk)))
-    return out
+    n = len(next(iter(streams.values()))[2])
+    starts = range(0, n, SLICE_SAMPLES)
+    full = {name: np.empty((reps, len(starts))) for name in streams}
+    empty = {name: np.empty((reps, len(starts))) for name in streams}
+    parts = {name: [chunk[a:a + SLICE_SAMPLES] for a in starts]
+             for name, (_, _, chunk) in streams.items()}
+    for r in range(reps):
+        for j in range(len(starts)):
+            for name, (fn, _, _) in streams.items():
+                part = parts[name][j]
+                t0 = time.perf_counter_ns()
+                for xi in part:
+                    pass
+                t1 = time.perf_counter_ns()
+                for xi in part:
+                    fn(xi)
+                t2 = time.perf_counter_ns()
+                empty[name][r, j] = t1 - t0
+                full[name][r, j] = t2 - t1
+    return {name: np.maximum(full[name] - empty[name].min(axis=0), 0.0)
+            for name in streams}
 
 
-def _stage_cost(name, fn, warm, chunk, reps) -> StageCost:
-    reps_ns = _bench_stream(fn, warm, chunk, reps)
+def _fastest_ns(slices_ns, n: int) -> float:
+    """ns per sample from each slice's fastest repetition, the robust
+    estimate when the host only ever adds delay."""
+    return float(slices_ns.min(axis=0).sum()) / n
+
+
+def _stage_cost(name, slices_ns, n: int) -> StageCost:
+    reps_ns = (slices_ns.sum(axis=1) / n).tolist()
     return StageCost(name, reps_ns,
                      float(np.median(reps_ns)),
                      float(np.percentile(reps_ns, 25)),
@@ -110,6 +134,11 @@ def _test_signal(fs: float, n: int, seed: int = 7):
     t = np.arange(n) / fs
     x = 75.0 * np.sin(2 * math.pi * 1.0 * t) + 10.0 * rng.standard_normal(n)
     return x.tolist()
+
+
+def _preprocessed(raw, fs: float) -> list:
+    chain = PreprocessChain(fs)
+    return [chain.step(xi) for xi in raw]
 
 
 def measure_pipeline_cost(algorithm: str = "pv", fs: float = 250.0,
@@ -130,18 +159,15 @@ def measure_pipeline_cost(algorithm: str = "pv", fs: float = 250.0,
     cfg.validate()
 
     raw = _test_signal(fs, warmup_samples + chunk_samples)
-    warm, chunk = raw[:warmup_samples], raw[warmup_samples:]
-    chain = PreprocessChain(fs)
-    pre = _stage_cost("preprocess", chain.step, warm, chunk, reps)
-    clean_chain = PreprocessChain(fs)
-    clean = [clean_chain.step(xi) for xi in raw]
-    cwarm, cchunk = clean[:warmup_samples], clean[warmup_samples:]
-
-    tracker = make_tracker(cfg)
-    trk = _stage_cost("tracker", tracker.step, cwarm, cchunk, reps)
-
-    gate = StimulationGate(GateConfig(), fs)
-    gat = _stage_cost("gate", gate.step, cwarm, cchunk, reps)
+    clean = _preprocessed(raw, fs)
+    w = warmup_samples
+    costs = _interleaved_ns({
+        "preprocess": (PreprocessChain(fs).step, raw[:w], raw[w:]),
+        "tracker": (make_tracker(cfg).step, clean[:w], clean[w:]),
+        "gate": (StimulationGate(GateConfig(), fs).step, clean[:w], clean[w:]),
+    }, reps)
+    pre, trk, gat = (_stage_cost(name, ns, chunk_samples)
+                     for name, ns in costs.items())
 
     report = CostReport(algorithm=cfg.algorithm, fs=fs,
                         warmup_samples=warmup_samples, reps=reps,
@@ -156,28 +182,45 @@ def measure_pipeline_cost(algorithm: str = "pv", fs: float = 250.0,
     return report
 
 
+def _tracker_stream(cfg: TrackerConfig, warmup_samples: int, chunk_samples: int):
+    """(step, warm, chunk) of a fresh tracker over the preprocessed test signal."""
+    fs = cfg.sample_rate_hz
+    clean = _preprocessed(_test_signal(fs, warmup_samples + chunk_samples), fs)
+    return (make_tracker(cfg).step, clean[:warmup_samples],
+            clean[warmup_samples:])
+
+
 def tracker_cost_ratio(fs: float = 250.0, reps: int = DEFAULT_REPS,
                        chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> float:
-    """Phase vocoder vs PLL per-sample cost, tracker stage only."""
-    pv = measure_pipeline_cost("pv", fs, reps=reps, chunk_samples=chunk_samples)
-    pll = measure_pipeline_cost("pll", fs, reps=reps, chunk_samples=chunk_samples)
-    denom = pll.stages["tracker"].median_ns
+    """Phase vocoder vs PLL per-sample cost, tracker stage only.
+
+    Both trackers take turns in every repetition; each keeps its fastest
+    time per slice.
+    """
+    check_timer()
+    ns = _interleaved_ns({
+        algo: _tracker_stream(TrackerConfig(algorithm=algo, sample_rate_hz=fs),
+                              DEFAULT_WARMUP_SAMPLES, chunk_samples)
+        for algo in ("pv", "pll")}, reps)
+    denom = _fastest_ns(ns["pll"], chunk_samples)
     if denom <= 0:
         raise TimerResolutionError("PLL tracker stage timed at zero cost")
-    return pv.stages["tracker"].median_ns / denom
+    return _fastest_ns(ns["pv"], chunk_samples) / denom
 
 
 def pv_cost_vs_fs(fs_values=(125.0, 250.0, 500.0), span_s: float = 0.5,
                   reps: int = 9, chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> dict:
     """Vocoder tracker cost per sample at several rates, span scaled with fs.
 
-    With running-sum moving averages the cost must not grow with fs.
+    With running-sum moving averages the cost must not grow with fs. The
+    rates take turns in every repetition; each keeps its fastest time per
+    slice.
     """
-    out = {}
+    check_timer()
+    streams = {}
     for fs in fs_values:
         cfg = TrackerConfig(algorithm="pv", sample_rate_hz=fs,
                             maf_span=max(2, int(round(span_s * fs))))
-        rep = measure_pipeline_cost("pv", fs, tracker_config=cfg,
-                                    reps=reps, chunk_samples=chunk_samples)
-        out[fs] = rep.stages["tracker"].median_ns
-    return out
+        streams[fs] = _tracker_stream(cfg, DEFAULT_WARMUP_SAMPLES, chunk_samples)
+    return {fs: _fastest_ns(ns, chunk_samples)
+            for fs, ns in _interleaved_ns(streams, reps).items()}

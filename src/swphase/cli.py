@@ -16,10 +16,10 @@ from . import __version__
 from .bench import measure_pipeline_cost, pv_cost_vs_fs, tracker_cost_ratio
 from .errors import ConfigurationError, FileFormatError, SwphaseError
 from .gate import GateConfig, calibrate_gate
-from .io import (apply_config, config_echo, hash_file, parse_stage_runs,
-                 read_hypnogram, read_recording, read_trigger_log,
-                 write_hypnogram, write_phase_track, write_recording,
-                 write_trigger_log)
+from .io import (apply_config, config_echo, hash_file, parse_grid,
+                 parse_stage_runs, read_config, read_hypnogram,
+                 read_recording, read_trigger_log, write_hypnogram,
+                 write_phase_track, write_recording, write_trigger_log)
 from .optimize import default_grid, grid_search_cv, make_pipeline_evaluator
 from .pipeline import SessionResult, evaluate_session, run_session
 from .synth import SynthSpec, default_hypnogram, generate
@@ -88,7 +88,8 @@ def cmd_track(args) -> int:
 def cmd_evaluate(args) -> int:
     recording = read_recording(args.input)
     recording.hypnogram = read_hypnogram(args.hypnogram)
-    provenance, log = read_trigger_log(args.triggers)
+    provenance, log = read_trigger_log(args.triggers,
+                                       n_samples=len(recording.samples))
     algos = {e.algorithm for e in log}
     algo = args.algorithm or (algos.pop() if len(algos) == 1 else None)
     if algo is None:
@@ -183,15 +184,9 @@ def _load_corpus(paths):
 def cmd_optimize(args) -> int:
     recordings = _load_corpus(args.inputs)
     if args.grid:
-        from .io import read_config
-        raw = read_config(args.grid)
-        grid = {}
-        for key, val in raw.items():
-            vals = [v.strip() for v in val.split(",") if v.strip()]
-            if key in ("maf_span",):
-                grid[key] = [int(v) for v in vals]
-            else:
-                grid[key] = [float(v) for v in vals]
+        grid = parse_grid(read_config(args.grid),
+                          TrackerConfig(algorithm=args.algorithm),
+                          fixed=("algorithm", "sample_rate_hz"))
     else:
         grid = default_grid(args.algorithm)
     gate_cfg = _gate_config(args)

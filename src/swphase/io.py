@@ -241,8 +241,12 @@ def write_trigger_log(path, log, provenance: Optional[dict] = None) -> None:
                     f"{e.suppression_reason},{int(e.on_window)}\n")
 
 
-def read_trigger_log(path):
-    """Returns (provenance dict, list of row dicts with typed fields)."""
+def read_trigger_log(path, n_samples: Optional[int] = None):
+    """Returns (provenance dict, list of row dicts with typed fields).
+
+    A negative sample_index is refused, and so is one at or past
+    ``n_samples`` when the recording's length is given.
+    """
     from .pipeline import LoggedTrigger
     provenance = {}
     rows = []
@@ -279,6 +283,11 @@ def read_trigger_log(path):
                 ))
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{ln}: {exc}")
+            idx = rows[-1].sample_index
+            if idx < 0 or (n_samples is not None and idx >= n_samples):
+                limit = "" if n_samples is None else f" of {n_samples} samples"
+                raise FileFormatError(
+                    f"{path}:{ln}: sample_index {idx} outside the recording{limit}")
     if not saw_header:
         raise FileFormatError(f"{path}: missing column header")
     return provenance, rows
@@ -335,6 +344,23 @@ def apply_config(base, overrides: dict):
         except ValueError:
             raise ConfigurationError(f"bad value for {key}: {raw!r}")
     return type(base)(**fields)
+
+
+def parse_grid(raw: dict, base, fixed=()) -> dict:
+    """{key: [values]} from {key: "v1,v2,..."}, each value coerced like the
+    field of ``base``. Keys that ``base`` lacks, or that are ``fixed``,
+    are refused."""
+    grid = {}
+    for key, text in raw.items():
+        if key not in base.__dict__ or key in fixed:
+            raise ConfigurationError(
+                f"{key!r} is not a grid parameter of {type(base).__name__}")
+        vals = [v.strip() for v in text.split(",") if v.strip()]
+        try:
+            grid[key] = [_coerce(v, base.__dict__[key]) for v in vals]
+        except ValueError:
+            raise ConfigurationError(f"bad value for {key}: {text!r}")
+    return grid
 
 
 def config_echo(cfg) -> str:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dsp import PreprocessChain, design_sw_isolation
+from .dsp import IirFilter, PreprocessChain, design_sw_isolation
 from .errors import ConfigurationError
 from .gate import GateConfig, flags_at_sample, gate_flags_batch
 from .metrics import MAX_STIM_PER_WINDOW, PAS_WINDOW_S, in_up_phase
@@ -31,7 +31,7 @@ from .oracle import compute_phase_track
 from .pipeline import (candidates_from_phase_stream, qualifying_windows,
                        tracker_phase_stream)
 from .recording import EegRecording
-from .trackers import TrackerConfig
+from .trackers import TrackerConfig, forward_arcs, level_hits, refractory
 
 UTOPIA = (0.0, 0.0, 1.0)
 
@@ -241,7 +241,7 @@ class _RecordingCache:
         self.pas_win = int(round(PAS_WINDOW_S * fs))
         self.onoff = gate_config.onoff_enabled
         self.onoff_period = gate_config.onoff_period_s
-        self.streams: dict = {}     # dynamics key -> per-sample phase stream
+        self.streams: dict = {}     # dynamics key -> (phase stream, forward arcs)
         self.iso: Optional[np.ndarray] = None
 
     def delivered_filter(self, idx: np.ndarray) -> np.ndarray:
@@ -292,29 +292,20 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
         refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
         if algorithm == "at":
             if cache.iso is None:
-                from scipy.signal import lfilter
-                b, a = design_sw_isolation(cache.fs)
-                cache.iso = lfilter(b, a, cache.y)
-            z = cache.iso
-            thr = cfg.at_threshold_uv
-            prev = np.empty_like(z)
-            prev[0] = 0.0
-            prev[1:] = z[:-1]
-            hits = np.flatnonzero((prev < thr) & (z >= thr))
-            idx, last = [], -(1 << 60)
-            for i in hits:
-                if i - last >= refr:
-                    idx.append(int(i))
-                    last = i
-            cand = np.asarray(idx, dtype=int)
+                cache.iso = IirFilter(*design_sw_isolation(cache.fs)).run(cache.y)
+            hits = level_hits(cache.iso, cfg.at_threshold_uv)
+            cand = np.asarray(refractory(hits, refr)[0], dtype=int)
         else:
             key = (("k_pll", cfg.k_pll) if algorithm == "pll"
                    else ("k_pv", cfg.k_pv, cfg.maf_span, cfg.pv_trigger_on_nco))
-            stream = cache.streams.get(key)
-            if stream is None:
+            cached = cache.streams.get(key)
+            if cached is None:
                 stream = tracker_phase_stream(cache.y, cfg)
-                cache.streams[key] = stream
-            cand = candidates_from_phase_stream(stream, cfg.target_deg(), refr)
+                cached = (stream, forward_arcs(stream)[0])
+                cache.streams[key] = cached
+            stream, arcs = cached
+            cand = candidates_from_phase_stream(stream, cfg.target_deg(), refr,
+                                                arcs=arcs)
         return cache.tally(cache.delivered_filter(cand))
 
     return evaluate

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .dsp import PreprocessChain
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UndefinedStatisticError
 from .gate import (GateConfig, StimulationGate, flags_at_sample,
                    gate_flags_batch, on_window_at)
 from .metrics import (IntervalReport, PAS_WINDOW_S, PasReport,
@@ -23,7 +23,8 @@ from .metrics import (IntervalReport, PAS_WINDOW_S, PasReport,
                       trigger_intervals)
 from .oracle import hilbert_phase, phase_at_triggers, zero_phase_bandpass
 from .recording import EegRecording, NREM_STAGES, EPOCH_S
-from .trackers import TrackerConfig, make_tracker, PllTracker, PvTracker
+from .trackers import (PllTracker, PvTracker, TrackerConfig, forward_arcs,
+                       make_tracker, phase_hits, refractory)
 
 
 @dataclass(frozen=True)
@@ -145,48 +146,36 @@ def tracker_phase_stream(preprocessed: np.ndarray, cfg: TrackerConfig) -> np.nda
 
     Used by the optimizer to factor the parameter grid: the stream depends
     on the loop dynamics but not on the trigger target, so crossings for
-    many targets can be derived from one pass.
+    many targets can be derived from one pass. The tracker's kernel makes
+    the stream, and its health counters (slips, holds, resets) are set as a
+    step() loop would leave them.
     """
     cfg.validate()
-    if cfg.algorithm == "pll":
-        tr = PllTracker(cfg)
-        out = np.empty(len(preprocessed))
-        for i, xi in enumerate(np.asarray(preprocessed, dtype=float).tolist()):
-            out[i], _ = tr.step(xi)
-        return out
-    if cfg.algorithm == "pv":
-        tr = PvTracker(cfg)
-        out = np.empty(len(preprocessed))
-        for i, xi in enumerate(np.asarray(preprocessed, dtype=float).tolist()):
-            out[i], _, _ = tr.step(xi)
-        return out
-    raise ConfigurationError("phase streams exist for pll and pv only")
+    if cfg.algorithm not in ("pll", "pv"):
+        raise ConfigurationError("phase streams exist for pll and pv only")
+    tracker = (PllTracker if cfg.algorithm == "pll" else PvTracker)(cfg)
+    stream, resets = tracker.phase_stream(preprocessed)
+    _, tracker.slip_count = forward_arcs(stream, 0.0, resets)
+    return stream
 
 
 def candidates_from_phase_stream(stream_deg: np.ndarray, target_deg: float,
-                                 refractory_samples: int) -> np.ndarray:
+                                 refractory_samples: int,
+                                 arcs: Optional[np.ndarray] = None) -> np.ndarray:
     """Trigger sample indices from a phase-estimate stream.
 
-    Mirrors the trackers' inline crossing detection: forward arc below
-    180 deg containing the target, then the refractory filter. The first
-    sample never fires (the trackers compare against their previous
-    estimate, which starts undefined).
+    The trackers' own crossing scan: forward arc below 180 deg containing
+    the target, then the refractory filter. Sample 0 is judged from 0 deg,
+    the trackers' estimate before the first sample. ``arcs`` is
+    ``forward_arcs(stream_deg)[0]``, for callers that scan one stream for
+    many targets. A bare stream does not mark PLL reset samples, which
+    need a non-finite loop state; finite EEG input does not produce one.
     """
-    p = np.asarray(stream_deg, dtype=float)
-    prev = np.empty_like(p)
-    prev[0] = 0.0
-    prev[1:] = p[:-1]
-    arc = np.mod(p - prev, 360.0)
-    d = np.mod(target_deg - prev, 360.0)
-    hit = (arc < 180.0) & (d > 0.0) & (d <= arc)
-    idx = np.flatnonzero(hit)
-    out = []
-    last = -(1 << 60)
-    for i in idx:
-        if i - last >= refractory_samples:
-            out.append(i)
-            last = i
-    return np.asarray(out, dtype=int)
+    if arcs is None:
+        arcs, _ = forward_arcs(stream_deg)
+    kept, _ = refractory(phase_hits(stream_deg, arcs, target_deg),
+                         refractory_samples)
+    return np.asarray(kept, dtype=int)
 
 
 def scored_nrem_window_mask(recording: EegRecording, n_windows: int,
@@ -264,7 +253,7 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
             summary = circular_mean_sd(phases)
             cmean, csd = summary.mean_deg, summary.sd_deg
             cnorm, cdeg = cmae45(phases)
-        except Exception:
+        except UndefinedStatisticError:
             mean_undefined = True
 
     q_count, scored_count, qual = qualifying_windows(

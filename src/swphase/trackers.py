@@ -10,6 +10,17 @@ Three algorithms over the common preprocessed stream:
 
 All trackers enforce the same refractory spacing between triggers and are
 strictly causal: ``step`` consumes one sample and never looks ahead.
+
+``run`` is the batch path and yields exactly the events of a ``step`` loop.
+It has two parts. A kernel advances the tracker state over a block of
+samples: ``phase_stream`` for the PLL and PV, which is the step recurrence
+in the same operation order with no trigger logic, and the isolation
+filter's ``lfilter`` for AT. One vectorised scan then turns the block into
+triggers: ``forward_arcs`` and ``phase_hits`` (or ``level_hits`` for AT),
+then ``refractory`` over the hits only. State carries across calls, so any
+chunking gives the same events. The optimizer reuses the same kernels and
+scan through ``pipeline.tracker_phase_stream`` and
+``pipeline.candidates_from_phase_stream``.
 """
 from __future__ import annotations
 
@@ -27,6 +38,9 @@ NCO_CENTER_HZ = 1.0          # free-running rate of the PLL oscillator
 PV_FREQ_RANGE_HZ = (0.5, 4.0)  # clamp on the vocoder's tracked frequency
 PV_EPSILON_UV = 0.1          # below this demodulated magnitude the angle is noise
 DEFAULT_REFRACTORY_S = 0.25  # 4 Hz stimulation ceiling
+BLOCK_SAMPLES = 1 << 16      # samples per kernel block held as Python floats
+NEVER = -(1 << 60)           # last-trigger index before the first trigger
+NO_ARC = -1.0                # arc of a slip or reset sample: no target hits it
 
 ALGORITHMS = ("at", "pll", "pv")
 
@@ -114,6 +128,82 @@ def phase_crossed(prev_deg: float, cur_deg: float, target_deg: float) -> bool:
     return 0.0 < d <= arc
 
 
+def _mod360(v):
+    """``np.mod(v, 360.0)`` in place.
+
+    Stream differences lie in [-360, 360), where fmod is the identity, so
+    one conditional add gives np.mod's values (up to the sign of a zero,
+    which no comparison sees) at a fraction of its cost. Other inputs take
+    np.mod.
+    """
+    if len(v) and not (v.min() >= -360.0 and v.max() < 360.0):
+        return np.mod(v, 360.0, out=v)
+    return np.add(v, 360.0, out=v, where=v < 0.0)
+
+
+def forward_arcs(stream_deg, prev_deg: float = 0.0, resets=()):
+    """Forward arc (deg) into each sample of a phase stream, and the slip count.
+
+    The arc into sample i runs from the previous estimate (``prev_deg`` for
+    i = 0) to sample i, modulo 360. An arc of 180 deg or more is a slip. A
+    PLL reset sample is judged from 0 deg to its own 0 deg, so it is never
+    a slip. Slips and resets come back as NO_ARC, which no target can hit.
+    """
+    p = np.asarray(stream_deg, dtype=float)
+    arcs = np.empty_like(p)
+    if len(p):
+        arcs[0] = p[0] - prev_deg
+        np.subtract(p[1:], p[:-1], out=arcs[1:])
+        _mod360(arcs)
+    resets = np.asarray(resets, dtype=np.intp)
+    slip = arcs >= 180.0
+    slip[resets] = False
+    arcs[slip] = NO_ARC
+    arcs[resets] = NO_ARC
+    return arcs, int(np.count_nonzero(slip))
+
+
+def phase_hits(stream_deg, arcs, target_deg: float, prev_deg: float = 0.0):
+    """Indices of the samples whose forward arc contains the target.
+
+    The test is ``phase_crossed`` per sample: 0 < d <= arc, where d is the
+    target's forward distance from the previous estimate.
+    """
+    p = np.asarray(stream_deg, dtype=float)
+    d = np.empty_like(p)
+    if len(p):
+        d[0] = target_deg - prev_deg
+        np.subtract(target_deg, p[:-1], out=d[1:])
+        _mod360(d)
+    idx = np.flatnonzero(d <= arcs)
+    return idx[d[idx] > 0.0]
+
+
+def level_hits(v, threshold: float, prev: float = 0.0):
+    """Indices where v rises through threshold: previous value < threshold <= v."""
+    v = np.asarray(v, dtype=float)
+    rising = np.empty(len(v), dtype=bool)
+    if len(v):
+        rising[0] = prev < threshold
+        np.less(v[:-1], threshold, out=rising[1:])
+    rising &= v >= threshold
+    return np.flatnonzero(rising)
+
+
+def refractory(hits, spacing: int, last: int = NEVER):
+    """The hits that lie at least ``spacing`` samples after the last kept one.
+
+    ``last`` is the trigger before the first hit. Returns the kept indices
+    as Python ints and the new last trigger.
+    """
+    kept = []
+    for i in np.asarray(hits).tolist():
+        if i - last >= spacing:
+            kept.append(i)
+            last = i
+    return kept, last
+
+
 class _TrackerBase:
     """Shared counter/refractory bookkeeping."""
 
@@ -123,7 +213,7 @@ class _TrackerBase:
         self._target = config.target_deg()
         self._refr = max(1, math.ceil(config.refractory_s * config.sample_rate_hz))
         self._n = 0
-        self._last_trigger = -(1 << 60)
+        self._last_trigger = NEVER
         self.slip_count = 0
 
     def _emit(self, phase_deg, amplitude) -> Optional[TriggerEvent]:
@@ -133,6 +223,22 @@ class _TrackerBase:
         self._last_trigger = n
         return TriggerEvent(n, n / self.config.sample_rate_hz,
                             self.config.algorithm, phase_deg, amplitude)
+
+    def _events(self, hits, x, phase_deg) -> list:
+        """Events for the local hit indices of block x, past the refractory
+        filter; advances the sample counter over the block. phase_deg is
+        the block's estimate stream, or None."""
+        n0 = self._n
+        kept, self._last_trigger = refractory(hits + n0, self._refr,
+                                              self._last_trigger)
+        self._n = n0 + len(x)
+        local = np.asarray(kept, dtype=np.intp) - n0
+        amps = x[local].tolist()
+        phases = [None] * len(kept) if phase_deg is None else phase_deg[local].tolist()
+        fs = self.config.sample_rate_hz
+        algo = self.config.algorithm
+        return [TriggerEvent(n, n / fs, algo, ph, amp)
+                for n, ph, amp in zip(kept, phases, amps)]
 
 
 class AmplitudeThresholdTracker(_TrackerBase):
@@ -158,29 +264,35 @@ class AmplitudeThresholdTracker(_TrackerBase):
         return event
 
     def run(self, x) -> list:
+        x = np.asarray(x, dtype=float)
+        if not len(x):
+            return []
+        v = self._iso.run(x)
+        hits = level_hits(v, self.config.at_threshold_uv, self._prev)
+        self._prev = float(v[-1])
+        return self._events(hits, x, None)
+
+
+class _PhaseTracker(_TrackerBase):
+    """Batch path of the trackers that estimate phase: per block, the
+    subclass's ``phase_stream`` kernel, then the crossing scan from the
+    estimate before the block (``_prev_deg``)."""
+
+    def _run_blocks(self, x) -> list:
+        x = np.asarray(x, dtype=float)
         events = []
-        thr = self.config.at_threshold_uv
-        refr = self._refr
-        fs = self.config.sample_rate_hz
-        algo = self.config.algorithm
-        step = self._iso.step
-        prev = self._prev
-        n = self._n
-        last = self._last_trigger
-        for xi in np.asarray(x, dtype=float).tolist():
-            v = step(xi)
-            if prev < thr <= v and n - last >= refr:
-                events.append(TriggerEvent(n, n / fs, algo, None, xi))
-                last = n
-            prev = v
-            n += 1
-        self._prev = prev
-        self._n = n
-        self._last_trigger = last
+        for a in range(0, len(x), BLOCK_SAMPLES):
+            xb = x[a:a + BLOCK_SAMPLES]
+            prev = self._prev_deg()
+            stream, resets = self.phase_stream(xb)
+            arcs, slips = forward_arcs(stream, prev, resets)
+            self.slip_count += slips
+            hits = phase_hits(stream, arcs, self._target, prev)
+            events += self._events(hits, xb, stream)
         return events
 
 
-class PllTracker(_TrackerBase):
+class PllTracker(_PhaseTracker):
     """First-order phase-locked loop around a 1 Hz oscillator.
 
     Per sample: error = x * cos(theta); the accumulated correction moves
@@ -200,6 +312,9 @@ class PllTracker(_TrackerBase):
     def reset(self):
         self.theta = 0.0
         self.phi_p = 0.0
+
+    def _prev_deg(self) -> float:
+        return math.degrees(self.theta)
 
     def step(self, x: float):
         """Advance one sample; returns (phase_estimate_deg, event or None)."""
@@ -227,60 +342,48 @@ class PllTracker(_TrackerBase):
         self._n += 1
         return cur_deg, event
 
-    def run(self, x) -> list:
-        events = []
-        cfg = self.config
-        k = cfg.k_pll
+    def phase_stream(self, x):
+        """Advance the loop over x without trigger logic.
+
+        Returns the per-sample phase estimate in degrees, as ``step``
+        reports it, and the indices of the samples where a non-finite state
+        reset the loop.
+        """
+        x = np.asarray(x, dtype=float)
+        k = self.config.k_pll
         omega_dt = self._omega_dt
-        target = self._target
-        refr = self._refr
-        fs = cfg.sample_rate_hz
         cos = math.cos
         fmod = math.fmod
+        isfinite = math.isfinite
         theta = self.theta
         phi_p = self.phi_p
-        n = self._n
-        last = self._last_trigger
-        slips = 0
-        resets = 0
-        for xi in np.asarray(x, dtype=float).tolist():
-            prev_theta = theta
-            e = xi * cos(theta)
-            phi_p -= k * e
-            new = fmod(theta + omega_dt - k * e, TAU)
-            if new < 0.0:
-                new += TAU
-            if not (math.isfinite(new) and math.isfinite(phi_p)):
-                new = 0.0
-                phi_p = 0.0
-                prev_theta = 0.0
-                resets += 1
-            prev_deg = math.degrees(prev_theta)
-            cur_deg = math.degrees(new)
-            theta = new
-            arc = fmod(cur_deg - prev_deg, 360.0)
-            if arc < 0.0:
-                arc += 360.0
-            if arc >= 180.0:
-                slips += 1
-            else:
-                d = fmod(target - prev_deg, 360.0)
-                if d < 0.0:
-                    d += 360.0
-                if 0.0 < d <= arc and n - last >= refr:
-                    events.append(TriggerEvent(n, n / fs, "pll", cur_deg, xi))
-                    last = n
-            n += 1
+        out = np.empty(len(x))
+        resets = []
+        for a in range(0, len(x), BLOCK_SAMPLES):
+            thetas = []
+            append = thetas.append
+            for xi in x[a:a + BLOCK_SAMPLES].tolist():
+                e = xi * cos(theta)
+                phi_p -= k * e
+                theta = fmod(theta + omega_dt - k * e, TAU)
+                if theta < 0.0:
+                    theta += TAU
+                if not (isfinite(theta) and isfinite(phi_p)):
+                    theta = 0.0
+                    phi_p = 0.0
+                    resets.append(a + len(thetas))
+                append(theta)
+            out[a:a + len(thetas)] = thetas
         self.theta = theta
         self.phi_p = phi_p
-        self._n = n
-        self._last_trigger = last
-        self.slip_count += slips
-        self.reset_count += resets
-        return events
+        self.reset_count += len(resets)
+        return np.degrees(out, out=out), np.asarray(resets, dtype=np.intp)
+
+    def run(self, x) -> list:
+        return self._run_blocks(x)
 
 
-class PvTracker(_TrackerBase):
+class PvTracker(_PhaseTracker):
     """Phase vocoder: quadrature demodulation plus moving-average smoothing.
 
     The sample multiplies the oscillator's sine and cosine; both products run
@@ -314,6 +417,9 @@ class PvTracker(_TrackerBase):
         self._omega_hi = TAU * PV_FREQ_RANGE_HZ[1]
         self._prev_est = 0.0
         self.hold_count = 0
+
+    def _prev_deg(self) -> float:
+        return self._prev_est
 
     def step(self, x: float):
         """Advance one sample; returns (phase_estimate_deg, freq_hz, event)."""
@@ -359,15 +465,18 @@ class PvTracker(_TrackerBase):
         self._n += 1
         return est, self.omega / TAU, event
 
-    def run(self, x) -> list:
-        events = []
+    def phase_stream(self, x):
+        """Advance the vocoder over x without trigger logic.
+
+        Returns the per-sample phase estimate in degrees, as ``step``
+        reports it, and an empty array of reset indices (the vocoder holds
+        instead of resetting).
+        """
+        x = np.asarray(x, dtype=float)
         cfg = self.config
         k = cfg.k_pv
         span = self._span
         dt = self._dt
-        target = self._target
-        refr = self._refr
-        fs = cfg.sample_rate_hz
         on_nco = cfg.pv_trigger_on_nco
         omega_lo = self._omega_lo
         omega_hi = self._omega_hi
@@ -385,70 +494,57 @@ class PvTracker(_TrackerBase):
         omega = self.omega
         theta = self.theta
         phi_e = self.phi_e
-        prev = self._prev_est
-        n = self._n
-        last = self._last_trigger
-        slips = 0
         holds = 0
-        for xi in np.asarray(x, dtype=float).tolist():
-            i_new = xi * sin(theta)
-            q_new = xi * cos(theta)
-            sum_i += i_new - buf_i[idx]
-            sum_q += q_new - buf_q[idx]
-            buf_i[idx] = i_new
-            buf_q[idx] = q_new
-            idx = idx + 1 if idx + 1 < span else 0
-            mean_i = sum_i / span
-            mean_q = sum_q / span
-            if hypot(mean_i, mean_q) >= PV_EPSILON_UV:
-                err = atan2(mean_q, mean_i)
-                delta = fmod(err - phi_e + 3.0 * pi, TAU) - pi
-                omega = omega + k * delta
-                if omega < omega_lo:
-                    omega = omega_lo
-                elif omega > omega_hi:
-                    omega = omega_hi
-                phi_e = err
-            else:
-                holds += 1
-            theta = fmod(theta + omega * dt, TAU)
-            if theta < 0.0:
-                theta += TAU
-            if on_nco:
-                est = math.degrees(theta)
-            else:
-                w = fmod(theta + phi_e, TAU)
-                if w < 0.0:
-                    w += TAU
-                est = math.degrees(w)
-            arc = fmod(est - prev, 360.0)
-            if arc < 0.0:
-                arc += 360.0
-            if arc >= 180.0:
-                slips += 1
-            else:
-                d = fmod(target - prev, 360.0)
-                if d < 0.0:
-                    d += 360.0
-                if 0.0 < d <= arc and n - last >= refr:
-                    events.append(TriggerEvent(n, n / fs, "pv", est, xi))
-                    last = n
-            prev = est
-            n += 1
-        self._buf_i = buf_i
-        self._buf_q = buf_q
+        out = np.empty(len(x))
+        for a in range(0, len(x), BLOCK_SAMPLES):
+            ests = []
+            append = ests.append
+            for xi in x[a:a + BLOCK_SAMPLES].tolist():
+                i_new = xi * sin(theta)
+                q_new = xi * cos(theta)
+                sum_i += i_new - buf_i[idx]
+                sum_q += q_new - buf_q[idx]
+                buf_i[idx] = i_new
+                buf_q[idx] = q_new
+                idx = idx + 1 if idx + 1 < span else 0
+                mean_i = sum_i / span
+                mean_q = sum_q / span
+                if hypot(mean_i, mean_q) >= PV_EPSILON_UV:
+                    err = atan2(mean_q, mean_i)
+                    delta = fmod(err - phi_e + 3.0 * pi, TAU) - pi
+                    omega = omega + k * delta
+                    if omega < omega_lo:
+                        omega = omega_lo
+                    elif omega > omega_hi:
+                        omega = omega_hi
+                    phi_e = err
+                else:
+                    holds += 1
+                theta = fmod(theta + omega * dt, TAU)
+                if theta < 0.0:
+                    theta += TAU
+                if on_nco:
+                    append(theta)
+                else:
+                    w = fmod(theta + phi_e, TAU)
+                    if w < 0.0:
+                        w += TAU
+                    append(w)
+            out[a:a + len(ests)] = ests
+        np.degrees(out, out=out)
         self._sum_i = sum_i
         self._sum_q = sum_q
         self._idx = idx
         self.omega = omega
         self.theta = theta
         self.phi_e = phi_e
-        self._prev_est = prev
-        self._n = n
-        self._last_trigger = last
-        self.slip_count += slips
+        if len(out):
+            self._prev_est = float(out[-1])
         self.hold_count += holds
-        return events
+        return out, np.empty(0, dtype=np.intp)
+
+    def run(self, x) -> list:
+        return self._run_blocks(x)
 
 
 def make_tracker(config: TrackerConfig):

@@ -1,0 +1,244 @@
+"""The batch kernels and the shared crossing scan against the step() path.
+
+``run`` is a kernel (``phase_stream``, or the AT isolation filter) plus one
+vectorised scan. These tests hold it equal to a ``step`` loop, counters
+included, over uneven chunks, kernel block boundaries, PLL reset samples
+and the vocoder's oscillator-trigger mode; and they hold the optimizer's
+phase streams equal to streams built with ``step``.
+"""
+import math
+
+import numpy as np
+import pytest
+
+import swphase.pipeline as pipeline
+import swphase.trackers as trackers
+from swphase import SynthSpec, generate
+from swphase.dsp import IirFilter, design_sw_isolation
+from swphase.errors import UndefinedStatisticError
+from swphase.gate import GateConfig
+from swphase.optimize import make_pipeline_evaluator, tally_from_phases
+from swphase.oracle import compute_phase_track
+from swphase.pipeline import (evaluate_session, qualifying_windows,
+                              run_session, tracker_phase_stream)
+from swphase.trackers import (TrackerConfig, forward_arcs, make_tracker,
+                              phase_crossed, phase_hits)
+
+from conftest import FS
+
+CONFIGS = {
+    "at": TrackerConfig(algorithm="at"),
+    "pll": TrackerConfig(algorithm="pll"),
+    "pv": TrackerConfig(algorithm="pv"),
+    "pv_nco": TrackerConfig(algorithm="pv", pv_trigger_on_nco=True),
+}
+
+
+def signal(n, seed=5):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    return (60.0 * np.sin(2 * np.pi * 1.1 * t) + 25.0 * rng.standard_normal(n)
+            + 20.0 * np.sin(2 * np.pi * 0.3 * t))
+
+
+def step_loop(tracker, x):
+    events, estimates = [], []
+    for v in np.asarray(x, dtype=float).tolist():
+        out = tracker.step(v)
+        if isinstance(out, tuple):
+            estimates.append(out[0])
+            out = out[-1]
+        if out is not None:
+            events.append(out)
+    return events, np.asarray(estimates)
+
+
+def counters(tracker):
+    return {name: getattr(tracker, name) for name in
+            ("slip_count", "hold_count", "reset_count", "_n", "_last_trigger")
+            if hasattr(tracker, name)}
+
+
+def chunked(tracker, x, bounds):
+    events = []
+    for a, b in zip([0] + bounds, bounds + [len(x)]):
+        events += tracker.run(x[a:b])
+    return events
+
+
+@pytest.mark.parametrize("refractory_s", [0.25, 2.0])
+@pytest.mark.parametrize("name", CONFIGS)
+def test_uneven_chunks_equal_one_run_and_step_loop(name, refractory_s):
+    # at 2 s the refractory interval spans about two input cycles, so
+    # crossings fall inside it on both sides of the chunk boundary
+    cfg = TrackerConfig(**{**CONFIGS[name].__dict__,
+                           "refractory_s": refractory_s})
+    x = signal(12000)
+    whole_tracker = make_tracker(cfg)
+    whole = whole_tracker.run(x)
+    stepped_tracker = make_tracker(cfg)
+    stepped, _ = step_loop(stepped_tracker, x)
+    assert len(whole) > 5
+    assert whole == stepped
+    assert counters(whole_tracker) == counters(stepped_tracker)
+
+    # a chunk boundary half a refractory interval after a trigger
+    refr = whole_tracker._refr
+    inside = whole[len(whole) // 2].sample_index + refr // 2
+    bounds = sorted({1, 8, 8 + 4096, inside, inside + 7})
+    chunk_tracker = make_tracker(cfg)
+    assert chunked(chunk_tracker, x, bounds) == whole
+    assert counters(chunk_tracker) == counters(whole_tracker)
+
+
+def test_at_chunk_starting_above_threshold():
+    # a chunk that opens above the level must not fire: the carried
+    # previous value, not 0, decides the first sample's crossing
+    cfg = TrackerConfig(algorithm="at", refractory_s=0.05)
+    x = signal(12000)
+    v = IirFilter(*design_sw_isolation(FS)).run(x)
+    whole = make_tracker(cfg).run(x)
+    fired = np.asarray([e.sample_index for e in whole])
+    thr = cfg.at_threshold_uv
+    above = np.flatnonzero((v[:-1] >= thr) & (v[1:] >= thr)) + 1
+    refr = make_tracker(cfg)._refr
+    cut = next(int(i) for i in above if np.all(np.abs(i - fired) >= refr))
+    chunks = make_tracker(cfg)
+    assert chunks.run(x[:cut]) + chunks.run(x[cut:]) == whole
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_kernel_block_boundaries(monkeypatch, name):
+    monkeypatch.setattr(trackers, "BLOCK_SAMPLES", 257)
+    cfg = CONFIGS[name]
+    x = signal(5000, seed=9)
+    blocked = make_tracker(cfg)
+    stepped = make_tracker(cfg)
+    assert blocked.run(x) == step_loop(stepped, x)[0]
+    assert counters(blocked) == counters(stepped)
+
+
+def test_events_carry_python_numbers():
+    for cfg in CONFIGS.values():
+        for e in make_tracker(cfg).run(signal(3000)):
+            assert type(e.sample_index) is int
+            assert type(e.time_s) is float
+            assert type(e.amplitude_uv) is float
+            assert e.tracker_phase_deg is None or type(e.tracker_phase_deg) is float
+
+
+def test_pll_reset_samples_match_step_loop():
+    x = signal(20000, seed=3)
+    ref = make_tracker(CONFIGS["pll"])
+    _, est = step_loop(ref, x)
+    target = ref._target
+    # a reset seen from the previous estimate: a jump to 0 deg from below
+    # 180 deg would look like a slip, a jump across the target like a hit
+    slip_like = np.flatnonzero((est[:-1] > 10.0) & (est[:-1] < 170.0))[::400] + 1
+    hit_like = np.flatnonzero((est[:-1] > target - 10.0)
+                              & (est[:-1] < target))[::150] + 1
+    bad = np.union1d(slip_like, hit_like)
+    assert len(slip_like) >= 3 and len(hit_like) >= 3
+    x[bad] = np.nan
+
+    stepped_tracker = make_tracker(CONFIGS["pll"])
+    stepped, est_nan = step_loop(stepped_tracker, x)
+    batch_tracker = make_tracker(CONFIGS["pll"])
+    batch = batch_tracker.run(x)
+    assert batch == stepped
+    assert batch_tracker.reset_count == stepped_tracker.reset_count == len(bad)
+    assert batch_tracker.slip_count == stepped_tracker.slip_count
+    assert not set(bad.tolist()) & {e.sample_index for e in batch}
+
+    # the same stream judged without its reset indices would differ
+    _, naive_slips = forward_arcs(est_nan)
+    assert naive_slips > batch_tracker.slip_count
+    naive_hits = set(phase_hits(est_nan, forward_arcs(est_nan)[0], target).tolist())
+    assert naive_hits & set(bad.tolist())
+
+
+def test_scan_equals_scalar_crossing_test():
+    rng = np.random.default_rng(1)
+    stream = np.concatenate([np.mod(np.cumsum(rng.uniform(0.0, 40.0, 3000)), 360.0),
+                             rng.uniform(0.0, 360.0, 500),
+                             [0.0, 359.99999999999994, 0.0, 180.0, 0.0,
+                              0.0, 45.0, 45.0, 200.0]])
+    for prev in (0.0, 123.4, 359.5):
+        arcs, slips = forward_arcs(stream, prev)
+        p = [prev] + stream[:-1].tolist()
+        arc_list = [math.fmod(c - q, 360.0) % 360.0 for q, c in zip(p, stream)]
+        assert slips == sum(a >= 180.0 for a in arc_list)
+        for target in (0.0, 45.0, 195.0, 359.0):
+            expect = [i for i, (q, c) in enumerate(zip(p, stream.tolist()))
+                      if phase_crossed(q, c, target)]
+            assert phase_hits(stream, arcs, target, prev).tolist() == expect
+
+
+@pytest.mark.parametrize("algo", ["pll", "pv"])
+def test_phase_stream_equals_step_built_stream(monkeypatch, algo):
+    x = signal(9000, seed=4)
+    cfg = TrackerConfig(algorithm=algo)
+    ref = make_tracker(cfg)
+    _, expected = step_loop(ref, x)
+
+    made = []
+    cls = getattr(pipeline, type(ref).__name__)
+
+    def build(config):
+        made.append(cls(config))
+        return made[-1]
+    monkeypatch.setattr(pipeline, type(ref).__name__, build)
+    stream = tracker_phase_stream(x, cfg)
+    assert stream.tobytes() == expected.tobytes()
+    (tracker,) = made
+    for name in ("slip_count", "hold_count", "reset_count"):
+        assert getattr(tracker, name, None) == getattr(ref, name, None)
+
+
+@pytest.fixture(scope="module")
+def deep_sleep():
+    return generate(SynthSpec(hypnogram=["N2"] * 12 + ["N3"] * 24, seed=4)).recording
+
+
+def test_optimizer_keeps_one_stream_per_nco_mode(deep_sleep):
+    rec = deep_sleep
+    gate_config = GateConfig().validate()
+    evaluate = make_pipeline_evaluator([rec], "pv", gate_config)
+    track = compute_phase_track(rec.samples, rec.fs)
+    tallies = []
+    for on_nco in (False, True, False):
+        combo = {"phi_target_deg": 45.0, "pv_trigger_on_nco": on_nco}
+        fast = evaluate(combo, rec)
+        cfg = TrackerConfig(algorithm="pv", sample_rate_hz=rec.fs, **combo)
+        session = run_session(rec, cfg, gate_config)
+        q_count, _, qual = qualifying_windows(rec, session.window_flags,
+                                              gate_config, track.valid)
+        idx = np.asarray([e.sample_index for e in session.delivered()], dtype=int)
+        valid = idx[track.valid[idx]]
+        win = int(round(2.0 * rec.fs))
+        inw = [w < len(qual) and bool(qual[w]) for w in valid // win]
+        assert fast == tally_from_phases(track.phase_deg[valid], inw, q_count)
+        tallies.append(fast)
+    assert tallies[0] != tallies[1]
+    assert tallies[0] == tallies[2]
+
+
+class TestEvaluateStatistics:
+    def test_undefined_mean_is_reported(self, deep_sleep, monkeypatch):
+        session = run_session(deep_sleep, TrackerConfig(algorithm="pv"))
+
+        def undefined(_phases):
+            raise UndefinedStatisticError("zero resultant")
+        monkeypatch.setattr(pipeline, "circular_mean_sd", undefined)
+        report = evaluate_session(deep_sleep, session)
+        assert report.mean_undefined
+        assert report.circular_mean_deg is None
+
+    def test_other_errors_propagate(self, deep_sleep, monkeypatch):
+        session = run_session(deep_sleep, TrackerConfig(algorithm="pv"))
+
+        def broken(_phases):
+            raise ValueError("not a statistics problem")
+        monkeypatch.setattr(pipeline, "circular_mean_sd", broken)
+        with pytest.raises(ValueError):
+            evaluate_session(deep_sleep, session)

@@ -127,6 +127,34 @@ class TestOptimize:
         # the tuned target must beat the quadrature one
         assert payload["best"]["combo"]["phi_target_deg"] == 45.0
 
+    def test_boolean_grid_values(self, corpus, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("phi_target_deg = 45\npv_trigger_on_nco = true,false\n")
+        out = tmp_path / "cv.json"
+        rc = main(["optimize", str(corpus / "r0.swp"), str(corpus / "r1.swp"),
+                   "--algorithm", "pv", "-k", "2", "--grid", str(grid),
+                   "--json", str(out)])
+        assert rc == 0
+        combos = [r["combo"] for r in json.loads(out.read_text())["results"]]
+        assert combos == [{"phi_target_deg": 45.0, "pv_trigger_on_nco": True},
+                          {"phi_target_deg": 45.0, "pv_trigger_on_nco": False}]
+
+    @pytest.mark.parametrize("line", [
+        "no_such_knob = 1,2",
+        "algorithm = pv",
+        "maf_span = 2.5",
+        "pv_trigger_on_nco = maybe",
+    ])
+    def test_bad_grid_is_a_configuration_error(self, corpus, tmp_path, capsys,
+                                               line):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(line + "\n")
+        rc = main(["optimize", str(corpus / "r0.swp"), str(corpus / "r1.swp"),
+                   "--algorithm", "pv", "-k", "2", "--grid", str(grid)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and err.count("\n") == 1
+
 
 class TestBenchCommand:
     def test_single_algorithm_smoke(self, capsys):
@@ -165,6 +193,25 @@ class TestExitCodes:
                    "--hypnogram", str(corpus / "r0.hyp.csv")])
         assert rc == 3
         assert "FileFormatError" in capsys.readouterr().err
+
+    def test_trigger_past_the_recording_is_3(self, corpus, tmp_path, capsys):
+        n = len(read_recording(corpus / "r0.swp").samples)
+        lines = (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)
+        first_row = next(i for i, ln in enumerate(lines)
+                         if ln[0].isdigit())
+        fields = lines[first_row].split(",")
+        fields[0] = str(n)
+        lines[first_row] = ",".join(fields)
+        bad = tmp_path / "past.trig.csv"
+        bad.write_text("".join(lines))
+        rc = main(["evaluate", "--input", str(corpus / "r0.swp"),
+                   "--triggers", str(bad),
+                   "--hypnogram", str(corpus / "r0.hyp.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "FileFormatError" in err
+        assert f"past.trig.csv:{first_row + 1}:" in err
+        assert f"sample_index {n}" in err
 
     def test_missing_file_is_4(self, tmp_path, capsys):
         rc = main(["track", "--input", str(tmp_path / "absent.swp"),
