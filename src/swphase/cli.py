@@ -20,6 +20,7 @@ from .io import (apply_config, config_echo, hash_file, parse_grid,
                  parse_stage_runs, read_config, read_hypnogram,
                  read_recording, read_trigger_log, write_hypnogram,
                  write_phase_track, write_recording, write_trigger_log)
+from .metrics import in_up_phase
 from .optimize import default_grid, grid_search_cv, make_pipeline_evaluator
 from .pipeline import SessionResult, evaluate_session, run_session
 from .synth import SynthSpec, default_hypnogram, generate
@@ -90,6 +91,9 @@ def cmd_evaluate(args) -> int:
     recording.hypnogram = read_hypnogram(args.hypnogram)
     provenance, log = read_trigger_log(args.triggers,
                                        n_samples=len(recording.samples))
+    logged = provenance.get("input_sha256")
+    if logged is not None and logged != hash_file(args.input):
+        raise FileFormatError(f"{args.triggers}: input_sha256 differs from {args.input}")
     algos = {e.algorithm for e in log}
     algo = args.algorithm or (algos.pop() if len(algos) == 1 else None)
     if algo is None:
@@ -120,8 +124,8 @@ def cmd_evaluate(args) -> int:
     }
     if report.circular_mean_deg is not None:
         up = report.trigger_phases_deg
-        up_pct = (100.0 * float(np.count_nonzero(
-            (up > 0.0) & (up <= 90.0))) / len(up)) if len(up) else 0.0
+        up_pct = (100.0 * float(np.count_nonzero(in_up_phase(up))) / len(up)
+                  if len(up) else 0.0)
         lines += [
             f"circular mean        {report.circular_mean_deg:.2f} deg",
             f"circular sd          {report.circular_sd_deg:.2f} deg",

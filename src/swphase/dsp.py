@@ -156,11 +156,25 @@ class BandPower:
     window_s: float
 
 
-def band_power(window, fs: float, band: tuple) -> BandPower:
-    """Power of ``window`` integrated over ``band`` (Hz), in uV^2.
+def band_powers(windows, fs: float, bands) -> np.ndarray:
+    """Power (uV^2) of each window over each band (Hz, edges inclusive),
+    shape ``windows.shape[:-1] + (len(bands),)``: a Hann-tapered one-sided
+    periodogram, one rfft for all windows, normalized so a steady in-band
+    sinusoid of amplitude A sums to about A^2/2. Bands are slices of the
+    spectrum, which numpy sums in the same order for one window as for many."""
+    x = np.asarray(windows, dtype=float)
+    n = x.shape[-1]
+    w = np.hanning(n)
+    spectrum = np.abs(np.fft.rfft(x * w)) ** 2
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    scale = 2.0 / (n * np.sum(w * w))
+    return np.stack([spectrum[..., freqs.searchsorted(lo):freqs.searchsorted(hi, "right")]
+                     .sum(axis=-1) * scale for lo, hi in bands], axis=-1)
 
-    Hann-tapered one-sided periodogram, normalized so a steady in-band
-    sinusoid of amplitude A sums to about A^2/2 over its band.
+
+def band_power(window, fs: float, band: tuple) -> BandPower:
+    """Power of ``window`` integrated over ``band`` (Hz), in uV^2, from
+    ``band_powers``.
 
     Args:
         window: samples, at least 2 s worth.
@@ -173,10 +187,4 @@ def band_power(window, fs: float, band: tuple) -> BandPower:
     x = np.asarray(window, dtype=float)
     if len(x) < 2 * fs:
         raise ConfigurationError(f"band_power window {len(x)} samples, need >= {int(2 * fs)}")
-    n = len(x)
-    w = np.hanning(n)
-    spectrum = np.abs(np.fft.rfft(x * w)) ** 2
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    scale = 2.0 / (n * np.sum(w * w))
-    sel = (freqs >= lo) & (freqs <= hi)
-    return BandPower((lo, hi), float(np.sum(spectrum[sel]) * scale), n / fs)
+    return BandPower((lo, hi), float(band_powers(x, fs, [band])[0]), len(x) / fs)

@@ -1,6 +1,7 @@
 """Autonomous stimulation gating.
 
-Every 4 s window of the preprocessed stream yields band powers; from those:
+Every 4 s window of the preprocessed stream yields five band powers
+(``window_powers``), and ``window_rule`` turns them into flags:
 
 - NREM flag: averaged 0.5-2 and 2-4 Hz powers over the last 80 s above their
   thresholds AND averaged 20-30 Hz power below its threshold;
@@ -11,16 +12,21 @@ A candidate trigger is delivered iff nrem and swa hold, beta does not, and
 (when the ON-OFF protocol is enabled) the candidate's timestamp falls in an
 ON window. Suppression reports the first failing condition in the fixed
 order nrem, swa, beta, onoff. The first 80 s never deliver (cold start).
+Batch callers run these functions on arrays for a whole recording; the
+streaming gate runs them as each window completes.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .dsp import PreprocessChain, band_powers
 from .errors import ConfigurationError
+from .recording import EegRecording
 
 GATE_WINDOW_S = 4.0
 NREM_HISTORY_S = 80.0
@@ -31,8 +37,13 @@ NREM_MID_BAND_HZ = (2.0, 4.0)
 NREM_BETA_BAND_HZ = (20.0, 30.0)
 SWA_BAND_HZ = (0.5, 4.0)
 INHIBIT_BETA_BAND_HZ = (17.0, 22.0)
+# columns of a window powers array: low, mid, high_beta, swa, beta
+GATE_BANDS_HZ = (NREM_LOW_BAND_HZ, NREM_MID_BAND_HZ, NREM_BETA_BAND_HZ,
+                 SWA_BAND_HZ, INHIBIT_BETA_BAND_HZ)
 
 SUPPRESSION_ORDER = ("nrem", "swa", "beta", "onoff")
+REASONS = SUPPRESSION_ORDER + ("",)     # indexed by reason code
+NREM, SWA, BETA, ONOFF, DELIVERED = range(len(REASONS))
 
 # defaults calibrated against the default synthetic generator spec
 # (see calibrate_gate); geometric midpoints of NREM vs wake band statistics
@@ -72,57 +83,83 @@ class GateConfig:
     def history_windows(self) -> int:
         return int(round(self.nrem_history_s / self.window_step_s))
 
+    def window_samples(self, fs: float) -> int:
+        return int(round(self.window_step_s * fs))
 
-@dataclass(frozen=True)
-class GateFlags:
+
+class GateFlags(NamedTuple):
+    """One window's flags, in the suppression order."""
     nrem: bool
     swa: bool
     beta_inhibit: bool
 
 
-@dataclass(frozen=True)
-class WindowPowers:
-    low: float        # 0.5-2 Hz
-    mid: float        # 2-4 Hz
-    high_beta: float  # 20-30 Hz
-    swa: float        # 0.5-4 Hz
-    beta: float       # 17-22 Hz
+OPEN = GateFlags(True, True, False)     # fails no condition
+CLOSED = GateFlags(False, False, False)  # before the first window completes
 
 
-def window_band_powers(window: np.ndarray, fs: float) -> WindowPowers:
-    """All five gate band powers from a single tapered transform."""
-    x = np.asarray(window, dtype=float)
-    n = len(x)
-    w = np.hanning(n)
-    spectrum = np.abs(np.fft.rfft(x * w)) ** 2
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    scale = 2.0 / (n * np.sum(w * w))
-
-    def band(lo, hi):
-        sel = (freqs >= lo) & (freqs <= hi)
-        return float(np.sum(spectrum[sel]) * scale)
-
-    return WindowPowers(band(*NREM_LOW_BAND_HZ), band(*NREM_MID_BAND_HZ),
-                        band(*NREM_BETA_BAND_HZ), band(*SWA_BAND_HZ),
-                        band(*INHIBIT_BETA_BAND_HZ))
+def window_powers(preprocessed, fs: float, window_n: int) -> np.ndarray:
+    """GATE_BANDS_HZ powers of each complete window, shape (n_windows, 5)."""
+    x = np.asarray(preprocessed, dtype=float)
+    n_windows = len(x) // window_n
+    return band_powers(x[:n_windows * window_n].reshape(n_windows, window_n),
+                       fs, GATE_BANDS_HZ)
 
 
-def nrem_vote(history, config: GateConfig) -> bool:
-    """NREM decision over a full history of WindowPowers; False if short."""
-    if len(history) < config.history_windows:
-        return False
-    low = sum(p.low for p in history) / len(history)
-    mid = sum(p.mid for p in history) / len(history)
-    beta = sum(p.high_beta for p in history) / len(history)
-    return (low > config.nrem_low_threshold_uv2
-            and mid > config.nrem_mid_threshold_uv2
-            and beta < config.nrem_beta_threshold_uv2)
+def window_rule(powers, config: GateConfig) -> np.ndarray:
+    """Flags (nrem, swa, beta_inhibit) per row of ``window_powers``. nrem
+    needs a full history, whose means add oldest first like a running sum."""
+    p = np.asarray(powers, dtype=float)
+    h = config.history_windows
+    n_full = len(p) - h + 1
+    flags = np.zeros((len(p), 3), dtype=bool)
+    if n_full > 0:
+        total = p[:n_full, :3].copy()
+        for lag in range(1, h):
+            total += p[lag:lag + n_full, :3]
+        low, mid, high_beta = (total / h).T
+        flags[h - 1:, 0] = ((low > config.nrem_low_threshold_uv2)
+                            & (mid > config.nrem_mid_threshold_uv2)
+                            & (high_beta < config.nrem_beta_threshold_uv2))
+    flags[:, 1] = p[:, 3] >= config.swa_threshold_uv2
+    flags[:, 2] = p[:, 4] >= config.beta_threshold_uv2
+    return flags
 
 
-def on_window_at(time_s: float, config: GateConfig) -> bool:
-    """ON-OFF protocol phase at a timestamp; pure function of elapsed time."""
+def window_reasons(window_flags) -> np.ndarray:
+    """Reason code governing each window's samples: for window j, the first
+    of nrem, swa, beta that window j - 1 fails, else ONOFF (judged per
+    candidate); NREM for window 0, and one entry for all later samples."""
+    flags = np.asarray(window_flags, dtype=bool).reshape(-1, 3)
+    failing = np.column_stack((flags != OPEN, np.ones(len(flags), dtype=bool)))
+    return np.concatenate(([NREM], failing.argmax(axis=1)))
+
+
+def staged_nrem(reasons) -> np.ndarray:
+    """Windows staged as NREM with slow-wave activity: nrem and swa hold."""
+    return np.asarray(reasons) > SWA
+
+
+def in_window(per_window, sample_index, window_n: int):
+    """The per_window entry of each sample's window (the last past the end)."""
+    k = np.asarray(sample_index, dtype=np.intp) // window_n
+    return np.asarray(per_window)[np.minimum(k, len(per_window) - 1)]
+
+
+def candidate_reasons(reasons, time_s, config: GateConfig) -> np.ndarray:
+    """Code per candidate from its governing window's reason: an open window
+    delivers unless the protocol is on and time_s is in an OFF half."""
+    deliver = np.asarray(reasons) == ONOFF
+    if config.onoff_enabled:
+        deliver &= on_window_at(time_s, config)
+    return np.where(deliver, DELIVERED, reasons)
+
+
+def on_window_at(time_s, config: GateConfig):
+    """ON-OFF protocol phase at a timestamp (or an array of them)."""
     period = config.onoff_period_s
-    return math.fmod(time_s, 2.0 * period) < period
+    on = np.fmod(time_s, 2.0 * period) < period
+    return on if isinstance(on, np.ndarray) else bool(on)
 
 
 class StimulationGate:
@@ -138,13 +175,12 @@ class StimulationGate:
         config.validate()
         self.config = config
         self.fs = fs
-        self._window_n = int(round(config.window_step_s * fs))
+        self._window_n = config.window_samples(fs)
         self._buf = np.empty(self._window_n)
         self._fill = 0
         self._history = deque(maxlen=config.history_windows)
-        self._flags = GateFlags(False, False, False)
-        self._n = 0
-        self.window_log = []   # (nrem, swa, beta_inhibit) per completed window
+        self._flags = CLOSED
+        self.window_log = []   # GateFlags per completed window
 
     @property
     def flags(self) -> GateFlags:
@@ -153,16 +189,10 @@ class StimulationGate:
     def step(self, x: float) -> GateFlags:
         self._buf[self._fill] = x
         self._fill += 1
-        self._n += 1
         if self._fill == self._window_n:
-            powers = window_band_powers(self._buf, self.fs)
-            self._history.append(powers)
-            cfg = self.config
-            self._flags = GateFlags(
-                nrem_vote(self._history, cfg),
-                powers.swa >= cfg.swa_threshold_uv2,
-                powers.beta >= cfg.beta_threshold_uv2,
-            )
+            self._history.append(band_powers(self._buf, self.fs, GATE_BANDS_HZ))
+            flags = window_rule(np.array(self._history), self.config)[-1]
+            self._flags = GateFlags._make(flags.tolist())
             self.window_log.append(self._flags)
             self._fill = 0
         return self._flags
@@ -173,17 +203,9 @@ class StimulationGate:
         reason is "" when delivered, otherwise the first failing condition
         in the order nrem, swa, beta, onoff.
         """
-        f = self._flags
-        cfg = self.config
-        if not f.nrem:
-            return False, "nrem"
-        if not f.swa:
-            return False, "swa"
-        if f.beta_inhibit:
-            return False, "beta"
-        if cfg.onoff_enabled and not on_window_at(time_s, cfg):
-            return False, "onoff"
-        return True, ""
+        code = int(candidate_reasons(window_reasons(self._flags)[-1], time_s,
+                                     self.config))
+        return code == DELIVERED, REASONS[code]
 
 
 def gate_flags_batch(preprocessed: np.ndarray, fs: float, config: GateConfig):
@@ -194,28 +216,8 @@ def gate_flags_batch(preprocessed: np.ndarray, fs: float, config: GateConfig):
     the flags of window k-1 (none before the first boundary).
     """
     config.validate()
-    window_n = int(round(config.window_step_s * fs))
-    n_windows = len(preprocessed) // window_n
-    history = deque(maxlen=config.history_windows)
-    out = []
-    for k in range(n_windows):
-        powers = window_band_powers(preprocessed[k * window_n:(k + 1) * window_n], fs)
-        history.append(powers)
-        out.append(GateFlags(
-            nrem_vote(history, config),
-            powers.swa >= config.swa_threshold_uv2,
-            powers.beta >= config.beta_threshold_uv2,
-        ))
-    return out
-
-
-def flags_at_sample(window_flags, sample_index: int, window_n: int) -> GateFlags:
-    """The flags governing a sample: those of the last completed window."""
-    k = sample_index // window_n - 1
-    if k < 0:
-        return GateFlags(False, False, False)
-    k = min(k, len(window_flags) - 1)
-    return window_flags[k]
+    powers = window_powers(preprocessed, fs, config.window_samples(fs))
+    return list(map(GateFlags._make, window_rule(powers, config).tolist()))
 
 
 def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> GateConfig:
@@ -227,42 +229,33 @@ def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> Gate
     bands the other way around). The SWA threshold comes from the same
     scheme on the 0.5-4 Hz band.
     """
-    from .dsp import PreprocessChain
-    from .recording import EegRecording
-
     if not isinstance(recording, EegRecording):
         raise ConfigurationError("calibrate_gate needs an EegRecording with a hypnogram")
     if not recording.hypnogram:
         raise ConfigurationError("recording has no hypnogram to calibrate against")
     fs = fs or recording.fs
-    chain = PreprocessChain(fs)
-    y = chain.run(recording.samples)
+    y = PreprocessChain(fs).run(recording.samples)
     window_n = int(round(GATE_WINDOW_S * fs))
-    n3 = recording.stage_mask(("N3",))
-    wake = recording.stage_mask(("W",))
-    per_stage = {"N3": [], "W": []}
-    for k in range(len(y) // window_n):
-        s = slice(k * window_n, (k + 1) * window_n)
-        if n3[s].all():
-            per_stage["N3"].append(window_band_powers(y[s], fs))
-        elif wake[s].all():
-            per_stage["W"].append(window_band_powers(y[s], fs))
-    if not per_stage["N3"] or not per_stage["W"]:
+    powers = window_powers(y, fs, window_n)
+
+    def whole_windows(stages):
+        mask = recording.stage_mask(stages)[:len(powers) * window_n]
+        return mask.reshape(len(powers), window_n).all(axis=1)
+
+    n3 = whole_windows(("N3",))
+    wake = whole_windows(("W",)) & ~n3
+    if not n3.any() or not wake.any():
         raise ConfigurationError("calibration needs both N3 and W epochs")
-
-    def med(stage, attr):
-        return float(np.median([getattr(p, attr) for p in per_stage[stage]]))
-
-    def gmid(a, b):
-        return math.sqrt(a * b)
-
+    low, mid, high_beta, swa, beta = (
+        math.sqrt(a * b) for a, b in zip(np.median(powers[n3], axis=0).tolist(),
+                                         np.median(powers[wake], axis=0).tolist()))
     base = base or GateConfig()
     return GateConfig(
-        nrem_low_threshold_uv2=gmid(med("N3", "low"), med("W", "low")),
-        nrem_mid_threshold_uv2=gmid(med("N3", "mid"), med("W", "mid")),
-        nrem_beta_threshold_uv2=gmid(med("N3", "high_beta"), med("W", "high_beta")),
-        swa_threshold_uv2=gmid(med("N3", "swa"), med("W", "swa")),
-        beta_threshold_uv2=gmid(med("N3", "beta"), med("W", "beta")),
+        nrem_low_threshold_uv2=low,
+        nrem_mid_threshold_uv2=mid,
+        nrem_beta_threshold_uv2=high_beta,
+        swa_threshold_uv2=swa,
+        beta_threshold_uv2=beta,
         window_step_s=base.window_step_s,
         nrem_history_s=base.nrem_history_s,
         onoff_period_s=base.onoff_period_s,

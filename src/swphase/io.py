@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, FileFormatError
-from .gate import GateConfig
+from .gate import REASONS, GateConfig
 from .oracle import PhaseTrack
 from .recording import EegRecording, STAGES
 from .trackers import TrackerConfig
@@ -52,6 +53,23 @@ def hash_file(path) -> str:
         for block in iter(lambda: f.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _lines(path):
+    """Numbered lines of a UTF-8 text file; undecodable bytes raise."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, 1)
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _recording(path, **fields) -> EegRecording:
+    """EegRecording from a file's fields; refusals name the file."""
+    try:
+        return EegRecording(**fields)
+    except ConfigurationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -84,15 +102,21 @@ def read_recording_binary(path) -> EegRecording:
             raise FileFormatError(f"{path}: unsupported format version {version}")
         (fs,) = struct.unpack("<d", _read_exact(f, 8, "sampling rate"))
         (label_len,) = struct.unpack("<H", _read_exact(f, 2, "label length"))
-        label = _read_exact(f, label_len, "label").decode("utf-8")
+        try:
+            label = _read_exact(f, label_len, "label").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: label is not UTF-8") from None
         (count,) = struct.unpack("<Q", _read_exact(f, 8, "sample count"))
         (start,) = struct.unpack("<d", _read_exact(f, 8, "start time"))
+        body_bytes = os.fstat(f.fileno()).st_size - f.tell()
+        if count > body_bytes // 4:
+            raise FileFormatError(f"{path}: truncated file: {count} samples in the header")
         body = _read_exact(f, 4 * count, "sample data")
         extra = f.read(1)
         if extra:
             raise FileFormatError(f"{path}: trailing bytes after sample data")
     samples = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    return EegRecording(samples=samples, fs=fs, label=label, start_time=start)
+    return _recording(path, samples=samples, fs=fs, label=label, start_time=start)
 
 
 def write_recording_csv(path, recording: EegRecording) -> None:
@@ -107,30 +131,29 @@ def write_recording_csv(path, recording: EegRecording) -> None:
 def read_recording_csv(path) -> EegRecording:
     header = {}
     values = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    header[key.strip()] = val.strip()
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise FileFormatError(f"{path}:{ln}: not a number: {line!r}")
+    for ln, line in _lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, val = body.partition("=")
+                header[key.strip()] = val.strip()
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise FileFormatError(f"{path}:{ln}: not a number: {line!r}")
     if "fs" not in header:
         raise FileFormatError(f"{path}: missing '# fs=' header line")
     try:
         fs = float(header["fs"])
-    except ValueError:
-        raise FileFormatError(f"{path}: bad sampling rate {header['fs']!r}")
-    return EegRecording(samples=np.asarray(values, dtype=np.float64), fs=fs,
-                        label=header.get("label", "EEG"),
-                        start_time=float(header.get("start_time", 0.0)))
+        start = float(header.get("start_time", 0.0))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad header value ({exc})")
+    return _recording(path, samples=np.asarray(values, dtype=np.float64), fs=fs,
+                      label=header.get("label", "EEG"), start_time=start)
 
 
 def read_recording(path) -> EegRecording:
@@ -174,27 +197,26 @@ def write_hypnogram(path, stages) -> None:
 
 def read_hypnogram(path) -> list:
     stages = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ln == 1 and line.lower().startswith("epoch_index"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}:{ln}: expected epoch_index,stage")
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise FileFormatError(f"{path}:{ln}: bad epoch index {parts[0]!r}")
-            if idx != len(stages):
-                raise FileFormatError(
-                    f"{path}:{ln}: epochs must be contiguous from 0, got {idx}")
-            stage = parts[1].strip()
-            if stage not in STAGES:
-                raise FileFormatError(f"{path}:{ln}: unknown stage {stage!r}")
-            stages.append(stage)
+    for ln, line in _lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ln == 1 and line.lower().startswith("epoch_index"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FileFormatError(f"{path}:{ln}: expected epoch_index,stage")
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise FileFormatError(f"{path}:{ln}: bad epoch index {parts[0]!r}")
+        if idx != len(stages):
+            raise FileFormatError(
+                f"{path}:{ln}: epochs must be contiguous from 0, got {idx}")
+        stage = parts[1].strip()
+        if stage not in STAGES:
+            raise FileFormatError(f"{path}:{ln}: unknown stage {stage!r}")
+        stages.append(stage)
     if not stages:
         raise FileFormatError(f"{path}: empty hypnogram")
     return stages
@@ -251,43 +273,44 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
     provenance = {}
     rows = []
     saw_header = False
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, val = body.partition("=")
-                provenance[key.strip()] = val.strip()
-                continue
-            if not saw_header:
-                if line.split(",") != list(TRIGGER_COLUMNS):
-                    raise FileFormatError(f"{path}:{ln}: unexpected column header")
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != len(TRIGGER_COLUMNS):
-                raise FileFormatError(f"{path}:{ln}: expected "
-                                      f"{len(TRIGGER_COLUMNS)} fields")
-            try:
-                rows.append(LoggedTrigger(
-                    sample_index=int(parts[0]),
-                    time_s=float(parts[1]),
-                    algorithm=parts[2],
-                    tracker_phase_deg=float(parts[3]) if parts[3] else None,
-                    amplitude_uv=float(parts[4]),
-                    delivered=bool(int(parts[5])),
-                    suppression_reason=parts[6],
-                    on_window=bool(int(parts[7])),
-                ))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{ln}: {exc}")
-            idx = rows[-1].sample_index
-            if idx < 0 or (n_samples is not None and idx >= n_samples):
-                limit = "" if n_samples is None else f" of {n_samples} samples"
-                raise FileFormatError(
-                    f"{path}:{ln}: sample_index {idx} outside the recording{limit}")
+    for ln, line in _lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            key, _, val = body.partition("=")
+            provenance[key.strip()] = val.strip()
+            continue
+        if not saw_header:
+            if line.split(",") != list(TRIGGER_COLUMNS):
+                raise FileFormatError(f"{path}:{ln}: unexpected column header")
+            saw_header = True
+            continue
+        parts = line.split(",")
+        if len(parts) != len(TRIGGER_COLUMNS):
+            raise FileFormatError(f"{path}:{ln}: expected "
+                                  f"{len(TRIGGER_COLUMNS)} fields")
+        if parts[6] not in REASONS:
+            raise FileFormatError(f"{path}:{ln}: unknown suppression_reason {parts[6]!r}")
+        try:
+            rows.append(LoggedTrigger(
+                sample_index=int(parts[0]),
+                time_s=float(parts[1]),
+                algorithm=parts[2],
+                tracker_phase_deg=float(parts[3]) if parts[3] else None,
+                amplitude_uv=float(parts[4]),
+                delivered=bool(int(parts[5])),
+                suppression_reason=parts[6],
+                on_window=bool(int(parts[7])),
+            ))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{ln}: {exc}")
+        idx = rows[-1].sample_index
+        if idx < 0 or (n_samples is not None and idx >= n_samples):
+            limit = "" if n_samples is None else f" of {n_samples} samples"
+            raise FileFormatError(
+                f"{path}:{ln}: sample_index {idx} outside the recording{limit}")
     if not saw_header:
         raise FileFormatError(f"{path}: missing column header")
     return provenance, rows

@@ -25,7 +25,8 @@ import numpy as np
 
 from .dsp import IirFilter, PreprocessChain, design_sw_isolation
 from .errors import ConfigurationError
-from .gate import GateConfig, flags_at_sample, gate_flags_batch
+from .gate import (DELIVERED, GateConfig, candidate_reasons, gate_flags_batch,
+                   in_window, window_reasons)
 from .metrics import MAX_STIM_PER_WINDOW, PAS_WINDOW_S, in_up_phase
 from .oracle import compute_phase_track
 from .pipeline import (candidates_from_phase_stream, qualifying_windows,
@@ -230,40 +231,31 @@ class _RecordingCache:
 
     def __init__(self, recording: EegRecording, gate_config: GateConfig):
         fs = recording.fs
-        chain = PreprocessChain(fs)
         self.fs = fs
-        self.y = chain.run(recording.samples)
-        self.window_flags = gate_flags_batch(self.y, fs, gate_config)
-        self.gate_win = int(round(gate_config.window_step_s * fs))
+        self.gate_config = gate_config
+        self.y = PreprocessChain(fs).run(recording.samples)
+        flags = gate_flags_batch(self.y, fs, gate_config)
+        self.reasons = window_reasons(flags)
+        self.gate_win = gate_config.window_samples(fs)
         self.track = compute_phase_track(recording.samples, fs)
-        self.q_count, _, self.qual = qualifying_windows(
-            recording, self.window_flags, gate_config, self.track.valid)
+        self.q_count, _, qual = qualifying_windows(
+            recording, flags, gate_config, self.track.valid)
+        self.qual = np.append(qual, False)   # past the last PAS window
         self.pas_win = int(round(PAS_WINDOW_S * fs))
-        self.onoff = gate_config.onoff_enabled
-        self.onoff_period = gate_config.onoff_period_s
         self.streams: dict = {}     # dynamics key -> (phase stream, forward arcs)
         self.iso: Optional[np.ndarray] = None
 
     def delivered_filter(self, idx: np.ndarray) -> np.ndarray:
-        keep = []
-        for i in idx:
-            f = flags_at_sample(self.window_flags, int(i), self.gate_win)
-            if not (f.nrem and f.swa) or f.beta_inhibit:
-                continue
-            if self.onoff and math.fmod(i / self.fs, 2 * self.onoff_period) >= self.onoff_period:
-                continue
-            keep.append(int(i))
-        return np.asarray(keep, dtype=int)
+        idx = np.asarray(idx, dtype=int)
+        reasons = in_window(self.reasons, idx, self.gate_win)
+        return idx[candidate_reasons(reasons, idx / self.fs,
+                                     self.gate_config) == DELIVERED]
 
     def tally(self, delivered_idx: np.ndarray) -> ObjectiveTally:
         valid = delivered_idx[self.track.valid[delivered_idx]]
-        phases = self.track.phase_deg[valid]
-        inw = np.zeros(len(valid), dtype=bool)
-        if len(valid):
-            w = valid // self.pas_win
-            inb = w < len(self.qual)
-            inw[inb] = self.qual[w[inb]]
-        return tally_from_phases(phases, inw, self.q_count)
+        return tally_from_phases(self.track.phase_deg[valid],
+                                 in_window(self.qual, valid, self.pas_win),
+                                 self.q_count)
 
 
 def make_pipeline_evaluator(recordings: Sequence[EegRecording],

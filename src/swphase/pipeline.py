@@ -15,14 +15,15 @@ import numpy as np
 
 from .dsp import PreprocessChain
 from .errors import ConfigurationError, UndefinedStatisticError
-from .gate import (GateConfig, StimulationGate, flags_at_sample,
-                   gate_flags_batch, on_window_at)
+from .gate import (DELIVERED, REASONS, SUPPRESSION_ORDER, GateConfig,
+                   StimulationGate, candidate_reasons, gate_flags_batch,
+                   in_window, on_window_at, staged_nrem, window_reasons)
 from .metrics import (IntervalReport, PAS_WINDOW_S, PasReport,
                       TargetingReport, circular_mean_sd, cmae45,
                       detect_waves, pas, targeting_capacity,
                       trigger_intervals)
 from .oracle import hilbert_phase, phase_at_triggers, zero_phase_bandpass
-from .recording import EegRecording, NREM_STAGES, EPOCH_S
+from .recording import EegRecording
 from .trackers import (PllTracker, PvTracker, TrackerConfig, forward_arcs,
                        make_tracker, phase_hits, refractory)
 
@@ -53,23 +54,11 @@ class SessionResult:
         return [e for e in self.log if e.delivered]
 
     def suppression_counts(self) -> dict:
-        out = {"nrem": 0, "swa": 0, "beta": 0, "onoff": 0}
+        out = dict.fromkeys(SUPPRESSION_ORDER, 0)
         for e in self.log:
             if not e.delivered:
                 out[e.suppression_reason] += 1
         return out
-
-
-def _decide(flags, time_s, cfg: GateConfig):
-    if not flags.nrem:
-        return False, "nrem"
-    if not flags.swa:
-        return False, "swa"
-    if flags.beta_inhibit:
-        return False, "beta"
-    if cfg.onoff_enabled and not on_window_at(time_s, cfg):
-        return False, "onoff"
-    return True, ""
 
 
 def run_session(recording: EegRecording, tracker_config: TrackerConfig,
@@ -96,15 +85,16 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
     tracker = make_tracker(cfg)
     events = tracker.run(y)
     window_flags = gate_flags_batch(y, fs, gate_config)
-    window_n = int(round(gate_config.window_step_s * fs))
-    log = []
-    for ev in events:
-        flags = flags_at_sample(window_flags, ev.sample_index, window_n)
-        ok, reason = _decide(flags, ev.time_s, gate_config)
-        log.append(LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
-                                 ev.tracker_phase_deg, ev.amplitude_uv,
-                                 ok, reason,
-                                 on_window_at(ev.time_s, gate_config)))
+    times = np.array([ev.time_s for ev in events], dtype=float)
+    reasons = in_window(window_reasons(window_flags),
+                        [ev.sample_index for ev in events],
+                        gate_config.window_samples(fs))
+    codes = candidate_reasons(reasons, times, gate_config).tolist()
+    on = on_window_at(times, gate_config).tolist()
+    log = [LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
+                         ev.tracker_phase_deg, ev.amplitude_uv,
+                         code == DELIVERED, REASONS[code], on_window)
+           for ev, code, on_window in zip(events, codes, on)]
     return SessionResult(log, window_flags, cfg, gate_config, fs,
                          slip_count=getattr(tracker, "slip_count", 0),
                          preprocessed=y if keep_preprocessed else None)
@@ -122,7 +112,6 @@ def _run_streaming(recording, cfg, gate_config, keep_preprocessed):
         y = chain.step(x)
         if kept is not None:
             kept[i] = y
-        flags = gate.flags          # flags from completed windows only
         if algo == "at":
             ev = tracker.step(y)
         elif algo == "pll":
@@ -130,7 +119,7 @@ def _run_streaming(recording, cfg, gate_config, keep_preprocessed):
         else:
             _, _, ev = tracker.step(y)
         if ev is not None:
-            ok, reason = _decide(flags, ev.time_s, gate_config)
+            ok, reason = gate.decide(ev.time_s)   # completed windows only
             log.append(LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
                                      ev.tracker_phase_deg, ev.amplitude_uv,
                                      ok, reason,
@@ -182,14 +171,7 @@ def scored_nrem_window_mask(recording: EegRecording, n_windows: int,
                             fs: float) -> np.ndarray:
     """Per-2 s-window flag: hypnogram stage at the window start is N2/N3."""
     win = int(round(PAS_WINDOW_S * fs))
-    epoch_n = int(round(EPOCH_S * fs))
-    hyp = recording.hypnogram or []
-    out = np.zeros(n_windows, dtype=bool)
-    for w in range(n_windows):
-        e = (w * win) // epoch_n
-        if e < len(hyp) and hyp[e] in NREM_STAGES:
-            out[w] = True
-    return out
+    return recording.nrem_mask()[np.arange(n_windows) * win]
 
 
 def qualifying_windows(recording: EegRecording, window_flags,
@@ -201,18 +183,12 @@ def qualifying_windows(recording: EegRecording, window_flags,
     """
     fs = recording.fs
     win = int(round(PAS_WINDOW_S * fs))
-    n_windows = len(recording.samples) // win
-    gate_win = int(round(gate_config.window_step_s * fs))
-    scored = scored_nrem_window_mask(recording, n_windows, fs)
-    qual = np.zeros(n_windows, dtype=bool)
-    for w in range(n_windows):
-        if not scored[w]:
-            continue
-        start = w * win
-        if valid_mask is not None and not (valid_mask[start] and valid_mask[start + win - 1]):
-            continue
-        flags = flags_at_sample(window_flags, start, gate_win)
-        qual[w] = flags.nrem and flags.swa
+    starts = np.arange(len(recording.samples) // win) * win
+    scored = scored_nrem_window_mask(recording, len(starts), fs)
+    qual = scored & in_window(staged_nrem(window_reasons(window_flags)), starts,
+                              gate_config.window_samples(fs))
+    if valid_mask is not None:
+        qual &= valid_mask[starts] & valid_mask[starts + win - 1]
     return int(qual.sum()), int(scored.sum()), qual
 
 
@@ -260,18 +236,15 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
         recording, session.window_flags, session.gate_config, track.valid)
     pas_report = None
     if q_count >= 1:
-        win = int(round(PAS_WINDOW_S * fs))
-        in_qual = [p for e, p in zip(
-            [e for e in delivered if track.valid[e.sample_index]], phases)
-            if e.sample_index // win < len(qual) and qual[e.sample_index // win]]
-        pas_report = pas(in_qual, q_count, scored_count)
+        in_qual = in_window(np.append(qual, False), valid_idx,
+                            int(round(PAS_WINDOW_S * fs)))
+        pas_report = pas(phases[in_qual], q_count, scored_count)
 
-    device_mask = np.zeros(len(recording.samples), dtype=bool)
-    gate_win = int(round(session.gate_config.window_step_s * fs))
-    for k, f in enumerate(session.window_flags):
-        if f.nrem and f.swa:
-            start = (k + 1) * gate_win
-            device_mask[start:start + gate_win] = True
+    n = len(recording.samples)
+    gate_win = session.gate_config.window_samples(fs)
+    staged = in_window(staged_nrem(window_reasons(session.window_flags)),
+                       np.arange(0, n, gate_win), gate_win)
+    device_mask = np.repeat(staged, gate_win)[:n]
     wave_mask = recording.nrem_mask() & device_mask & track.valid
     waves = detect_waves(filtered, fs, wave_mask)
     targeting = targeting_capacity(waves, valid_idx, phases) if len(waves) else None

@@ -1,10 +1,13 @@
 """In-memory recording container shared by the toolkit."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 EPOCH_S = 20.0  # hypnogram epoch length
 
@@ -22,6 +25,10 @@ class EegRecording:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
+        if self.samples.ndim != 1:
+            raise ConfigurationError(f"samples must be 1-D, not {self.samples.shape}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ConfigurationError(f"sampling rate {self.fs!r} Hz must be positive, finite")
 
     @property
     def duration_s(self) -> float:

@@ -102,8 +102,9 @@ class TriggerEvent:
 
 
 def wrap_radians(v: float) -> float:
-    v = math.fmod(v, TAU)
-    return v + TAU if v < 0.0 else v
+    """fmod(v, 2 pi), plus 2 pi when negative (a zero loses its sign); an
+    infinite v gives NaN where math.fmod would raise."""
+    return v % TAU
 
 
 def wrap_degrees(v: float) -> float:
@@ -353,7 +354,6 @@ class PllTracker(_PhaseTracker):
         k = self.config.k_pll
         omega_dt = self._omega_dt
         cos = math.cos
-        fmod = math.fmod
         isfinite = math.isfinite
         theta = self.theta
         phi_p = self.phi_p
@@ -365,9 +365,7 @@ class PllTracker(_PhaseTracker):
             for xi in x[a:a + BLOCK_SAMPLES].tolist():
                 e = xi * cos(theta)
                 phi_p -= k * e
-                theta = fmod(theta + omega_dt - k * e, TAU)
-                if theta < 0.0:
-                    theta += TAU
+                theta = (theta + omega_dt - k * e) % TAU
                 if not (isfinite(theta) and isfinite(phi_p)):
                     theta = 0.0
                     phi_p = 0.0
@@ -426,8 +424,12 @@ class PvTracker(_PhaseTracker):
         cfg = self.config
         span = self._span
         idx = self._idx
-        i_new = x * math.sin(self.theta)
-        q_new = x * math.cos(self.theta)
+        if math.isfinite(x):
+            i_new = x * math.sin(self.theta)
+            q_new = x * math.cos(self.theta)
+        else:   # the running sums would stay non-finite: start them over
+            self._buf_i[:] = self._buf_q[:] = [0.0] * span
+            self._sum_i = self._sum_q = i_new = q_new = 0.0
         self._sum_i += i_new - self._buf_i[idx]
         self._sum_q += q_new - self._buf_q[idx]
         self._buf_i[idx] = i_new
@@ -483,6 +485,7 @@ class PvTracker(_PhaseTracker):
         sin = math.sin
         cos = math.cos
         hypot = math.hypot
+        isfinite = math.isfinite
         atan2 = math.atan2
         fmod = math.fmod
         pi = math.pi
@@ -500,8 +503,12 @@ class PvTracker(_PhaseTracker):
             ests = []
             append = ests.append
             for xi in x[a:a + BLOCK_SAMPLES].tolist():
-                i_new = xi * sin(theta)
-                q_new = xi * cos(theta)
+                if isfinite(xi):
+                    i_new = xi * sin(theta)
+                    q_new = xi * cos(theta)
+                else:
+                    buf_i[:] = buf_q[:] = [0.0] * span
+                    sum_i = sum_q = i_new = q_new = 0.0
                 sum_i += i_new - buf_i[idx]
                 sum_q += q_new - buf_q[idx]
                 buf_i[idx] = i_new
@@ -520,16 +527,8 @@ class PvTracker(_PhaseTracker):
                     phi_e = err
                 else:
                     holds += 1
-                theta = fmod(theta + omega * dt, TAU)
-                if theta < 0.0:
-                    theta += TAU
-                if on_nco:
-                    append(theta)
-                else:
-                    w = fmod(theta + phi_e, TAU)
-                    if w < 0.0:
-                        w += TAU
-                    append(w)
+                theta = (theta + omega * dt) % TAU
+                append(theta if on_nco else (theta + phi_e) % TAU)
             out[a:a + len(ests)] = ests
         np.degrees(out, out=out)
         self._sum_i = sum_i

@@ -157,6 +157,48 @@ def test_pll_reset_samples_match_step_loop():
     assert naive_hits & set(bad.tolist())
 
 
+@pytest.mark.parametrize("bad_value", [np.inf, -np.inf])
+def test_pll_infinite_samples_reset_like_nan(bad_value):
+    x = signal(6000, seed=3)
+    bad = [500, 2500, 2501, 4000]
+    with_nan, with_inf = x.copy(), x.copy()
+    with_nan[bad] = np.nan
+    with_inf[bad] = bad_value
+    ref = make_tracker(CONFIGS["pll"])
+    ref_events, ref_est = step_loop(ref, with_nan)
+    stepped_tracker = make_tracker(CONFIGS["pll"])
+    stepped, est = step_loop(stepped_tracker, with_inf)
+    batch_tracker = make_tracker(CONFIGS["pll"])
+    assert batch_tracker.run(with_inf) == stepped
+    assert counters(batch_tracker) == counters(stepped_tracker) == counters(ref)
+    assert stepped_tracker.reset_count == len(bad)
+    assert est.tobytes() == ref_est.tobytes()
+    assert stepped == ref_events
+
+
+@pytest.mark.parametrize("name", ["pv", "pv_nco"])
+@pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
+def test_pv_nonfinite_sample_restarts_the_moving_averages(name, bad_value):
+    cfg = CONFIGS[name]
+    x = 50.0 * np.sin(2 * np.pi * np.arange(5000) / FS)
+    clean = make_tracker(cfg)
+    clean.run(x)
+    x[[10, 3000]] = bad_value
+    stepped_tracker = make_tracker(cfg)
+    stepped, est = step_loop(stepped_tracker, x)
+    batch_tracker = make_tracker(cfg)
+    batch = batch_tracker.run(x)
+
+    def key(events):
+        return [(e.sample_index, e.tracker_phase_deg) for e in events]
+    assert key(batch) == key(stepped)
+    assert counters(batch_tracker) == counters(stepped_tracker)
+    assert np.isfinite(est).all()
+    # each bad sample costs at most one moving-average span of holds
+    assert stepped_tracker.hold_count <= clean.hold_count + 2 * cfg.maf_span
+    assert len(stepped) > 0.9 * 5000 / FS
+
+
 def test_scan_equals_scalar_crossing_test():
     rng = np.random.default_rng(1)
     stream = np.concatenate([np.mod(np.cumsum(rng.uniform(0.0, 40.0, 3000)), 360.0),

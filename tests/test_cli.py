@@ -213,6 +213,24 @@ class TestExitCodes:
         assert f"past.trig.csv:{first_row + 1}:" in err
         assert f"sample_index {n}" in err
 
+    def test_log_of_another_recording_is_3(self, corpus, capsys):
+        rc = main(["evaluate", "--input", str(corpus / "r1.swp"),
+                   "--triggers", str(corpus / "r0.trig.csv"),
+                   "--hypnogram", str(corpus / "r1.hyp.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "FileFormatError" in err and "input_sha256" in err
+
+    def test_log_without_input_hash_still_evaluates(self, corpus, tmp_path):
+        lines = (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)
+        bare = tmp_path / "bare.trig.csv"
+        bare.write_text("".join(ln for ln in lines
+                                if not ln.startswith("# input_sha256=")))
+        assert main(["evaluate", "--input", str(corpus / "r0.swp"),
+                     "--triggers", str(bare),
+                     "--hypnogram", str(corpus / "r0.hyp.csv")]) == 0
+
     def test_missing_file_is_4(self, tmp_path, capsys):
         rc = main(["track", "--input", str(tmp_path / "absent.swp"),
                    "--out", str(tmp_path / "x.csv")])

@@ -1,0 +1,121 @@
+"""Seeded byte-mutation fuzzing of everything that parses outside input.
+
+Each valid seed input is mutated a few bytes at a time (bit flips, byte
+changes, insertions, deletions, truncation). Every mutant must either parse
+or raise a SwphaseError subclass; any other exception is a crash the command
+line would show as a traceback.
+"""
+import numpy as np
+import pytest
+
+from swphase.errors import SwphaseError
+from swphase.gate import GateConfig
+from swphase.io import (apply_config, parse_stage_runs, read_hypnogram,
+                        read_recording, read_trigger_log, write_hypnogram,
+                        write_recording, write_trigger_log)
+from swphase.pipeline import LoggedTrigger
+from swphase.recording import EegRecording
+from swphase.trackers import TrackerConfig
+
+CASES = 80
+INSERTS = b"0123456789-.,=*#e\n \x00\xff"
+
+
+def mutate(data: bytes, rng) -> bytes:
+    out = bytearray(data)
+    for _ in range(int(rng.integers(1, 5))):
+        op = int(rng.integers(5))
+        i = int(rng.integers(len(out))) if out else 0
+        if op == 0 and out:
+            out[i] ^= 1 << int(rng.integers(8))
+        elif op == 1 and out:
+            out[i] = int(rng.integers(256))
+        elif op == 2 and out:
+            del out[i]
+        elif op == 3:
+            out.insert(i, INSERTS[int(rng.integers(len(INSERTS)))])
+        else:
+            del out[i:]
+    return bytes(out)
+
+
+def recording(n=40):
+    rng = np.random.default_rng(2)
+    return EegRecording(samples=rng.normal(0.0, 30.0, n), fs=250.0,
+                        label="EEG", start_time=1.5)
+
+
+def seed_file(tmp_path, kind) -> bytes:
+    path = tmp_path / f"seed.{kind}"
+    if kind == "swp":
+        write_recording(path, recording())
+    elif kind == "csv":
+        write_recording(path, recording(12))
+    elif kind == "hyp":
+        write_hypnogram(path, ["W", "N1", "N2", "N3", "REM", "N2"])
+    elif kind == "trig":
+        log = [LoggedTrigger(120, 0.48, "pv", 45.123456, 31.5, True, "", True),
+               LoggedTrigger(400, 1.6, "pv", 47.0, -12.25, False, "swa", False)]
+        write_trigger_log(path, log, {"input_sha256": "ab" * 32,
+                                      "tracker_config": "algorithm=pv"})
+    return path.read_bytes()
+
+
+def overrides(text: str) -> dict:
+    out = {}
+    for line in text.splitlines():
+        key, _, val = line.partition("=")
+        out[key.strip()] = val.strip()
+    return out
+
+
+FILE_READERS = {
+    "swp": read_recording,
+    "csv": read_recording,
+    "hyp": read_hypnogram,
+    "trig": lambda path: read_trigger_log(path, n_samples=500),
+}
+
+TEXT_PARSERS = {
+    "stage_runs": ("W*10 N1*3 N2*30 N3*5 REM*2", parse_stage_runs),
+    "tracker_config": ("algorithm=pll\nk_pll=4e-4\nmaf_span=125\n"
+                       "phi_target_deg=45\npv_trigger_on_nco=true",
+                       lambda text: apply_config(TrackerConfig(), overrides(text))),
+    "gate_config": ("swa_threshold_uv2=115\nonoff_enabled=false\n"
+                    "nrem_history_s=80",
+                    lambda text: apply_config(GateConfig(), overrides(text))),
+}
+
+
+def check(parse, data, case):
+    try:
+        parse(data)
+    except SwphaseError:
+        pass
+    except Exception as exc:   # any other type is the failure
+        pytest.fail(f"mutant {case} raised {type(exc).__name__}: {exc} "
+                    f"for input {data!r}")
+
+
+@pytest.mark.parametrize("kind", FILE_READERS)
+def test_mutated_files_parse_or_raise_package_errors(tmp_path, kind):
+    seed = seed_file(tmp_path, kind)
+    FILE_READERS[kind](tmp_path / f"seed.{kind}")     # the seed itself parses
+    rng = np.random.default_rng(list(FILE_READERS).index(kind))
+    path = tmp_path / f"mutant.{kind}"
+
+    def parse(data):
+        path.write_bytes(data)
+        return FILE_READERS[kind](path)
+    for case in range(CASES):
+        check(parse, mutate(seed, rng), case)
+
+
+@pytest.mark.parametrize("kind", TEXT_PARSERS)
+def test_mutated_text_parses_or_raises_package_errors(kind):
+    text, parser = TEXT_PARSERS[kind]
+    parser(text)
+    rng = np.random.default_rng(10 + list(TEXT_PARSERS).index(kind))
+    for case in range(CASES):
+        data = mutate(text.encode(), rng).decode("utf-8", errors="replace")
+        check(parser, data, case)

@@ -1,19 +1,23 @@
 """Stimulation gate: band powers, NREM vote, suppression order, causality."""
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from swphase.dsp import PreprocessChain
+from swphase.dsp import PreprocessChain, band_powers
 from swphase.errors import ConfigurationError
 from swphase.gate import (
+    CLOSED,
+    GATE_BANDS_HZ,
     GateConfig,
     GateFlags,
     StimulationGate,
     calibrate_gate,
-    flags_at_sample,
     gate_flags_batch,
-    nrem_vote,
+    in_window,
     on_window_at,
-    window_band_powers,
+    window_powers,
+    window_rule,
 )
 
 from conftest import FS, sinusoid
@@ -27,6 +31,19 @@ def gate_window(*components) -> np.ndarray:
     for freq, amp in components:
         x += sinusoid(freq, amp, 4.0)
     return x
+
+
+# one row of window_powers, in GATE_BANDS_HZ order
+WindowPowers = namedtuple("WindowPowers", "low mid high_beta swa beta")
+
+
+def window_band_powers(window, fs):
+    return WindowPowers(*window_powers(window, fs, len(window))[0].tolist())
+
+
+def nrem_vote(history, config):
+    """The nrem flag that window_rule gives the last window of a history."""
+    return bool(window_rule(np.array(history), config)[-1, 0])
 
 
 class TestWindowBandPowers:
@@ -63,7 +80,6 @@ class TestNremVote:
         return GateConfig(**kw).validate()
 
     def powers(self, low=200.0, mid=20.0, high_beta=1.0):
-        from swphase.gate import WindowPowers
         return WindowPowers(low=low, mid=mid, high_beta=high_beta,
                             swa=low + mid, beta=1.0)
 
@@ -197,10 +213,60 @@ class TestBatchParity:
             gate.step(float(v))
         assert batch == gate.window_log
 
+    def test_batched_powers_equal_one_window_at_a_time(self, short_synth):
+        # the streaming gate transforms one window at a time; the batch one
+        # transforms them all at once and must give the same bits
+        def reference(window, fs):
+            n = len(window)
+            w = np.hanning(n)
+            spectrum = np.abs(np.fft.rfft(window * w)) ** 2
+            freqs = np.fft.rfftfreq(n, 1.0 / fs)
+            scale = 2.0 / (n * np.sum(w * w))
+            return [float(np.sum(spectrum[(freqs >= lo) & (freqs <= hi)]) * scale)
+                    for lo, hi in GATE_BANDS_HZ]
+        rec = short_synth.recording
+        y = PreprocessChain(rec.fs).run(rec.samples)
+        batch = window_powers(y, rec.fs, WINDOW_N)
+        windows = y[:len(batch) * WINDOW_N].reshape(len(batch), WINDOW_N)
+        one_at_a_time = [band_powers(x, rec.fs, GATE_BANDS_HZ) for x in windows]
+        assert batch.tobytes() == np.array(one_at_a_time).tobytes()
+        assert batch.tolist() == [reference(x, rec.fs) for x in windows]
+
     def test_partial_trailing_window_is_dropped(self):
         cfg = GateConfig().validate()
         x = nrem_like_window_signal(3)[:-17]
         assert len(gate_flags_batch(x, FS, cfg)) == 2
+
+    def test_history_mean_tie_stays_strict(self, short_synth):
+        # a threshold set exactly to a window's 80 s mean of the 0.5-2 Hz
+        # power, summed oldest first, must not vote NREM (strict >); one ulp
+        # lower must. Any other summation order misses one side of the tie.
+        rec = short_synth.recording
+        y = PreprocessChain(rec.fs).run(rec.samples)
+        base = GateConfig().validate()
+        h, window_n = base.history_windows, base.window_samples(rec.fs)
+        lows = window_powers(y, rec.fs, window_n)[:, 0].tolist()
+        voting = [k for k, f in enumerate(gate_flags_batch(y, rec.fs, base))
+                  if f.nrem]
+        assert len(voting) > 100
+        for n, k in enumerate(voting[::len(voting) // 10]):
+            history = lows[k - h + 1:k + 1]
+            mean = sum(history) / len(history)
+            for threshold, expect in ((mean, False),
+                                      (float(np.nextafter(mean, 0.0)), True)):
+                cfg = GateConfig(nrem_low_threshold_uv2=threshold).validate()
+                assert gate_flags_batch(y, rec.fs, cfg)[k].nrem is expect
+                if n == 0:
+                    gate = StimulationGate(cfg, rec.fs)
+                    for v in y[:(k + 1) * window_n].tolist():
+                        gate.step(v)
+                    assert gate.window_log[k].nrem is expect
+
+
+def flags_at_sample(window_flags, sample_index, window_n):
+    """The flags of the last window completed before the sample."""
+    governing = np.array([CLOSED] + window_flags)
+    return GateFlags._make(in_window(governing, sample_index, window_n).tolist())
 
 
 class TestFlagsAtSample:

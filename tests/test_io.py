@@ -1,6 +1,7 @@
 """File formats: recording container, phase tracks, hypnograms, trigger
 logs, config files. Round-trips and rejection of malformed input."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -88,6 +89,43 @@ class TestRecordingBinary:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FileFormatError, match="trailing"):
             read_recording_binary(path)
+
+
+    def test_count_past_the_file_is_refused_before_reading(self, tmp_path):
+        path = tmp_path / "rec.swp"
+        write_recording_binary(path, sample_recording(10, label=""))
+        raw = bytearray(path.read_bytes())
+        raw[16:24] = struct.pack("<Q", 2 ** 62)   # count follows the empty label
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_recording_binary(path)
+
+    @pytest.mark.parametrize("fs", [-250.0, 0.0, math.nan, math.inf])
+    def test_bad_sampling_rate_in_header(self, tmp_path, fs):
+        path = tmp_path / "rec.swp"
+        write_recording_binary(path, sample_recording(10))
+        raw = bytearray(path.read_bytes())
+        raw[6:14] = struct.pack("<d", fs)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="sampling rate"):
+            read_recording(path)
+
+
+class TestRecordingValidation:
+    @pytest.mark.parametrize("fs", [-250.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_sampling_rate(self, fs):
+        with pytest.raises(ConfigurationError, match="sampling rate"):
+            EegRecording(samples=np.zeros(10), fs=fs)
+
+    def test_rejects_samples_that_are_not_1d(self):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            EegRecording(samples=np.zeros((2, 10)), fs=250.0)
+
+    def test_csv_rate_is_checked_too(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("# fs=-250\n1.0\n")
+        with pytest.raises(FileFormatError, match="rec.csv: sampling rate"):
+            read_recording(path)
 
 
 class TestRecordingCsv:
@@ -221,6 +259,13 @@ class TestTriggerLog:
         write_trigger_log(path, sample_log())
         path.write_text(path.read_text() + "5,0.02,pv\n")
         with pytest.raises(FileFormatError, match="fields"):
+            read_trigger_log(path)
+
+    def test_rejects_unknown_suppression_reason(self, tmp_path):
+        path = tmp_path / "trig.csv"
+        write_trigger_log(path, sample_log())
+        path.write_text(path.read_text().replace(",swa,", ",bogus,"))
+        with pytest.raises(FileFormatError, match="suppression_reason 'bogus'"):
             read_trigger_log(path)
 
 

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from swphase.gate import GateConfig, GateFlags
+from swphase.gate import (DELIVERED, REASONS, GateConfig, GateFlags,
+                          candidate_reasons, window_reasons)
 from swphase.pipeline import (
-    _decide,
     candidates_from_phase_stream,
     evaluate_session,
     qualifying_windows,
@@ -89,7 +89,8 @@ class TestDecisionOrder:
         (GateFlags(True, True, False), 0.0, (True, "")),
     ])
     def test_first_failing_condition(self, flags, t, expect):
-        assert _decide(flags, t, self.CFG) == expect
+        code = candidate_reasons(window_reasons([flags])[-1], t, self.CFG)
+        assert (code == DELIVERED, REASONS[code]) == expect
 
 
 class TestSessionBookkeeping:

@@ -171,6 +171,17 @@ class TestPll:
         assert t.reset_count == before + 1
         assert t.theta == 0.0 and t.phi_p == 0.0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_input_resets_like_nan(self, bad):
+        t = make_tracker(TrackerConfig(algorithm="pll"))
+        for _ in range(300):
+            t.step(0.0)
+        before = t.reset_count
+        _, ev = t.step(bad)
+        assert ev is None
+        assert t.reset_count == before + 1
+        assert t.theta == 0.0 and t.phi_p == 0.0
+
     def test_relock_after_phase_jump(self):
         # 90 deg step in the tone; the loop must re-converge
         n = int(FS * 240)
