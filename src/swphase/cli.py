@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bench import measure_pipeline_cost, pv_cost_vs_fs, tracker_cost_ratio
 from .errors import ConfigurationError, FileFormatError, SwphaseError
@@ -20,9 +18,10 @@ from .io import (apply_config, config_echo, hash_file, parse_grid,
                  parse_stage_runs, read_config, read_hypnogram,
                  read_recording, read_trigger_log, write_hypnogram,
                  write_phase_track, write_recording, write_trigger_log)
-from .metrics import in_up_phase
+from .metrics import up_phase_pct
 from .optimize import default_grid, grid_search_cv, make_pipeline_evaluator
 from .pipeline import SessionResult, evaluate_session, run_session
+from .recording import epoch_samples
 from .synth import SynthSpec, default_hypnogram, generate
 from .trackers import ALGORITHMS, TrackerConfig
 
@@ -45,6 +44,15 @@ def _tracker_config(args) -> TrackerConfig:
 def _gate_config(args) -> GateConfig:
     cfg = GateConfig(onoff_enabled=getattr(args, "onoff", False))
     return apply_config(cfg, _pairs(args.gate_set)).validate()
+
+
+def _read_hypnogram_into(recording, path) -> None:
+    """Attach the hypnogram in path; refuse one whose last epoch starts at or
+    past the recording's end. A shorter one leaves the tail unscored."""
+    stages = read_hypnogram(path)
+    if (len(stages) - 1) * epoch_samples(recording.fs) >= len(recording.samples):
+        raise FileFormatError(f"{path}: {len(stages)} epochs outrun the recording")
+    recording.hypnogram = stages
 
 
 def cmd_simulate(args) -> int:
@@ -70,7 +78,7 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     recording = read_recording(args.input)
     if args.hypnogram:
-        recording.hypnogram = read_hypnogram(args.hypnogram)
+        _read_hypnogram_into(recording, args.hypnogram)
     cfg = _tracker_config(args)
     gate_cfg = _gate_config(args)
     session = run_session(recording, cfg, gate_cfg, streaming=args.streaming)
@@ -88,7 +96,7 @@ def cmd_track(args) -> int:
 
 def cmd_evaluate(args) -> int:
     recording = read_recording(args.input)
-    recording.hypnogram = read_hypnogram(args.hypnogram)
+    _read_hypnogram_into(recording, args.hypnogram)
     provenance, log = read_trigger_log(args.triggers,
                                        n_samples=len(recording.samples))
     logged = provenance.get("input_sha256")
@@ -123,9 +131,7 @@ def cmd_evaluate(args) -> int:
         "suppression_counts": report.suppression_counts,
     }
     if report.circular_mean_deg is not None:
-        up = report.trigger_phases_deg
-        up_pct = (100.0 * float(np.count_nonzero(in_up_phase(up))) / len(up)
-                  if len(up) else 0.0)
+        up_pct = up_phase_pct(report.trigger_phases_deg)
         lines += [
             f"circular mean        {report.circular_mean_deg:.2f} deg",
             f"circular sd          {report.circular_sd_deg:.2f} deg",
@@ -180,7 +186,7 @@ def _load_corpus(paths):
             if stem.lower().endswith(suffix):
                 stem = stem[: -len(suffix)]
                 break
-        rec.hypnogram = read_hypnogram(stem + ".hyp.csv")
+        _read_hypnogram_into(rec, stem + ".hyp.csv")
         recordings.append(rec)
     return recordings
 
@@ -249,7 +255,7 @@ def cmd_bench(args) -> int:
 
 def cmd_calibrate(args) -> int:
     recording = read_recording(args.input)
-    recording.hypnogram = read_hypnogram(args.hypnogram)
+    _read_hypnogram_into(recording, args.hypnogram)
     cfg = calibrate_gate(recording)
     for key, val in sorted(cfg.__dict__.items()):
         print(f"{key} = {val}")

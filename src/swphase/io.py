@@ -45,6 +45,7 @@ from .trackers import TrackerConfig
 
 MAGIC = b"SWPH"
 FORMAT_VERSION = 1
+MAX_STAGE_EPOCHS = 4320   # 24 h of 20 s epochs
 
 
 def hash_file(path) -> str:
@@ -237,6 +238,8 @@ def parse_stage_runs(text: str) -> list:
                 raise ConfigurationError(f"bad repeat count in {tok!r}")
             if n < 1:
                 raise ConfigurationError(f"repeat count must be >= 1 in {tok!r}")
+        if len(out) + n > MAX_STAGE_EPOCHS:
+            raise ConfigurationError(f"more than {MAX_STAGE_EPOCHS} epochs at {tok!r}")
         out.extend([stage] * n)
     if not out:
         raise ConfigurationError("empty stage specification")

@@ -82,6 +82,17 @@ def in_up_phase(phase_deg) -> np.ndarray:
     return (p > UP_PHASE_DEG[0]) & (p <= UP_PHASE_DEG[1])
 
 
+def up_phase_pct(phases_deg) -> float:
+    """Share of the phases inside the up-phase class, in percent; NaN for none."""
+    p = np.asarray(phases_deg, dtype=float)
+    return 100.0 * np.count_nonzero(in_up_phase(p)) / len(p) if len(p) else float("nan")
+
+
+def pas_window_samples(fs: float) -> int:
+    """Samples per PAS window at sampling rate fs."""
+    return int(round(PAS_WINDOW_S * fs))
+
+
 @dataclass(frozen=True)
 class PasReport:
     pas_all: float
@@ -125,39 +136,21 @@ class SlowWave:
     amp_class: str       # sub20 | low | high
 
 
-def _classify(p2p: float) -> str:
-    if p2p < MIN_WAVE_AMP_UV:
-        return "sub20"
-    if p2p <= LOW_AMP_UV[1]:
-        return "low"
-    return "high"
-
-
 def local_minima(x: np.ndarray, fs: float) -> np.ndarray:
-    """Strict three-point minima plus short-plateau minima (earliest sample).
+    """Minima of a signal, each at the first sample of a run of equal values.
 
-    A plateau of equal values no longer than 50 ms flanked by larger
-    neighbors counts as one minimum at its first sample; longer plateaus are
-    ambiguous and yield nothing.
+    A run no longer than 50 ms, touching neither end of x, with a larger
+    neighbor on both sides is one minimum; a strict three-point minimum is a
+    run of one. Longer plateaus are ambiguous and yield nothing. NaN equals
+    nothing, so it is a run of its own and never a larger neighbor.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < 3:
-        return np.empty(0, dtype=int)
-    strict = np.flatnonzero((x[1:-1] < x[:-2]) & (x[1:-1] < x[2:])) + 1
-    max_plateau = max(1, int(round(PLATEAU_MAX_S * fs)))
-    change = np.flatnonzero(np.diff(x) != 0.0)
-    starts = np.concatenate([[0], change + 1])
-    ends = np.concatenate([change, [n - 1]])  # runs of equal values, inclusive
-    plateaus = []
-    for s, e in zip(starts, ends):
-        if e == s or s == 0 or e == n - 1:
-            continue
-        if (e - s + 1) <= max_plateau and x[s - 1] > x[s] and x[e + 1] > x[s]:
-            plateaus.append(s)
-    if plateaus:
-        return np.unique(np.concatenate([strict, np.asarray(plateaus, dtype=int)]))
-    return strict
+    max_run = max(1, int(round(PLATEAU_MAX_S * fs)))
+    last = np.flatnonzero(np.diff(x) != 0.0)   # last sample of every run but the final one
+    start, end = last[:-1] + 1, last[1:]       # the runs touching neither end
+    keep = ((end - start < max_run) & (x[start - 1] > x[start])
+            & (x[end + 1] > x[start]))
+    return start[keep]
 
 
 def detect_waves(filtered: np.ndarray, fs: float,
@@ -170,14 +163,17 @@ def detect_waves(filtered: np.ndarray, fs: float,
     """
     filtered = np.asarray(filtered, dtype=float)
     mins = local_minima(filtered, fs)
-    waves = []
-    for a, b in zip(mins[:-1], mins[1:]):
-        if mask is not None and not (mask[a] and mask[b]):
-            continue
-        p2p = float(filtered[a:b + 1].max() - filtered[a])
-        freq = fs / (b - a)
-        waves.append(SlowWave(int(a), int(b), freq, p2p, _classify(p2p)))
-    return waves
+    a, b = mins[:-1], mins[1:]
+    peak = np.maximum.reduceat(filtered, mins)[:-1]   # max over [a, b)
+    if mask is not None:
+        inside = np.asarray(mask, dtype=bool)
+        keep = inside[a] & inside[b]
+        a, b, peak = a[keep], b[keep], peak[keep]
+    p2p = peak - filtered[a]
+    amp_class = np.where(p2p < MIN_WAVE_AMP_UV, "sub20",
+                         np.where(p2p <= LOW_AMP_UV[1], "low", "high"))
+    return list(map(SlowWave, a.tolist(), b.tolist(), (fs / (b - a)).tolist(),
+                    p2p.tolist(), amp_class.tolist()))
 
 
 @dataclass(frozen=True)
@@ -197,24 +193,20 @@ def targeting_capacity(waves, trigger_indices, trigger_phases_deg) -> TargetingR
     Sub-20 uV waves are excluded from both classes.
     """
     idx = np.sort(np.asarray(trigger_indices, dtype=int))
+    bounds = np.array([(w.start, w.end) for w in waves], dtype=int).reshape(-1, 2)
+    before_start, before_end = np.searchsorted(idx, bounds.T)
+    hit = before_end > before_start
+    classes = np.array([w.amp_class for w in waves], dtype=str)
 
-    def hit(w):
-        j = np.searchsorted(idx, w.start)
-        return j < len(idx) and idx[j] < w.end
+    def capacity(amp_class):
+        member = classes == amp_class
+        n = int(np.count_nonzero(member))
+        hits = int(np.count_nonzero(hit & member))
+        return (100.0 * hits / n if n else float("nan")), n
 
-    counts = {"low": [0, 0], "high": [0, 0]}
-    for w in waves:
-        if w.amp_class in counts:
-            counts[w.amp_class][0] += 1
-            counts[w.amp_class][1] += int(hit(w))
-
-    def pct(c):
-        return 100.0 * c[1] / c[0] if c[0] else float("nan")
-
-    phases = np.asarray(trigger_phases_deg, dtype=float)
-    up = 100.0 * np.count_nonzero(in_up_phase(phases)) / len(phases) if len(phases) else float("nan")
-    return TargetingReport(pct(counts["low"]), pct(counts["high"]), up,
-                           counts["low"][0], counts["high"][0], len(idx))
+    (low_pct, n_low), (high_pct, n_high) = capacity("low"), capacity("high")
+    return TargetingReport(low_pct, high_pct, up_phase_pct(trigger_phases_deg),
+                           n_low, n_high, len(idx))
 
 
 @dataclass(frozen=True)

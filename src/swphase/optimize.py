@@ -27,10 +27,11 @@ from .dsp import IirFilter, PreprocessChain, design_sw_isolation
 from .errors import ConfigurationError
 from .gate import (DELIVERED, GateConfig, candidate_reasons, gate_flags_batch,
                    in_window, window_reasons)
-from .metrics import MAX_STIM_PER_WINDOW, PAS_WINDOW_S, in_up_phase
-from .oracle import compute_phase_track
-from .pipeline import (candidates_from_phase_stream, qualifying_windows,
-                       tracker_phase_stream)
+from .metrics import (MAX_STIM_PER_WINDOW, TARGET_PHASE_DEG,
+                      circular_distance_deg, in_up_phase)
+from .oracle import compute_phase_track, valid_samples
+from .pipeline import (candidates_from_phase_stream, in_pas_window,
+                       qualifying_windows, tracker_phase_stream)
 from .recording import EegRecording
 from .trackers import TrackerConfig, forward_arcs, level_hits, refractory
 
@@ -86,8 +87,7 @@ def objectives_from_tally(t: ObjectiveTally):
     if t.n_phased == 0:
         return 1.0, 0.0, 0.0
     mean = math.degrees(math.atan2(t.vec_imag, t.vec_real)) % 360.0
-    d = abs(mean - 45.0) % 360.0
-    cmae = min(d, 360.0 - d) / 180.0
+    cmae = circular_distance_deg(mean, TARGET_PHASE_DEG) / 180.0
     cap = t.windows * MAX_STIM_PER_WINDOW
     if cap == 0:
         return cmae, 0.0, 0.0
@@ -178,17 +178,12 @@ def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
     tallies = [[evaluate(c, r) for r in recordings] for c in combos]
 
     results = []
-    for ci, combo in enumerate(combos):
-        row = tallies[ci]
+    for combo, row in zip(combos, tallies):
         opt_eds, val_eds = [], []
         val_pool = ObjectiveTally()
         for opt_idx, val_idx in folds:
-            opt_pool = ObjectiveTally()
-            for i in opt_idx:
-                opt_pool = opt_pool + row[i]
-            fold_val = ObjectiveTally()
-            for i in val_idx:
-                fold_val = fold_val + row[i]
+            opt_pool = sum((row[i] for i in opt_idx), ObjectiveTally())
+            fold_val = sum((row[i] for i in val_idx), ObjectiveTally())
             val_pool = val_pool + fold_val
             opt_eds.append(distance_from_tally(opt_pool))
             val_eds.append(distance_from_tally(fold_val))
@@ -199,13 +194,8 @@ def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
             ed_error=mean_val + abs(mean_opt - mean_val),
             val_objectives=objectives_from_tally(val_pool)))
 
-    best_i = 0
-    for i in range(1, len(results)):
-        a, b = results[i], results[best_i]
-        if (a.ed_error < b.ed_error
-                or (a.ed_error == b.ed_error and a.mean_val_ed < b.mean_val_ed)):
-            best_i = i
-    return CvOutcome(results[best_i], results, k, seed, folds)
+    best = min(results, key=lambda r: (r.ed_error, r.mean_val_ed))  # first of equals
+    return CvOutcome(best, results, k, seed, folds)
 
 
 PLL_TARGET_GRID_DEG = [float(v) for v in range(0, 360, 15)]
@@ -238,10 +228,8 @@ class _RecordingCache:
         self.reasons = window_reasons(flags)
         self.gate_win = gate_config.window_samples(fs)
         self.track = compute_phase_track(recording.samples, fs)
-        self.q_count, _, qual = qualifying_windows(
+        self.q_count, _, self.qual = qualifying_windows(
             recording, flags, gate_config, self.track.valid)
-        self.qual = np.append(qual, False)   # past the last PAS window
-        self.pas_win = int(round(PAS_WINDOW_S * fs))
         self.streams: dict = {}     # dynamics key -> (phase stream, forward arcs)
         self.iso: Optional[np.ndarray] = None
 
@@ -252,9 +240,9 @@ class _RecordingCache:
                                      self.gate_config) == DELIVERED]
 
     def tally(self, delivered_idx: np.ndarray) -> ObjectiveTally:
-        valid = delivered_idx[self.track.valid[delivered_idx]]
+        valid = valid_samples(self.track, delivered_idx)
         return tally_from_phases(self.track.phase_deg[valid],
-                                 in_window(self.qual, valid, self.pas_win),
+                                 in_pas_window(self.qual, valid, self.fs),
                                  self.q_count)
 
 

@@ -7,6 +7,7 @@ throughout the package: 0 deg at the negative-to-positive zero crossing,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from scipy import signal
@@ -75,19 +76,24 @@ def compute_phase_track(x, fs: float, order: int = FILTER_ORDER,
     return hilbert_phase(zero_phase_bandpass(x, fs, order, stopband_db), fs)
 
 
+def trigger_samples(triggers) -> np.ndarray:
+    """Sample index of each trigger event, in order."""
+    return np.fromiter(map(attrgetter("sample_index"), triggers), dtype=np.intp)
+
+
+def valid_samples(track: PhaseTrack, sample_index) -> np.ndarray:
+    """The sample indices inside the track and its valid mask, in order."""
+    i = np.asarray(sample_index, dtype=np.intp)
+    i = i[(i >= 0) & (i < len(track))]
+    return i[track.valid[i]]
+
+
 def phase_at_triggers(track: PhaseTrack, triggers):
     """Ground-truth phase for each trigger inside the valid region.
 
     Returns (phases_deg, dropped_count); triggers outside the mask are
     dropped, not errors.
     """
-    phases = []
-    dropped = 0
-    n = len(track.phase_deg)
-    for ev in triggers:
-        i = ev.sample_index
-        if 0 <= i < n and track.valid[i]:
-            phases.append(float(track.phase_deg[i]))
-        else:
-            dropped += 1
-    return np.asarray(phases), dropped
+    idx = trigger_samples(triggers)
+    kept = valid_samples(track, idx)
+    return track.phase_deg[kept], len(idx) - len(kept)

@@ -18,11 +18,12 @@ from .errors import ConfigurationError, UndefinedStatisticError
 from .gate import (DELIVERED, REASONS, SUPPRESSION_ORDER, GateConfig,
                    StimulationGate, candidate_reasons, gate_flags_batch,
                    in_window, on_window_at, staged_nrem, window_reasons)
-from .metrics import (IntervalReport, PAS_WINDOW_S, PasReport,
-                      TargetingReport, circular_mean_sd, cmae45,
-                      detect_waves, pas, targeting_capacity,
+from .metrics import (IntervalReport, PasReport, TargetingReport,
+                      circular_mean_sd, cmae45, detect_waves, pas,
+                      pas_window_samples, targeting_capacity,
                       trigger_intervals)
-from .oracle import hilbert_phase, phase_at_triggers, zero_phase_bandpass
+from .oracle import (hilbert_phase, phase_at_triggers, trigger_samples,
+                     valid_samples, zero_phase_bandpass)
 from .recording import EegRecording
 from .trackers import (PllTracker, PvTracker, TrackerConfig, forward_arcs,
                        make_tracker, phase_hits, refractory)
@@ -86,8 +87,7 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
     events = tracker.run(y)
     window_flags = gate_flags_batch(y, fs, gate_config)
     times = np.array([ev.time_s for ev in events], dtype=float)
-    reasons = in_window(window_reasons(window_flags),
-                        [ev.sample_index for ev in events],
+    reasons = in_window(window_reasons(window_flags), trigger_samples(events),
                         gate_config.window_samples(fs))
     codes = candidate_reasons(reasons, times, gate_config).tolist()
     on = on_window_at(times, gate_config).tolist()
@@ -170,8 +170,7 @@ def candidates_from_phase_stream(stream_deg: np.ndarray, target_deg: float,
 def scored_nrem_window_mask(recording: EegRecording, n_windows: int,
                             fs: float) -> np.ndarray:
     """Per-2 s-window flag: hypnogram stage at the window start is N2/N3."""
-    win = int(round(PAS_WINDOW_S * fs))
-    return recording.nrem_mask()[np.arange(n_windows) * win]
+    return recording.nrem_mask()[np.arange(n_windows) * pas_window_samples(fs)]
 
 
 def qualifying_windows(recording: EegRecording, window_flags,
@@ -182,7 +181,7 @@ def qualifying_windows(recording: EegRecording, window_flags,
     Returns (qualifying_count, scored_count, per_window_bool).
     """
     fs = recording.fs
-    win = int(round(PAS_WINDOW_S * fs))
+    win = pas_window_samples(fs)
     starts = np.arange(len(recording.samples) // win) * win
     scored = scored_nrem_window_mask(recording, len(starts), fs)
     qual = scored & in_window(staged_nrem(window_reasons(window_flags)), starts,
@@ -190,6 +189,11 @@ def qualifying_windows(recording: EegRecording, window_flags,
     if valid_mask is not None:
         qual &= valid_mask[starts] & valid_mask[starts + win - 1]
     return int(qual.sum()), int(scored.sum()), qual
+
+
+def in_pas_window(qual, sample_index, fs: float) -> np.ndarray:
+    """Per sample index: inside a PAS window marked in qual (none past the end)."""
+    return in_window(np.append(qual, False), sample_index, pas_window_samples(fs))
 
 
 @dataclass
@@ -219,8 +223,7 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
     track = hilbert_phase(filtered, fs)
     delivered = session.delivered()
     phases, dropped = phase_at_triggers(track, delivered)
-    valid_idx = np.asarray([e.sample_index for e in delivered
-                            if track.valid[e.sample_index]], dtype=int)
+    valid_idx = valid_samples(track, trigger_samples(delivered))
 
     mean_undefined = False
     cmean = csd = cnorm = cdeg = None
@@ -236,9 +239,8 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
         recording, session.window_flags, session.gate_config, track.valid)
     pas_report = None
     if q_count >= 1:
-        in_qual = in_window(np.append(qual, False), valid_idx,
-                            int(round(PAS_WINDOW_S * fs)))
-        pas_report = pas(phases[in_qual], q_count, scored_count)
+        pas_report = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count,
+                         scored_count)
 
     n = len(recording.samples)
     gate_win = session.gate_config.window_samples(fs)

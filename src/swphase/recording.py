@@ -15,6 +15,11 @@ STAGES = ("W", "N1", "N2", "N3", "REM")
 NREM_STAGES = ("N2", "N3")
 
 
+def epoch_samples(fs: float) -> int:
+    """Samples per hypnogram epoch at sampling rate fs."""
+    return int(round(EPOCH_S * fs))
+
+
 @dataclass
 class EegRecording:
     samples: np.ndarray          # microvolts
@@ -35,14 +40,11 @@ class EegRecording:
         return len(self.samples) / self.fs
 
     def stage_mask(self, stages) -> np.ndarray:
-        """Boolean per-sample mask of the given hypnogram stages."""
+        """Boolean per-sample mask of the given hypnogram stages; False past
+        the last scored epoch."""
+        scored = np.repeat(np.isin(self.hypnogram or [], stages), epoch_samples(self.fs))
         mask = np.zeros(len(self.samples), dtype=bool)
-        if not self.hypnogram:
-            return mask
-        epoch_n = int(round(EPOCH_S * self.fs))
-        for i, stage in enumerate(self.hypnogram):
-            if stage in stages:
-                mask[i * epoch_n:(i + 1) * epoch_n] = True
+        mask[:len(scored)] = scored[:len(mask)]
         return mask
 
     def nrem_mask(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from scipy import signal
 
 from .errors import ConfigurationError
 from .oracle import PhaseTrack
-from .recording import EPOCH_S, NREM_STAGES, STAGES, EegRecording
+from .recording import EPOCH_S, NREM_STAGES, STAGES, EegRecording, epoch_samples
 
 ENVELOPE_STEP_HZ = 10.0   # update rate of the frequency and amplitude walks
 RAMP_S = 2.0              # raised-cosine on/off ramp at stage transitions
@@ -145,7 +145,7 @@ def generate(spec: SynthSpec) -> SynthOutput:
     spec.validate()
     fs = spec.fs
     rng = np.random.default_rng(spec.seed)
-    epoch_n = int(round(EPOCH_S * fs))
+    epoch_n = epoch_samples(fs)
     n = epoch_n * len(spec.hypnogram)
     dt = 1.0 / fs
     samples_per_step = int(round(fs / ENVELOPE_STEP_HZ))

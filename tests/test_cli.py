@@ -231,6 +231,54 @@ class TestExitCodes:
                      "--triggers", str(bare),
                      "--hypnogram", str(corpus / "r0.hyp.csv")]) == 0
 
+    @pytest.mark.parametrize("stages", ["N2*4611686018427387904",
+                                        "N2*100000000000", "N2*4000 N3*400"])
+    def test_stage_count_past_the_bound_is_2(self, tmp_path, capsys, stages):
+        rc = main(["simulate", "--out", str(tmp_path / "x.swp"),
+                   "--stages", stages])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ConfigurationError" in err
+        assert not (tmp_path / "x.swp").exists()
+
+    @pytest.mark.parametrize("command", ["track", "evaluate", "calibrate",
+                                         "optimize"])
+    def test_hypnogram_past_the_recording_is_3(self, corpus, tmp_path, capsys,
+                                               command):
+        # r0 spans exactly 40 epochs; a 41st starts past its end
+        rec = tmp_path / "r.swp"
+        rec.write_bytes((corpus / "r0.swp").read_bytes())
+        hyp = tmp_path / "r.hyp.csv"
+        hyp.write_text("epoch_index,stage\n"
+                       + "".join(f"{i},N3\n" for i in range(41)))
+        argv = {
+            "track": ["track", "--input", str(rec), "--out",
+                      str(tmp_path / "t.csv"), "--hypnogram", str(hyp)],
+            "evaluate": ["evaluate", "--input", str(rec), "--hypnogram", str(hyp),
+                         "--triggers", str(corpus / "r0.trig.csv")],
+            "calibrate": ["calibrate", "--input", str(rec), "--hypnogram", str(hyp)],
+            "optimize": ["optimize", str(rec), str(corpus / "r1.swp"),
+                         "--algorithm", "at", "-k", "2"],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "FileFormatError" in err and "r.hyp.csv: 41 epochs" in err
+
+    def test_hypnogram_ending_in_the_last_partial_epoch_is_accepted(
+            self, corpus, tmp_path, capsys):
+        full = read_recording(corpus / "r0.swp")
+        full.samples = full.samples[:-2500]     # 39.5 epochs
+        rec = tmp_path / "short.swp"
+        write_recording(rec, full)
+        hyp = tmp_path / "short.hyp.csv"
+        for n_epochs, rc in ((30, 0), (40, 0), (41, 3)):
+            hyp.write_text("epoch_index,stage\n" + "".join(
+                f"{i},{'W' if i < 10 else 'N3'}\n" for i in range(n_epochs)))
+            assert main(["calibrate", "--input", str(rec),
+                         "--hypnogram", str(hyp)]) == rc
+        assert "FileFormatError" in capsys.readouterr().err
+
     def test_missing_file_is_4(self, tmp_path, capsys):
         rc = main(["track", "--input", str(tmp_path / "absent.swp"),
                    "--out", str(tmp_path / "x.csv")])

@@ -1,5 +1,6 @@
 """Circular statistics, target error, stimulation percentages, wave metrics."""
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from swphase.metrics import (
     in_up_phase,
     local_minima,
     pas,
+    up_phase_pct,
     phase_histogram,
     targeting_capacity,
     trigger_intervals,
@@ -131,8 +133,70 @@ class TestPas:
         assert r.scored_nrem_windows == 9
 
 
+def reference_local_minima(x, fs):
+    """The earlier two-rule version: strict three-point minima plus short
+    plateaus found one run at a time, merged."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if n < 3:
+        return np.empty(0, dtype=int)
+    strict = np.flatnonzero((x[1:-1] < x[:-2]) & (x[1:-1] < x[2:])) + 1
+    max_plateau = max(1, int(round(0.05 * fs)))
+    change = np.flatnonzero(np.diff(x) != 0.0)
+    starts = np.concatenate([[0], change + 1])
+    ends = np.concatenate([change, [n - 1]])
+    plateaus = []
+    for s, e in zip(starts, ends):
+        if e == s or s == 0 or e == n - 1:
+            continue
+        if (e - s + 1) <= max_plateau and x[s - 1] > x[s] and x[e + 1] > x[s]:
+            plateaus.append(s)
+    if plateaus:
+        return np.unique(np.concatenate([strict, np.asarray(plateaus, dtype=int)]))
+    return strict
+
+
+def reference_amp_class(p2p):
+    if p2p < 20.0:
+        return "sub20"
+    return "low" if p2p <= 60.0 else "high"
+
+
+def reference_waves(x, fs, mask=None):
+    """One wave per adjacent pair of reference minima, judged pair by pair."""
+    mins = reference_local_minima(x, fs)
+    waves = []
+    for a, b in zip(mins[:-1], mins[1:]):
+        if mask is not None and not (mask[a] and mask[b]):
+            continue
+        p2p = float(x[a:b + 1].max() - x[a])
+        waves.append(SlowWave(int(a), int(b), fs / (b - a), p2p,
+                              reference_amp_class(p2p)))
+    return waves
+
+
+def run_sequences(seed, count=300, max_len=60):
+    """Seeded sequences built from runs of 1-14 equal values over a
+    four-letter alphabet, so plateaus of every length up to 14 occur, at the
+    ends too; about one sample in twenty is NaN."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_runs = int(rng.integers(0, 12))
+        x = np.repeat(rng.integers(0, 4, n_runs).astype(float),
+                      rng.integers(1, 15, n_runs))[:int(rng.integers(0, max_len + 1))]
+        x[rng.random(len(x)) < 0.05] = np.nan
+        yield x
+
+
 class TestLocalMinima:
     FS = 250.0
+
+    @pytest.mark.parametrize("fs", [100.0, 250.0])
+    def test_matches_two_rule_reference(self, fs):
+        for x in run_sequences(seed=int(fs)):
+            got = local_minima(x, fs)
+            np.testing.assert_array_equal(got, reference_local_minima(x, fs))
+            assert got.dtype.kind == "i"
 
     def test_simple_vee(self):
         np.testing.assert_array_equal(
@@ -189,6 +253,27 @@ class TestDetectWaves:
         assert len(masked) == len(full) - 1
         assert masked[0].start == full[1].start
 
+    def test_low_class_bounds_are_inclusive(self):
+        x = np.array([70.0, 0.0, 60.0, 0.0, 20.0, 0.0, 19.5, 0.0, 60.5, 0.0, 70.0])
+        waves = detect_waves(x, self.FS)
+        assert [w.amp_class for w in waves] == ["low", "low", "sub20", "high"]
+
+    @pytest.mark.parametrize("fs", [100.0, 250.0])
+    def test_masked_waves_match_pairwise_reference(self, fs):
+        rng = np.random.default_rng(5)
+        t = np.arange(int(60 * fs)) / fs
+        x = (30.0 * np.sin(2 * np.pi * 0.9 * t) + 12.0 * np.sin(2 * np.pi * 2.3 * t)
+             + rng.normal(0.0, 2.0, len(t)))
+        x = np.round(x)                    # equal neighbors make plateaus
+        x[rng.integers(0, len(x), 5)] = np.nan
+        mask = np.repeat(rng.random(len(x) // 100 + 1) < 0.7, 100)[:len(x)]
+        for m in (None, mask):
+            got = detect_waves(x, fs, m)
+            assert all(isinstance(w, SlowWave) for w in got)
+            np.testing.assert_equal([astuple(w) for w in got],   # NaN p2p equal
+                                    [astuple(w) for w in reference_waves(x, fs, m)])
+            assert len(got) > 20
+
     def test_wave_bounds_are_adjacent_minima(self):
         waves = detect_waves(self.two_cycle_sine(15.0), self.FS)
         for a, b in zip(waves[:-1], waves[1:]):
@@ -227,6 +312,32 @@ class TestTargetingCapacity:
         r = targeting_capacity(self.waves(), [], [])
         assert r.low_capacity_pct == pytest.approx(0.0)
         assert math.isnan(r.up_phase_pct)
+
+
+    def test_hits_match_per_wave_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            starts = np.sort(rng.integers(0, 200, rng.integers(0, 12)))
+            waves = [SlowWave(int(a), int(a + d), 1.0, 0.0, c) for a, d, c in
+                     zip(starts, rng.integers(1, 30, len(starts)),
+                         rng.choice(["sub20", "low", "high"], len(starts)))]
+            idx = rng.integers(0, 230, rng.integers(0, 10))
+            r = targeting_capacity(waves, idx, np.zeros(len(idx)))
+            for cls, pct, n in (("low", r.low_capacity_pct, r.n_low),
+                                ("high", r.high_capacity_pct, r.n_high)):
+                members = [w for w in waves if w.amp_class == cls]
+                hits = sum(any(w.start <= i < w.end for i in idx) for w in members)
+                assert n == len(members)
+                if members:
+                    assert pct == 100.0 * hits / len(members)
+                else:
+                    assert math.isnan(pct)
+
+
+class TestUpPhasePct:
+    def test_share_in_percent(self):
+        assert up_phase_pct([45.0, 90.0, 0.0, 200.0]) == 50.0
+        assert math.isnan(up_phase_pct([]))
 
 
 class TestTriggerIntervals:
