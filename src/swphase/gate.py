@@ -223,7 +223,8 @@ def gate_flags_batch(preprocessed: np.ndarray, fs: float, config: GateConfig):
 def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> GateConfig:
     """Derive thresholds from a recording with a hypnogram.
 
-    Band statistics are collected per 4 s window separately for N3 and Wake
+    Band statistics are collected per gate window (``base.window_step_s``,
+    4 s by default) separately for N3 and Wake
     epochs of the PREPROCESSED signal; each threshold is the geometric
     midpoint of the two medians (NREM bands: N3 above, wake below; beta
     bands the other way around). The SWA threshold comes from the same
@@ -234,8 +235,9 @@ def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> Gate
     if not recording.hypnogram:
         raise ConfigurationError("recording has no hypnogram to calibrate against")
     fs = fs or recording.fs
+    base = base or GateConfig()
     y = PreprocessChain(fs).run(recording.samples)
-    window_n = int(round(GATE_WINDOW_S * fs))
+    window_n = base.window_samples(fs)
     powers = window_powers(y, fs, window_n)
 
     def whole_windows(stages):
@@ -249,7 +251,6 @@ def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> Gate
     low, mid, high_beta, swa, beta = (
         math.sqrt(a * b) for a, b in zip(np.median(powers[n3], axis=0).tolist(),
                                          np.median(powers[wake], axis=0).tolist()))
-    base = base or GateConfig()
     return GateConfig(
         nrem_low_threshold_uv2=low,
         nrem_mid_threshold_uv2=mid,

@@ -21,9 +21,9 @@ Trigger logs are CSV with a ``#``-prefixed provenance header (library
 version, SHA-256 of the input file, configuration echo). No timestamps:
 rerunning a command on the same input produces byte-identical output.
 
-Hypnograms are ``epoch_index,stage`` CSV, contiguous from epoch 0; the
-compact run-length form "W*10 N1*3 N2*30" is accepted wherever a hypnogram
-file is, via parse_stage_runs.
+Hypnograms are ``epoch_index,stage`` CSV, contiguous from epoch 0; that is
+the only form ``read_hypnogram`` reads. The compact run-length form
+"W*10 N1*3 N2*30" (parse_stage_runs) is read only by ``simulate --stages``.
 
 Configuration files are flat ``key = value`` lines with ``#`` comments.
 """

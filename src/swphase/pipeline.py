@@ -3,8 +3,8 @@ plus offline evaluation of a logged session against the phase oracle.
 
 Two execution paths produce identical results: a per-sample streaming loop
 (the reference) and a batch path that vectorizes the filters and window
-logic but advances the trackers with the same arithmetic in the same order.
-Both are causal; the batch path is just faster.
+logic but advances the PLL and PV through the same recurrence code as
+``step``. Both are causal; the batch path is just faster.
 """
 from __future__ import annotations
 
@@ -105,26 +105,23 @@ def _run_streaming(recording, cfg, gate_config, keep_preprocessed):
     chain = PreprocessChain(fs)
     tracker = make_tracker(cfg)
     gate = StimulationGate(gate_config, fs)
+    preprocess, track, gate_step = chain.step, tracker.step, gate.step
     log = []
     kept = np.empty(len(recording.samples)) if keep_preprocessed else None
-    algo = cfg.algorithm
     for i, x in enumerate(np.asarray(recording.samples, dtype=float).tolist()):
-        y = chain.step(x)
+        y = preprocess(x)
         if kept is not None:
             kept[i] = y
-        if algo == "at":
-            ev = tracker.step(y)
-        elif algo == "pll":
-            _, ev = tracker.step(y)
-        else:
-            _, _, ev = tracker.step(y)
+        ev = track(y)
+        if type(ev) is tuple:   # the phase trackers put the event last
+            ev = ev[-1]
         if ev is not None:
             ok, reason = gate.decide(ev.time_s)   # completed windows only
             log.append(LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
                                      ev.tracker_phase_deg, ev.amplitude_uv,
                                      ok, reason,
                                      on_window_at(ev.time_s, gate_config)))
-        gate.step(y)
+        gate_step(y)
     return SessionResult(log, list(gate.window_log), cfg, gate_config, fs,
                          slip_count=getattr(tracker, "slip_count", 0),
                          preprocessed=kept)

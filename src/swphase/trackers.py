@@ -12,20 +12,23 @@ All trackers enforce the same refractory spacing between triggers and are
 strictly causal: ``step`` consumes one sample and never looks ahead.
 
 ``run`` is the batch path and yields exactly the events of a ``step`` loop.
-It has two parts. A kernel advances the tracker state over a block of
-samples: ``phase_stream`` for the PLL and PV, which is the step recurrence
-in the same operation order with no trigger logic, and the isolation
-filter's ``lfilter`` for AT. One vectorised scan then turns the block into
-triggers: ``forward_arcs`` and ``phase_hits`` (or ``level_hits`` for AT),
-then ``refractory`` over the hits only. State carries across calls, so any
-chunking gives the same events. The optimizer reuses the same kernels and
-scan through ``pipeline.tracker_phase_stream`` and
+The PLL and PV write their recurrence once, as a loop over a sequence of
+samples whose state lives on the tracker between calls: ``step`` feeds it
+one sample and applies the scalar crossing test, ``phase_stream`` feeds it
+blocks and returns the estimates with no trigger logic. AT's kernel is its
+isolation filter (``step`` per sample, ``lfilter`` per block). ``run`` then
+turns each block into triggers with one vectorised scan: ``forward_arcs``
+and ``phase_hits`` (or ``level_hits`` for AT), then ``refractory`` over the
+hits only. State carries across calls, so any chunking gives the same
+events. The optimizer reuses the same kernels and scan through
+``pipeline.tracker_phase_stream`` and
 ``pipeline.candidates_from_phase_stream``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import atan2, cos, fmod, hypot, isfinite, pi, sin
 from typing import Optional
 
 import numpy as np
@@ -101,12 +104,6 @@ class TriggerEvent:
     amplitude_uv: float
 
 
-def wrap_radians(v: float) -> float:
-    """fmod(v, 2 pi), plus 2 pi when negative (a zero loses its sign); an
-    infinite v gives NaN where math.fmod would raise."""
-    return v % TAU
-
-
 def wrap_degrees(v: float) -> float:
     v = math.fmod(v, 360.0)
     return v + 360.0 if v < 0.0 else v
@@ -116,17 +113,11 @@ def phase_crossed(prev_deg: float, cur_deg: float, target_deg: float) -> bool:
     """True iff target lies on the forward arc prev -> cur, arc < 180 deg.
 
     Arcs of 180 deg or more in one sample are treated as slips, never as
-    crossings.
+    crossings. The phase trackers' ``step`` applies this rule inline, and
+    ``forward_arcs`` plus ``phase_hits`` apply it to a whole stream.
     """
-    arc = math.fmod(cur_deg - prev_deg, 360.0)
-    if arc < 0.0:
-        arc += 360.0
-    if arc >= 180.0:
-        return False
-    d = math.fmod(target_deg - prev_deg, 360.0)
-    if d < 0.0:
-        d += 360.0
-    return 0.0 < d <= arc
+    arc = (cur_deg - prev_deg) % 360.0
+    return arc < 180.0 and 0.0 < (target_deg - prev_deg) % 360.0 <= arc
 
 
 def _mod360(v):
@@ -275,16 +266,78 @@ class AmplitudeThresholdTracker(_TrackerBase):
 
 
 class _PhaseTracker(_TrackerBase):
-    """Batch path of the trackers that estimate phase: per block, the
-    subclass's ``phase_stream`` kernel, then the crossing scan from the
-    estimate before the block (``_prev_deg``)."""
+    """The trackers that estimate phase: one recurrence, fed per sample or
+    per block.
+
+    A subclass writes its recurrence once, as ``_advance``: it takes a
+    sequence of samples, runs the loop with the state held on the tracker
+    (read at entry, written back at exit) and returns the estimates in
+    radians. The PLL appends the position of each reset sample within the
+    sequence to ``_resets``, which the caller empties; a list kept on the
+    tracker rather than a second return value, so that a one-sample call
+    allocates nothing for it. ``step`` feeds it one sample and applies the
+    crossing test to the result; ``phase_stream`` feeds it blocks of
+    ``BLOCK_SAMPLES``, and ``run`` scans each block with ``forward_arcs``
+    and ``phase_hits`` from the estimate before the block.
+    """
+
+    _reports_freq = False   # step also returns the tracked frequency (PV)
+
+    def __init__(self, config: TrackerConfig):
+        super().__init__(config)
+        self._prev_est = 0.0   # last estimate (deg) the crossing test saw
+        self._resets = []      # reset positions in the last _advance input
+
+    def step(self, x: float):
+        """Advance one sample; returns (phase_estimate_deg, event or None),
+        and for the vocoder (phase_estimate_deg, freq_hz, event or None).
+
+        A reset sample is judged from 0 deg to its own 0 deg, so it is
+        neither a slip nor a crossing.
+        """
+        est = math.degrees(self._advance((x,))[0])
+        if self._resets:
+            self._resets.clear()
+            prev = 0.0
+        else:
+            prev = self._prev_est
+        self._prev_est = est
+        event = None
+        arc = (est - prev) % 360.0
+        if arc >= 180.0:
+            self.slip_count += 1
+        elif 0.0 < (self._target - prev) % 360.0 <= arc:
+            event = self._emit(est, x)
+        self._n += 1
+        if self._reports_freq:
+            return est, self.omega / TAU, event
+        return est, event
+
+    def phase_stream(self, x):
+        """Advance the tracker over x without trigger logic.
+
+        Returns the per-sample phase estimate in degrees, as ``step``
+        reports it, and the indices of the samples where a non-finite state
+        reset the loop (the vocoder holds instead, so it never resets).
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.empty(len(x))
+        resets = []
+        for a in range(0, len(x), BLOCK_SAMPLES):
+            out[a:a + BLOCK_SAMPLES] = self._advance(x[a:a + BLOCK_SAMPLES].tolist())
+            resets += [a + i for i in self._resets]
+            self._resets.clear()
+        np.degrees(out, out=out)
+        if len(out):
+            self._prev_est = float(out[-1])
+        return out, np.asarray(resets, dtype=np.intp)
 
     def _run_blocks(self, x) -> list:
         x = np.asarray(x, dtype=float)
         events = []
         for a in range(0, len(x), BLOCK_SAMPLES):
             xb = x[a:a + BLOCK_SAMPLES]
-            prev = self._prev_deg()
+            prev = self._prev_est
             stream, resets = self.phase_stream(xb)
             arcs, slips = forward_arcs(stream, prev, resets)
             self.slip_count += slips
@@ -300,82 +353,34 @@ class PllTracker(_PhaseTracker):
     opposite the error, and theta advances by the free-run increment plus the
     same correction. Triggers fire when wrapped theta crosses the target
     phase. The error has no extra low-pass; ripple at twice the input
-    frequency is inherent and the loop gain bounds it.
+    frequency is inherent and the loop gain bounds it. A non-finite state
+    (from a NaN or infinite sample) resets theta and the correction to 0.
     """
 
     def __init__(self, config: TrackerConfig):
         super().__init__(config)
         self.theta = 0.0   # radians, [0, 2*pi)
         self.phi_p = 0.0   # accumulated correction, radians
-        self._omega_dt = TAU * NCO_CENTER_HZ / config.sample_rate_hz
         self.reset_count = 0
+        self._params = (config.k_pll, TAU * NCO_CENTER_HZ / config.sample_rate_hz)
 
-    def reset(self):
-        self.theta = 0.0
-        self.phi_p = 0.0
-
-    def _prev_deg(self) -> float:
-        return math.degrees(self.theta)
-
-    def step(self, x: float):
-        """Advance one sample; returns (phase_estimate_deg, event or None)."""
-        k = self.config.k_pll
-        prev_theta = self.theta
-        e = x * math.cos(prev_theta)
-        self.phi_p -= k * e
-        theta = wrap_radians(prev_theta + self._omega_dt - k * e)
-        if not (math.isfinite(theta) and math.isfinite(self.phi_p)):
-            self.reset()
-            self.reset_count += 1
-            theta = 0.0
-            prev_theta = 0.0  # no crossing can fire on a reset sample
-        prev_deg = math.degrees(prev_theta)
-        cur_deg = math.degrees(theta)
-        self.theta = theta
-        event = None
-        arc = math.fmod(cur_deg - prev_deg, 360.0)
-        if arc < 0.0:
-            arc += 360.0
-        if arc >= 180.0:
-            self.slip_count += 1
-        elif phase_crossed(prev_deg, cur_deg, self._target):
-            event = self._emit(cur_deg, x)
-        self._n += 1
-        return cur_deg, event
-
-    def phase_stream(self, x):
-        """Advance the loop over x without trigger logic.
-
-        Returns the per-sample phase estimate in degrees, as ``step``
-        reports it, and the indices of the samples where a non-finite state
-        reset the loop.
-        """
-        x = np.asarray(x, dtype=float)
-        k = self.config.k_pll
-        omega_dt = self._omega_dt
-        cos = math.cos
-        isfinite = math.isfinite
+    def _advance(self, xs):
+        k, omega_dt = self._params
         theta = self.theta
         phi_p = self.phi_p
-        out = np.empty(len(x))
-        resets = []
-        for a in range(0, len(x), BLOCK_SAMPLES):
-            thetas = []
-            append = thetas.append
-            for xi in x[a:a + BLOCK_SAMPLES].tolist():
-                e = xi * cos(theta)
-                phi_p -= k * e
-                theta = (theta + omega_dt - k * e) % TAU
-                if not (isfinite(theta) and isfinite(phi_p)):
-                    theta = 0.0
-                    phi_p = 0.0
-                    resets.append(a + len(thetas))
-                append(theta)
-            out[a:a + len(thetas)] = thetas
+        thetas = []
+        for xi in xs:
+            e = xi * cos(theta)
+            phi_p -= k * e
+            theta = (theta + omega_dt - k * e) % TAU
+            if not (isfinite(theta) and isfinite(phi_p)):
+                theta = phi_p = 0.0
+                self._resets.append(len(thetas))
+                self.reset_count += 1
+            thetas.append(theta)
         self.theta = theta
         self.phi_p = phi_p
-        self.reset_count += len(resets)
-        return np.degrees(out, out=out), np.asarray(resets, dtype=np.intp)
+        return thetas
 
     def run(self, x) -> list:
         return self._run_blocks(x)
@@ -395,8 +400,11 @@ class PvTracker(_PhaseTracker):
 
     When the averaged vector is shorter than PV_EPSILON_UV the angle is
     meaningless: the previous phase error is held and the frequency stays
-    untouched for that sample.
+    untouched for that sample. A non-finite sample would leave the running
+    sums non-finite for good, so it starts the moving averages over.
     """
+
+    _reports_freq = True
 
     def __init__(self, config: TrackerConfig):
         super().__init__(config)
@@ -404,91 +412,18 @@ class PvTracker(_PhaseTracker):
         self.omega = TAU * NCO_CENTER_HZ  # rad/s
         self.theta = 0.0                  # oscillator argument, [0, 2*pi)
         self.phi_e = 0.0                  # last defined phase error
-        self._span = span
+        self.hold_count = 0
         self._buf_i = [0.0] * span
         self._buf_q = [0.0] * span
         self._sum_i = 0.0
         self._sum_q = 0.0
         self._idx = 0
-        self._dt = 1.0 / config.sample_rate_hz
-        self._omega_lo = TAU * PV_FREQ_RANGE_HZ[0]
-        self._omega_hi = TAU * PV_FREQ_RANGE_HZ[1]
-        self._prev_est = 0.0
-        self.hold_count = 0
+        self._params = (config.k_pv, span, 1.0 / config.sample_rate_hz,
+                        config.pv_trigger_on_nco, TAU * PV_FREQ_RANGE_HZ[0],
+                        TAU * PV_FREQ_RANGE_HZ[1])
 
-    def _prev_deg(self) -> float:
-        return self._prev_est
-
-    def step(self, x: float):
-        """Advance one sample; returns (phase_estimate_deg, freq_hz, event)."""
-        cfg = self.config
-        span = self._span
-        idx = self._idx
-        if math.isfinite(x):
-            i_new = x * math.sin(self.theta)
-            q_new = x * math.cos(self.theta)
-        else:   # the running sums would stay non-finite: start them over
-            self._buf_i[:] = self._buf_q[:] = [0.0] * span
-            self._sum_i = self._sum_q = i_new = q_new = 0.0
-        self._sum_i += i_new - self._buf_i[idx]
-        self._sum_q += q_new - self._buf_q[idx]
-        self._buf_i[idx] = i_new
-        self._buf_q[idx] = q_new
-        self._idx = idx + 1 if idx + 1 < span else 0
-        mean_i = self._sum_i / span
-        mean_q = self._sum_q / span
-        if math.hypot(mean_i, mean_q) >= PV_EPSILON_UV:
-            err = math.atan2(mean_q, mean_i)
-            delta = math.fmod(err - self.phi_e + 3.0 * math.pi, TAU) - math.pi
-            omega = self.omega + cfg.k_pv * delta
-            if omega < self._omega_lo:
-                omega = self._omega_lo
-            elif omega > self._omega_hi:
-                omega = self._omega_hi
-            self.omega = omega
-            self.phi_e = err
-        else:
-            self.hold_count += 1
-        self.theta = wrap_radians(self.theta + self.omega * self._dt)
-        if cfg.pv_trigger_on_nco:
-            est = math.degrees(self.theta)
-        else:
-            est = math.degrees(wrap_radians(self.theta + self.phi_e))
-        prev = self._prev_est
-        self._prev_est = est
-        event = None
-        arc = math.fmod(est - prev, 360.0)
-        if arc < 0.0:
-            arc += 360.0
-        if arc >= 180.0:
-            self.slip_count += 1
-        elif phase_crossed(prev, est, self._target):
-            event = self._emit(est, x)
-        self._n += 1
-        return est, self.omega / TAU, event
-
-    def phase_stream(self, x):
-        """Advance the vocoder over x without trigger logic.
-
-        Returns the per-sample phase estimate in degrees, as ``step``
-        reports it, and an empty array of reset indices (the vocoder holds
-        instead of resetting).
-        """
-        x = np.asarray(x, dtype=float)
-        cfg = self.config
-        k = cfg.k_pv
-        span = self._span
-        dt = self._dt
-        on_nco = cfg.pv_trigger_on_nco
-        omega_lo = self._omega_lo
-        omega_hi = self._omega_hi
-        sin = math.sin
-        cos = math.cos
-        hypot = math.hypot
-        isfinite = math.isfinite
-        atan2 = math.atan2
-        fmod = math.fmod
-        pi = math.pi
+    def _advance(self, xs):
+        k, span, dt, on_nco, omega_lo, omega_hi = self._params
         buf_i = self._buf_i
         buf_q = self._buf_q
         sum_i = self._sum_i
@@ -497,50 +432,41 @@ class PvTracker(_PhaseTracker):
         omega = self.omega
         theta = self.theta
         phi_e = self.phi_e
-        holds = 0
-        out = np.empty(len(x))
-        for a in range(0, len(x), BLOCK_SAMPLES):
-            ests = []
-            append = ests.append
-            for xi in x[a:a + BLOCK_SAMPLES].tolist():
-                if isfinite(xi):
-                    i_new = xi * sin(theta)
-                    q_new = xi * cos(theta)
-                else:
-                    buf_i[:] = buf_q[:] = [0.0] * span
-                    sum_i = sum_q = i_new = q_new = 0.0
-                sum_i += i_new - buf_i[idx]
-                sum_q += q_new - buf_q[idx]
-                buf_i[idx] = i_new
-                buf_q[idx] = q_new
-                idx = idx + 1 if idx + 1 < span else 0
-                mean_i = sum_i / span
-                mean_q = sum_q / span
-                if hypot(mean_i, mean_q) >= PV_EPSILON_UV:
-                    err = atan2(mean_q, mean_i)
-                    delta = fmod(err - phi_e + 3.0 * pi, TAU) - pi
-                    omega = omega + k * delta
-                    if omega < omega_lo:
-                        omega = omega_lo
-                    elif omega > omega_hi:
-                        omega = omega_hi
-                    phi_e = err
-                else:
-                    holds += 1
-                theta = (theta + omega * dt) % TAU
-                append(theta if on_nco else (theta + phi_e) % TAU)
-            out[a:a + len(ests)] = ests
-        np.degrees(out, out=out)
+        ests = []
+        for xi in xs:
+            if isfinite(xi):
+                i_new = xi * sin(theta)
+                q_new = xi * cos(theta)
+            else:   # the running sums would stay non-finite: start them over
+                buf_i[:] = buf_q[:] = [0.0] * span
+                sum_i = sum_q = i_new = q_new = 0.0
+            sum_i += i_new - buf_i[idx]
+            sum_q += q_new - buf_q[idx]
+            buf_i[idx] = i_new
+            buf_q[idx] = q_new
+            idx = idx + 1 if idx + 1 < span else 0
+            mean_i = sum_i / span
+            mean_q = sum_q / span
+            if hypot(mean_i, mean_q) >= PV_EPSILON_UV:
+                err = atan2(mean_q, mean_i)
+                delta = fmod(err - phi_e + 3.0 * pi, TAU) - pi
+                omega = omega + k * delta
+                if omega < omega_lo:
+                    omega = omega_lo
+                elif omega > omega_hi:
+                    omega = omega_hi
+                phi_e = err
+            else:
+                self.hold_count += 1
+            theta = (theta + omega * dt) % TAU
+            ests.append(theta if on_nco else (theta + phi_e) % TAU)
         self._sum_i = sum_i
         self._sum_q = sum_q
         self._idx = idx
         self.omega = omega
         self.theta = theta
         self.phi_e = phi_e
-        if len(out):
-            self._prev_est = float(out[-1])
-        self.hold_count += holds
-        return out, np.empty(0, dtype=np.intp)
+        return ests
 
     def run(self, x) -> list:
         return self._run_blocks(x)

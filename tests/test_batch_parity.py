@@ -6,6 +6,7 @@ included, over uneven chunks, kernel block boundaries, PLL reset samples
 and the vocoder's oscillator-trigger mode; and they hold the optimizer's
 phase streams equal to streams built with ``step``.
 """
+import copy
 import math
 
 import numpy as np
@@ -284,3 +285,40 @@ class TestEvaluateStatistics:
         monkeypatch.setattr(pipeline, "circular_mean_sd", broken)
         with pytest.raises(ValueError):
             evaluate_session(deep_sleep, session)
+
+
+STATE = {"pll": ("theta", "phi_p"), "pv": ("theta", "omega", "phi_e"),
+         "pv_nco": ("theta", "omega", "phi_e")}
+
+
+@pytest.mark.parametrize("name", STATE)
+def test_state_after_run_equals_step_loop(name):
+    # uneven chunks, with NaN samples inside chunks: a PLL reset, and a
+    # restart of the vocoder's moving averages
+    cfg = CONFIGS[name]
+    x = signal(9000, seed=6)
+    x[[1234, 5000]] = np.nan
+    bounds = [1, 333, 4100, 4101, 7777]
+    ran = make_tracker(cfg)
+    chunked(ran, x, bounds)
+    stepped = make_tracker(cfg)
+    step_loop(stepped, x)
+    for attr in STATE[name]:
+        assert getattr(ran, attr) == getattr(stepped, attr), attr
+    assert counters(ran) == counters(stepped)
+    if name == "pll":
+        assert ran.reset_count == 2
+        # theta is the free-run phase plus the correction accumulated in
+        # phi_p since the last reset (sample 5000)
+        free_run = (len(x) - 5001) * trackers.TAU * trackers.NCO_CENTER_HZ / FS
+        drift = (ran.theta - free_run - ran.phi_p) % trackers.TAU
+        assert min(drift, trackers.TAU - drift) < 1e-9
+
+    nxt = signal(400, seed=8)
+    assert (copy.deepcopy(ran).phase_stream(nxt[:1])[0].tobytes()
+            == copy.deepcopy(stepped).phase_stream(nxt[:1])[0].tobytes())
+    outs = [(ran.step(v), stepped.step(v)) for v in nxt.tolist()]
+    assert all(a == b for a, b in outs)
+    assert any(a[-1] is not None for a, _ in outs)
+    for attr in STATE[name]:
+        assert getattr(ran, attr) == getattr(stepped, attr), attr

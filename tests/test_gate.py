@@ -299,6 +299,31 @@ class TestCalibration:
             ratio = getattr(cfg, name) / getattr(base, name)
             assert 0.5 <= ratio <= 2.0, name
 
+    def test_window_length_follows_base_config(self, short_synth):
+        # thresholds are geometric midpoints of the N3 and wake medians of
+        # the base config's windows, here 2 s, never a fixed 4 s
+        rec = short_synth.recording
+        base = GateConfig(window_step_s=2.0)
+        cfg = calibrate_gate(rec, base=base)
+        y = PreprocessChain(FS).run(rec.samples)
+        n = int(2.0 * FS)
+        per_epoch = int(20.0 * FS) // n
+        n_windows = min(len(y) // n, len(rec.hypnogram) * per_epoch)
+        stages = [rec.hypnogram[k // per_epoch] for k in range(n_windows)]
+        powers = np.array([band_powers(y[k * n:(k + 1) * n], FS, GATE_BANDS_HZ)
+                           for k in range(n_windows)])
+        n3 = np.array([s == "N3" for s in stages])
+        wake = np.array([s == "W" for s in stages])
+        expect = np.sqrt(np.median(powers[n3], axis=0)
+                         * np.median(powers[wake], axis=0))
+        got = [cfg.nrem_low_threshold_uv2, cfg.nrem_mid_threshold_uv2,
+               cfg.nrem_beta_threshold_uv2, cfg.swa_threshold_uv2,
+               cfg.beta_threshold_uv2]
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        assert cfg.window_step_s == 2.0
+        four_s = calibrate_gate(rec)
+        assert cfg.nrem_low_threshold_uv2 != four_s.nrem_low_threshold_uv2
+
     def test_requires_hypnogram(self, short_synth):
         rec = short_synth.recording
         bare = type(rec)(samples=rec.samples, fs=rec.fs, hypnogram=[])
