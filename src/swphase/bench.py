@@ -33,12 +33,14 @@ SLICE_SAMPLES = 250          # streams take turns at this granularity
 # Static per-sample floating-point operation counts of each stage's inner
 # step, by kind. They follow from the recurrences and do not depend on the
 # sampling rate or, for the vocoder, on the moving-average span (running
-# sums make the span free).
+# sums make the span free). Preprocess counts nonzero coefficients, not the
+# zero padding of first-order sections. PLL and PV: a step outside a hold,
+# estimate trigger mode; fmod counts every modulo, `%` included.
 OP_COUNTS = {
     "preprocess": {"mul": 11, "add": 8, "trig": 0, "atan2": 0, "fmod": 0, "cmp": 3},
     "at":         {"mul": 5,  "add": 4, "trig": 0, "atan2": 0, "fmod": 0, "cmp": 4},
     "pll":        {"mul": 4,  "add": 4, "trig": 1, "atan2": 0, "fmod": 3, "cmp": 7},
-    "pv":         {"mul": 9,  "add": 12, "trig": 2, "atan2": 1, "fmod": 4, "cmp": 10},
+    "pv":         {"mul": 9,  "add": 12, "trig": 2, "atan2": 1, "fmod": 5, "cmp": 10},
 }
 
 
@@ -137,8 +139,7 @@ def _test_signal(fs: float, n: int, seed: int = 7):
 
 
 def _preprocessed(raw, fs: float) -> list:
-    chain = PreprocessChain(fs)
-    return [chain.step(xi) for xi in raw]
+    return PreprocessChain(fs).run(raw).tolist()
 
 
 def measure_pipeline_cost(algorithm: str = "pv", fs: float = 250.0,

@@ -1,9 +1,9 @@
 """Causal streaming filters and windowed band power.
 
-Everything here is sample-by-sample capable: each filter exposes ``step`` for
-one sample and ``run`` for a batch, and the two are bit-identical (``run`` is
-``scipy.signal.lfilter`` with carried state, ``step`` replays the same
-difference equation in the same operation order).
+Every IIR filter is an ``IirFilter``: a cascade of sections of at most
+second order that all run one recurrence. ``step`` runs it for one sample
+and ``run`` is ``scipy.signal.lfilter`` per section with carried state; the
+two are bit-identical.
 """
 from __future__ import annotations
 
@@ -16,13 +16,21 @@ from scipy import signal
 from .errors import ConfigurationError, StreamIntegrityError
 
 REFERENCE_FS = 250.0
-MIN_FS = 100.0
 
 NOTCH_HZ = 50.0
 NOTCH_Q = 30.0
 HIGHPASS_HZ = 0.1
 LOWPASS_HZ = 30.0
 SW_ISOLATION_BAND = (0.5, 2.0)
+
+MIN_FS = 2 * NOTCH_HZ       # exclusive: here the notch sits at Nyquist
+
+
+def check_fs(fs: float):
+    """Refuse a sampling rate at which the notch is not below Nyquist."""
+    if not fs > MIN_FS:
+        raise ConfigurationError(f"sampling rate {fs} Hz: fs must be above {MIN_FS:g} Hz, "
+                                 f"twice the {NOTCH_HZ:g} Hz notch frequency")
 
 
 def design_notch(fs: float = REFERENCE_FS):
@@ -46,63 +54,63 @@ def design_sw_isolation(fs: float = REFERENCE_FS):
     return signal.butter(1, SW_ISOLATION_BAND, btype="bandpass", fs=fs)
 
 
-class IirFilter:
-    """Single IIR section in direct form II transposed.
+def _section(b, a):
+    """One (b, a) pair normalized to a[0] == 1 and zero-padded to length 3."""
+    b, a = (np.array(v, dtype=float, ndmin=1) for v in (b, a))
+    if max(len(b), len(a)) > 3:
+        raise ConfigurationError("IIR section of order above 2; split it into sections")
+    if not len(a) or a[0] == 0:
+        raise ConfigurationError("leading feedback coefficient must be nonzero")
+    b, a = b / a[0], a / a[0]
+    if np.max(np.abs(np.roots(a)), initial=0.0) >= 1.0:
+        raise ConfigurationError("unstable filter: feedback root on or outside the unit circle")
+    return np.pad(b, (0, 3 - len(b))), np.pad(a, (0, 3 - len(a)))
 
-    Matches ``scipy.signal.lfilter`` output exactly, so streams can be
-    processed per sample or in vectorized batches interchangeably.
+
+class IirFilter:
+    """Cascade of IIR sections: ``IirFilter((b1, a1), (b2, a2), ...)``.
+
+    Each (b, a) section, of at most second order, runs in direct form II
+    transposed with two state values. A first-order section is padded with
+    zero b2 and a2, so all sections run the same recurrence, the one
+    ``lfilter`` runs: ``step`` and ``run`` agree bit for bit, for any
+    chunking. Against an unpadded first-order recurrence the outputs agree
+    in value, and in bits except that a zero output can change sign once the
+    section's state has decayed to zeros and denormals (+0 + -0 is +0).
     """
 
-    def __init__(self, b, a):
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if a[0] == 0:
-            raise ConfigurationError("leading feedback coefficient must be nonzero")
-        if a[0] != 1.0:
-            b = b / a[0]
-            a = a / a[0]
-        n = max(len(b), len(a))
-        self.b = np.zeros(n)
-        self.b[: len(b)] = b
-        self.a = np.zeros(n)
-        self.a[: len(a)] = a
-        if n > 1:
-            roots = np.roots(self.a)
-            if len(roots) and np.max(np.abs(roots)) >= 1.0:
-                raise ConfigurationError("unstable filter: feedback root on or outside the unit circle")
-        self._z = np.zeros(n - 1)
-        # plain-float mirrors of coefficients and state keep step() cheap
-        self._bl = self.b.tolist()
-        self._al = self.a.tolist()
-        self._zl = [0.0] * (n - 1)
+    def __init__(self, *sections):
+        self.sections = [_section(b, a) for b, a in sections]
+        # plain floats keep step() cheap: (b0, b1, b2, a1, a2) per section
+        self._coefs = [(*b.tolist(), *a[1:].tolist()) for b, a in self.sections]
+        self._z = [0.0] * (2 * len(self.sections))
 
     def reset(self):
-        self._z[:] = 0.0
-        self._zl = [0.0] * len(self._zl)
+        self._z = [0.0] * len(self._z)
 
     def step(self, x: float) -> float:
-        b = self._bl
-        a = self._al
-        z = self._zl
-        n = len(z)
-        y = b[0] * x + z[0]
-        for i in range(n - 1):
-            z[i] = z[i + 1] + x * b[i + 1] - y * a[i + 1]
-        z[n - 1] = x * b[n] - y * a[n]
-        return y
+        z = self._z
+        j = 0
+        for b0, b1, b2, a1, a2 in self._coefs:
+            y = b0 * x + z[j]
+            z[j] = z[j + 1] + x * b1 - y * a1
+            z[j + 1] = x * b2 - y * a2
+            x = y
+            j += 2
+        return x
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        z = np.asarray(self._zl, dtype=float)
-        y, z = signal.lfilter(self.b, self.a, np.asarray(x, dtype=float), zi=z)
-        self._zl = z.tolist()
+        y = np.asarray(x, dtype=float)
+        if not len(y):   # lfilter would return a bogus state for no input
+            return y
+        z = self._z
+        for j, (b, a) in zip(range(0, len(z), 2), self.sections):
+            y, zf = signal.lfilter(b, a, y, zi=z[j:j + 2])
+            z[j:j + 2] = zf.tolist()
         return y
 
-    @property
-    def state(self):
-        return list(self._zl)
 
-
-class PreprocessChain:
+class PreprocessChain(IirFilter):
     """The common front end: notch(50 Hz) -> high-pass(0.1 Hz) -> low-pass(30 Hz).
 
     Causal, one output sample per input sample. Non-finite input raises
@@ -110,42 +118,28 @@ class PreprocessChain:
     """
 
     def __init__(self, fs: float = REFERENCE_FS):
-        if fs < MIN_FS:
-            raise ConfigurationError(f"sampling rate {fs} Hz below supported minimum {MIN_FS}")
+        check_fs(fs)
+        super().__init__(design_notch(fs), design_highpass(fs), design_lowpass(fs))
         self.fs = fs
-        self._stages = [
-            IirFilter(*design_notch(fs)),
-            IirFilter(*design_highpass(fs)),
-            IirFilter(*design_lowpass(fs)),
-        ]
-
-    def reset(self):
-        for st in self._stages:
-            st.reset()
 
     def step(self, x: float) -> float:
         if not math.isfinite(x):
             raise StreamIntegrityError(f"non-finite sample {x!r}")
-        s1, s2, s3 = self._stages
-        return s3.step(s2.step(s1.step(x)))
+        return IirFilter.step(self, x)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise StreamIntegrityError(f"non-finite sample at index {bad}")
-        y = x
-        for st in self._stages:
-            y = st.run(y)
-        return y
+        return IirFilter.run(self, x)
 
     def frequency_response(self, freqs_hz):
         """Composed analytic response of the chain at the given frequencies."""
         w = 2 * np.pi * np.asarray(freqs_hz, dtype=float) / self.fs
         h = np.ones(len(w), dtype=complex)
-        for st in self._stages:
-            _, hi = signal.freqz(st.b, st.a, worN=w)
-            h = h * hi
+        for b, a in self.sections:
+            h = h * signal.freqz(b, a, worN=w)[1]
         return h
 
 

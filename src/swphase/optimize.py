@@ -272,7 +272,7 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
         refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
         if algorithm == "at":
             if cache.iso is None:
-                cache.iso = IirFilter(*design_sw_isolation(cache.fs)).run(cache.y)
+                cache.iso = IirFilter(design_sw_isolation(cache.fs)).run(cache.y)
             hits = level_hits(cache.iso, cfg.at_threshold_uv)
             cand = np.asarray(refractory(hits, refr)[0], dtype=int)
         else:

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal
 
+from .dsp import check_fs
 from .errors import ConfigurationError
 from .oracle import PhaseTrack
 from .recording import EPOCH_S, NREM_STAGES, STAGES, EegRecording, epoch_samples
@@ -76,8 +77,7 @@ class SynthSpec:
         if not (SW_FREQ_BOUNDS_HZ[0] <= flo <= fhi <= SW_FREQ_BOUNDS_HZ[1]):
             raise ConfigurationError(
                 f"sw_freq_range_hz must lie inside {SW_FREQ_BOUNDS_HZ}")
-        if self.fs < 100:
-            raise ConfigurationError("fs must be >= 100 Hz")
+        check_fs(self.fs)
         for name in ("sw_pp_sigma_uv", "sw_freq_sigma_hz", "pink_noise_rms_uv",
                      "nrem_delta_noise_rms_uv", "spindle_rate_per_min",
                      "spindle_amp_uv", "wake_alpha_rms_uv", "wake_beta_rms_uv",

@@ -243,7 +243,7 @@ class AmplitudeThresholdTracker(_TrackerBase):
 
     def __init__(self, config: TrackerConfig):
         super().__init__(config)
-        self._iso = IirFilter(*design_sw_isolation(config.sample_rate_hz))
+        self._iso = IirFilter(design_sw_isolation(config.sample_rate_hz))
         self._prev = 0.0
 
     def step(self, x: float) -> Optional[TriggerEvent]:

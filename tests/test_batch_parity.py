@@ -97,7 +97,7 @@ def test_at_chunk_starting_above_threshold():
     # previous value, not 0, decides the first sample's crossing
     cfg = TrackerConfig(algorithm="at", refractory_s=0.05)
     x = signal(12000)
-    v = IirFilter(*design_sw_isolation(FS)).run(x)
+    v = IirFilter(design_sw_isolation(FS)).run(x)
     whole = make_tracker(cfg).run(x)
     fired = np.asarray([e.sample_index for e in whole])
     thr = cfg.at_threshold_uv

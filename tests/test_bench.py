@@ -1,6 +1,12 @@
 """Per-sample cost measurement: report shape, guards, static op counts."""
+import ast
+import inspect
+import textwrap
+from collections import Counter
+
 import pytest
 
+from swphase import trackers
 from swphase.bench import (
     OP_COUNTS,
     check_timer,
@@ -8,6 +14,8 @@ from swphase.bench import (
     tracker_cost_ratio,
 )
 from swphase.errors import ConfigurationError
+
+from conftest import sinusoid
 
 
 def test_timer_is_fine_grained_here():
@@ -60,6 +68,34 @@ def test_op_counts_are_static_and_complete():
     # the vocoder arithmetic strictly outweighs the PLL's
     assert sum(OP_COUNTS["pv"].values()) > sum(OP_COUNTS["pll"].values())
     assert OP_COUNTS["pv"]["atan2"] >= 1 and OP_COUNTS["pll"]["atan2"] == 0
+
+
+def _mod_count(fn) -> int:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return sum(isinstance(node, ast.Mod) for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("algorithm", ["pll", "pv"])
+def test_op_counts_follow_the_step_code(algorithm, monkeypatch):
+    """trig, atan2 and fmod counts of one step outside a hold, taken from the
+    code: calls through the trackers module's math names, plus every `%` in
+    the recurrence and the crossing test (all of them run on such a step)."""
+    tracker = trackers.make_tracker(trackers.TrackerConfig(algorithm=algorithm))
+    for x in sinusoid(1.0, 50.0, 2.0):
+        tracker.step(float(x))
+    calls = Counter()
+    for name in ("sin", "cos", "atan2", "fmod"):
+        fn = getattr(trackers, name)
+        monkeypatch.setattr(trackers, name,
+                            lambda *a, _fn=fn, _name=name: calls.update([_name]) or _fn(*a))
+    holds = getattr(tracker, "hold_count", 0)
+    tracker.step(10.0)
+    assert getattr(tracker, "hold_count", 0) == holds
+    mods = _mod_count(type(tracker)._advance) + _mod_count(trackers._PhaseTracker.step)
+    counts = OP_COUNTS[algorithm]
+    assert calls["sin"] + calls["cos"] == counts["trig"]
+    assert calls["atan2"] == counts["atan2"]
+    assert calls["fmod"] + mods == counts["fmod"]
 
 
 def test_tracker_ratio_in_expected_band():

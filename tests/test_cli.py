@@ -241,6 +241,25 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "ConfigurationError" in err
         assert not (tmp_path / "x.swp").exists()
 
+    def test_rate_at_the_notch_nyquist_is_2(self, tmp_path, capsys):
+        # at 100 Hz the 50 Hz notch sits at Nyquist: refuse the night
+        # instead of writing one that track cannot filter
+        rc = main(["simulate", "--out", str(tmp_path / "n.swp"),
+                   "--synth-set", "fs=100", "--stages", "W*2 N2*40"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "above 100 Hz, twice the 50 Hz notch frequency" in err
+        assert not (tmp_path / "n.swp").exists()
+
+    def test_rate_just_above_the_minimum_simulates_and_tracks(self, tmp_path):
+        night = tmp_path / "n.swp"
+        assert main(["simulate", "--out", str(night), "--synth-set", "fs=101",
+                     "--stages", "W*2 N2*40"]) == 0
+        assert read_recording(night).fs == 101.0
+        assert main(["track", "--input", str(night),
+                     "--out", str(tmp_path / "n.csv")]) == 0
+
     @pytest.mark.parametrize("command", ["track", "evaluate", "calibrate",
                                          "optimize"])
     def test_hypnogram_past_the_recording_is_3(self, corpus, tmp_path, capsys,

@@ -12,6 +12,66 @@ from swphase.errors import ConfigurationError, StreamIntegrityError
 from conftest import FS, sinusoid
 
 
+DESIGNS = {"notch": design_notch, "highpass": design_highpass,
+           "lowpass": design_lowpass, "isolation": design_sw_isolation}
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0)
+
+
+def reference_step(b, a):
+    """One IIR section's per-sample recurrence in direct form II transposed,
+    as a generic loop over its natural-order coefficients (no padding).
+    Returns the step function; the state lives in its closure."""
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a[0] != 1.0:
+        b = b / a[0]
+        a = a / a[0]
+    n = max(len(b), len(a))
+    b = b.tolist() + [0.0] * (n - len(b))
+    a = a.tolist() + [0.0] * (n - len(a))
+    z = [0.0] * (n - 1)
+
+    def step(x):
+        y = b[0] * x + z[0]
+        for i in range(n - 2):
+            z[i] = z[i + 1] + x * b[i + 1] - y * a[i + 1]
+        z[n - 2] = x * b[n - 1] - y * a[n - 1]
+        return y
+    return step
+
+
+def reference_and_filter(name, fs=FS):
+    """(reference step functions in cascade order, IirFilter) for one design
+    or, for "chain", the preprocessing chain."""
+    if name == "chain":
+        designs = (design_notch(fs), design_highpass(fs), design_lowpass(fs))
+        return [reference_step(*d) for d in designs], PreprocessChain(fs)
+    design = DESIGNS[name](fs)
+    return [reference_step(*design)], IirFilter(design)
+
+
+def stepped(steps, x):
+    out = []
+    for v in x:
+        v = float(v)
+        for st in steps:
+            v = st(v)
+        out.append(v)
+    return np.array(out)
+
+
+def special_sequences(seed, count, n):
+    """Seeded sequences of signed zeros, denormals, tiny and unit values."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice(SPECIAL_VALUES, n) for _ in range(count)]
+
+
+def decay_sequences():
+    """A unit step of either sign, then 1,200 zeros of either sign: the
+    filters' states decay through the denormals to zero."""
+    return [np.r_[s, np.full(1200, z)] for s in (1.0, -1.0) for z in (0.0, -0.0)]
+
+
 def measure_response(chain: PreprocessChain, freq_hz: float, fs: float = FS,
                      settle_s: float = 60.0, measure_s: float = 20.0):
     """Empirical gain and phase shift via quadrature projection.
@@ -37,7 +97,7 @@ class TestIirFilter:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(5000)
         b, a = design_lowpass(FS)
-        f = IirFilter(b, a)
+        f = IirFilter((b, a))
         want = signal.lfilter(b, a, x)
         got = f.run(x)
         assert np.array_equal(got, want)
@@ -46,8 +106,8 @@ class TestIirFilter:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(512)
         b, a = design_notch(FS)
-        want = IirFilter(b, a).run(x)
-        f = IirFilter(b, a)
+        want = IirFilter((b, a)).run(x)
+        f = IirFilter((b, a))
         got = np.array([f.step(float(v)) for v in x])
         assert np.array_equal(got, want)
 
@@ -55,19 +115,64 @@ class TestIirFilter:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(1000)
         b, a = design_highpass(FS)
-        want = IirFilter(b, a).run(x)
-        f = IirFilter(b, a)
+        want = IirFilter((b, a)).run(x)
+        f = IirFilter((b, a))
         got = np.concatenate([f.run(x[:100]), f.run(x[100:317]), f.run(x[317:])])
         assert np.array_equal(got, want)
 
     def test_unstable_coefficients_rejected(self):
         # pole at z = 1.5
         with pytest.raises(ConfigurationError):
-            IirFilter([1.0], [1.0, -1.5])
+            IirFilter(([1.0], [1.0, -1.5]))
+
+    @pytest.mark.parametrize("name", [*DESIGNS, "chain"])
+    def test_step_equals_reference_recurrence_bitwise(self, name):
+        rng = np.random.default_rng(5)
+        for x in [40.0 * rng.standard_normal(3000), *special_sequences(6, 300, 100)]:
+            refs, f = reference_and_filter(name)
+            got = np.array([f.step(float(v)) for v in x])
+            assert got.tobytes() == stepped(refs, x).tobytes()
+
+    @pytest.mark.parametrize("fs", [101.0, 173.0, FS, 333.3, 512.0])
+    @pytest.mark.parametrize("name", [*DESIGNS, "chain"])
+    def test_step_equals_run_bitwise_at_any_rate(self, name, fs):
+        # the padded section is the recurrence lfilter runs, signed zeros too
+        for x in [*special_sequences(10, 100, 100), *decay_sequences()]:
+            _, f = reference_and_filter(name, fs)
+            got = np.array([f.step(float(v)) for v in x])
+            _, f = reference_and_filter(name, fs)
+            chunked = np.concatenate([f.run(x[:37]), f.run(x[37:])])
+            assert got.tobytes() == chunked.tobytes()
+
+    @pytest.mark.parametrize("fs", [101.0, 173.0, FS, 333.3, 512.0])
+    @pytest.mark.parametrize("name", [*DESIGNS, "chain"])
+    def test_padding_changes_at_most_the_sign_of_a_zero(self, name, fs):
+        # A padded first-order section adds its second state value, a signed
+        # zero, where the unpadded recurrence adds nothing: +0 + -0 is +0.
+        # Once the state has decayed to zeros and denormals, the sign of a
+        # zero output can therefore differ: the low-pass shows it on the
+        # decays at 173 and 250 Hz and on the seeded sequences at 101 Hz.
+        # Values never differ.
+        for x in [*special_sequences(8, 100, 100), *decay_sequences()]:
+            refs, f = reference_and_filter(name, fs)
+            got = np.array([f.step(float(v)) for v in x])
+            want = stepped(refs, x)
+            assert np.array_equal(got, want)
+            differ = got.view(np.uint64) != want.view(np.uint64)
+            assert np.all(got[differ] == 0.0)
+
+    def test_third_order_section_rejected(self):
+        with pytest.raises(ConfigurationError, match="order"):
+            IirFilter(signal.butter(3, 0.2))
+
+    def test_unstable_section_in_a_cascade_rejected(self):
+        # double pole at z = 1
+        with pytest.raises(ConfigurationError, match="unstable"):
+            IirFilter(design_notch(FS), ([1.0], [1.0, -2.0, 1.0]))
 
     def test_reset_restores_initial_output(self):
         b, a = design_lowpass(FS)
-        f = IirFilter(b, a)
+        f = IirFilter((b, a))
         first = f.step(1.0)
         f.step(0.5)
         f.reset()
@@ -119,6 +224,25 @@ class TestPreprocessChain:
     def test_fs_below_minimum_rejected(self):
         with pytest.raises(ConfigurationError):
             PreprocessChain(50.0)
+
+    def test_fs_at_twice_the_notch_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="above 100 Hz, twice the 50 Hz notch frequency"):
+            PreprocessChain(100.0)
+        PreprocessChain(101.0)
+
+    def test_chunked_run_equals_one_run_and_step_loop_bitwise(self):
+        rng = np.random.default_rng(9)
+        x = 40.0 * rng.standard_normal(6000)
+        x[2000:2100] = 0.0
+        want = PreprocessChain(FS).run(x)
+        chain = PreprocessChain(FS)
+        bounds = [0, 1, 8, 8, 999, 1000, 2050, 4097, len(x)]   # one chunk empty
+        chunked = np.concatenate([chain.run(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        chain = PreprocessChain(FS)
+        looped = np.array([chain.step(float(v)) for v in x])
+        assert chunked.tobytes() == want.tobytes()
+        assert looped.tobytes() == want.tobytes()
 
 
 class TestSlowWaveIsolation:
