@@ -170,12 +170,18 @@ def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
     """Evaluate every combo on every recording once, then score per fold.
 
     evaluate(combo, recording) returns that recording's ObjectiveTally for
-    the combo. Fold sides pool tallies by summation before scoring, so one
-    long recording cannot be outvoted by many short ones trigger-by-trigger.
+    the combo. The search is recording-major: each recording sees every
+    combo, in declaration order, before the next recording is visited, so
+    an evaluator need hold only one recording's intermediates at a time.
+    Fold sides pool tallies by summation before scoring, so one long
+    recording cannot be outvoted by many short ones trigger-by-trigger.
     """
     combos = expand_grid(grid)
     folds = kfold_split(len(recordings), k, seed)
-    tallies = [[evaluate(c, r) for r in recordings] for c in combos]
+    tallies = [[None] * len(recordings) for _ in combos]   # [combo][recording]
+    for j, recording in enumerate(recordings):
+        for row, combo in zip(tallies, combos):
+            row[j] = evaluate(combo, recording)
 
     results = []
     for combo, row in zip(combos, tallies):
@@ -217,7 +223,7 @@ def default_grid(algorithm: str) -> dict:
 
 
 class _RecordingCache:
-    """Per-recording intermediates shared across the whole grid."""
+    """One recording's intermediates, shared by every combo of the grid."""
 
     def __init__(self, recording: EegRecording, gate_config: GateConfig):
         fs = recording.fs
@@ -255,16 +261,24 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
     Preprocessing, gate flags, the oracle track and qualifying-window counts
     are computed once per recording; tracker phase streams once per distinct
     loop-dynamics setting. Trigger targets and thresholds then reuse those.
+
+    The closure holds one recording's intermediates, phase streams included,
+    and builds them when it is first called with that recording. A call
+    with another recording drops them before building the next, so memory
+    follows one recording, not the corpus; ``grid_search_cv`` visits the
+    recordings one at a time. ``recordings`` names the corpus; nothing is
+    built from it up front.
     """
     gate_config = (gate_config or GateConfig()).validate()
     base = base_config or TrackerConfig(algorithm=algorithm)
-    caches = {id(r): _RecordingCache(r, gate_config) for r in recordings}
+    held, cache = None, None    # the recording whose intermediates are held
 
     def evaluate(combo: dict, recording: EegRecording) -> ObjectiveTally:
-        cache = caches.get(id(recording))
-        if cache is None:
+        nonlocal held, cache
+        if recording is not held:
+            held, cache = None, None    # free the old cache before the new one
             cache = _RecordingCache(recording, gate_config)
-            caches[id(recording)] = cache
+            held = recording
         cfg = TrackerConfig(**{**base.__dict__, **combo,
                                "algorithm": algorithm,
                                "sample_rate_hz": cache.fs})

@@ -238,7 +238,9 @@ class AmplitudeThresholdTracker(_TrackerBase):
 
     Input is the common preprocessed stream; a first-order 0.5-2 Hz band-pass
     inside the tracker isolates slow waves before thresholding. No phase is
-    estimated.
+    estimated. A non-finite sample would leave the band-pass state
+    non-finite for good, so it restarts the filter from zero state and reads
+    as an isolated 0.0, which never reaches the (positive) level.
     """
 
     def __init__(self, config: TrackerConfig):
@@ -247,7 +249,11 @@ class AmplitudeThresholdTracker(_TrackerBase):
         self._prev = 0.0
 
     def step(self, x: float) -> Optional[TriggerEvent]:
-        v = self._iso.step(x)
+        if isfinite(x):
+            v = self._iso.step(x)
+        else:
+            self._iso.reset()
+            v = 0.0
         event = None
         if self._prev < self.config.at_threshold_uv <= v:
             event = self._emit(None, x)
@@ -259,7 +265,17 @@ class AmplitudeThresholdTracker(_TrackerBase):
         x = np.asarray(x, dtype=float)
         if not len(x):
             return []
-        v = self._iso.run(x)
+        bad = np.flatnonzero(~np.isfinite(x)).tolist()
+        if bad:   # filter the finite runs between them, restarting at each
+            v = np.zeros(len(x))
+            start = 0
+            for stop in bad + [len(x)]:
+                v[start:stop] = self._iso.run(x[start:stop])
+                if stop < len(x):
+                    self._iso.reset()
+                start = stop + 1
+        else:
+            v = self._iso.run(x)
         hits = level_hits(v, self.config.at_threshold_uv, self._prev)
         self._prev = float(v[-1])
         return self._events(hits, x, None)

@@ -1,9 +1,12 @@
 """Grid-search optimizer: tallies, distances, folds, selection, fast path."""
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import swphase.optimize as optimize
+from swphase import SynthSpec, generate
 from swphase.errors import ConfigurationError
 from swphase.gate import GateConfig
 from swphase.optimize import (
@@ -20,7 +23,8 @@ from swphase.optimize import (
     tally_from_phases,
 )
 from swphase.oracle import compute_phase_track
-from swphase.pipeline import qualifying_windows, run_session
+from swphase.pipeline import (qualifying_windows, run_session,
+                              tracker_phase_stream)
 from swphase.trackers import TrackerConfig
 
 
@@ -243,3 +247,51 @@ class TestPipelineEvaluator:
         slow = tally_from_phases(phases, inw, q_count)
 
         assert fast == slow
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Three short deep-sleep nights."""
+    return [generate(SynthSpec(hypnogram=["N2"] * 12 + ["N3"] * 24,
+                               seed=40 + i)).recording for i in range(3)]
+
+
+class TestRecordingMajorSearch:
+    """The evaluator holds one recording's intermediates at a time."""
+
+    GRID = {"phi_target_deg": [15.0, 45.0, 90.0], "k_pv": [1.0, 2.0]}
+
+    def test_at_most_one_cache_is_alive(self, corpus, monkeypatch):
+        live = weakref.WeakSet()
+        seen = []
+
+        class Counted(optimize._RecordingCache):
+            def __init__(self, *args):
+                live.add(self)
+                seen.append(len(live))    # the caches alive as this one is built
+                super().__init__(*args)
+        monkeypatch.setattr(optimize, "_RecordingCache", Counted)
+
+        evaluate = make_pipeline_evaluator(corpus, "pv", GateConfig())
+
+        def counting(combo, recording):
+            seen.append(len(live))
+            return evaluate(combo, recording)
+        outcome = grid_search_cv(corpus, self.GRID, counting, k=3, seed=0)
+        assert len(outcome.results) == 6
+        assert seen and max(seen) == 1
+        assert len(live) <= 1    # after the search, the closure holds the last
+
+    @pytest.mark.parametrize("first", ["target", "dynamics"])
+    def test_one_stream_per_recording_and_dynamics_setting(self, corpus,
+                                                           monkeypatch, first):
+        grid = self.GRID if first == "target" else dict(reversed(self.GRID.items()))
+        made = []
+
+        def counted(y, cfg):
+            made.append(cfg.k_pv)
+            return tracker_phase_stream(y, cfg)
+        monkeypatch.setattr(optimize, "tracker_phase_stream", counted)
+        evaluate = make_pipeline_evaluator(corpus, "pv", GateConfig())
+        grid_search_cv(corpus, grid, evaluate, k=3, seed=0)
+        assert sorted(made) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]

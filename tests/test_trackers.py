@@ -125,6 +125,52 @@ class TestAmplitudeThreshold:
         assert events
         assert np.diff([e.sample_index for e in events]).min() >= refr
 
+    @staticmethod
+    def chunked_run(tracker, x, size):
+        events = []
+        for a in range(0, len(x), size):
+            events += tracker.run(x[a:a + size])
+        return events
+
+    @staticmethod
+    def state(tracker):
+        return tracker._iso._z, tracker._prev, tracker._n, tracker._last_trigger
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sample_restarts_the_isolation_filter(self, bad):
+        x = sinusoid(1.0, 40.0, 60.0)   # 80 uV peak to peak: 59 events clean
+        x[100] = bad
+        cfg = TrackerConfig(algorithm="at")
+        stepped_tracker = make_tracker(cfg)
+        stepped = run_stepwise(stepped_tracker, x)
+        assert len(stepped) >= 58
+        assert np.isfinite(stepped_tracker._iso._z).all()
+        for size in (1, 7, 4096):
+            chunk_tracker = make_tracker(cfg)
+            assert self.chunked_run(chunk_tracker, x, size) == stepped
+            assert self.state(chunk_tracker) == self.state(stepped_tracker)
+
+    def test_nonfinite_samples_read_as_zero_and_never_trigger(self):
+        # bad samples first, last, adjacent and on a 7-sample chunk boundary
+        x = sinusoid(1.0, 40.0, 20.0)
+        bad = [0, 100, 101, 7 * 300, len(x) - 1]
+        x[bad] = [math.nan, math.inf, -math.inf, math.nan, math.inf]
+        cfg = TrackerConfig(algorithm="at", refractory_s=0.05)
+        stepped_tracker = make_tracker(cfg)
+        stepped = run_stepwise(stepped_tracker, x)
+        assert len(stepped) >= 15
+        assert not {e.sample_index for e in stepped} & set(bad)
+        for size in (1, 7, 4096):
+            chunk_tracker = make_tracker(cfg)
+            assert self.chunked_run(chunk_tracker, x, size) == stepped
+            assert self.state(chunk_tracker) == self.state(stepped_tracker)
+        # each bad sample is an isolated 0.0 and the filter starts over
+        t = make_tracker(cfg)
+        for v in x[:100].tolist():
+            t.step(v)
+        assert t.step(math.inf) is None
+        assert t._prev == 0.0 and t._iso._z == [0.0, 0.0]
+
 
 class TestPll:
     def test_zero_input_free_runs_at_exactly_1hz(self):
