@@ -94,6 +94,25 @@ def cmd_track(args) -> int:
     return 0
 
 
+def _logged_algorithm(path, provenance, log) -> str:
+    """The one algorithm of a trigger log's rows; a log without rows names it
+    in its tracker_config provenance line."""
+    if not log:
+        echo = dict(item.partition("=")[::2]
+                    for item in provenance.get("tracker_config", "").split(";"))
+        algo = echo.get("algorithm")
+        if algo is None:
+            raise ConfigurationError(
+                f"{path}: trigger log is empty and names no algorithm; pass --algorithm")
+        if algo not in ALGORITHMS:
+            raise FileFormatError(f"{path}: unknown tracker_config algorithm {algo!r}")
+        return algo
+    algos = {e.algorithm for e in log}
+    if len(algos) > 1:
+        raise ConfigurationError("trigger log holds multiple algorithms; pass --algorithm")
+    return algos.pop()
+
+
 def cmd_evaluate(args) -> int:
     recording = read_recording(args.input)
     _read_hypnogram_into(recording, args.hypnogram)
@@ -102,17 +121,14 @@ def cmd_evaluate(args) -> int:
     logged = provenance.get("input_sha256")
     if logged is not None and logged != hash_file(args.input):
         raise FileFormatError(f"{args.triggers}: input_sha256 differs from {args.input}")
-    algos = {e.algorithm for e in log}
-    algo = args.algorithm or (algos.pop() if len(algos) == 1 else None)
-    if algo is None:
-        raise ConfigurationError(
-            "trigger log holds multiple algorithms; pass --algorithm")
+    algo = args.algorithm or _logged_algorithm(args.triggers, provenance, log)
     gate_cfg = _gate_config(args)
     cfg = TrackerConfig(algorithm=algo, sample_rate_hz=recording.fs)
     from .dsp import PreprocessChain
     from .gate import gate_flags_batch
-    y = PreprocessChain(recording.fs).run(recording.samples)
-    flags = gate_flags_batch(y, recording.fs, gate_cfg)
+    # the preprocessed copy is freed before the oracle runs
+    flags = gate_flags_batch(PreprocessChain(recording.fs).run(recording.samples),
+                             recording.fs, gate_cfg)
     session = SessionResult(log=log, window_flags=flags, tracker_config=cfg,
                             gate_config=gate_cfg, fs=recording.fs)
     report = evaluate_session(recording, session)

@@ -41,7 +41,7 @@ from .errors import ConfigurationError, FileFormatError
 from .gate import REASONS, GateConfig
 from .oracle import PhaseTrack
 from .recording import EegRecording, STAGES
-from .trackers import TrackerConfig
+from .trackers import ALGORITHMS, TrackerConfig
 
 MAGIC = b"SWPH"
 FORMAT_VERSION = 1
@@ -270,7 +270,9 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
     """Returns (provenance dict, list of row dicts with typed fields).
 
     A negative sample_index is refused, and so is one at or past
-    ``n_samples`` when the recording's length is given.
+    ``n_samples`` when the recording's length is given. The algorithm must
+    be known, the delivered and on_window flags must be 0 or 1, and a row is
+    delivered exactly when its suppression_reason is empty.
     """
     from .pipeline import LoggedTrigger
     provenance = {}
@@ -294,8 +296,16 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
         if len(parts) != len(TRIGGER_COLUMNS):
             raise FileFormatError(f"{path}:{ln}: expected "
                                   f"{len(TRIGGER_COLUMNS)} fields")
+        if parts[2] not in ALGORITHMS:
+            raise FileFormatError(f"{path}:{ln}: unknown algorithm {parts[2]!r}")
         if parts[6] not in REASONS:
             raise FileFormatError(f"{path}:{ln}: unknown suppression_reason {parts[6]!r}")
+        for name, flag in (("delivered", parts[5]), ("on_window", parts[7])):
+            if flag not in ("0", "1"):
+                raise FileFormatError(f"{path}:{ln}: {name} must be 0 or 1, got {flag!r}")
+        if (parts[5] == "1") != (parts[6] == ""):
+            raise FileFormatError(f"{path}:{ln}: delivered={parts[5]} disagrees with "
+                                  f"suppression_reason {parts[6]!r}")
         try:
             rows.append(LoggedTrigger(
                 sample_index=int(parts[0]),
@@ -303,9 +313,9 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
                 algorithm=parts[2],
                 tracker_phase_deg=float(parts[3]) if parts[3] else None,
                 amplitude_uv=float(parts[4]),
-                delivered=bool(int(parts[5])),
+                delivered=parts[5] == "1",
                 suppression_reason=parts[6],
-                on_window=bool(int(parts[7])),
+                on_window=parts[7] == "1",
             ))
         except ValueError as exc:
             raise FileFormatError(f"{path}:{ln}: {exc}")

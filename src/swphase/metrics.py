@@ -142,15 +142,30 @@ def local_minima(x: np.ndarray, fs: float) -> np.ndarray:
     A run no longer than 50 ms, touching neither end of x, with a larger
     neighbor on both sides is one minimum; a strict three-point minimum is a
     run of one. Longer plateaus are ambiguous and yield nothing. NaN equals
-    nothing, so it is a run of its own and never a larger neighbor.
+    nothing, so it is a run of its own and never a larger neighbor; neither
+    is an infinity equal to its like (their difference is NaN).
+
+    Only run starts with a larger left neighbor and a right neighbor not
+    below them are candidates, and a plateau is followed for at most
+    max_run samples, so the work and memory scale with the candidates.
     """
     x = np.asarray(x, dtype=float)
     max_run = max(1, int(round(PLATEAU_MAX_S * fs)))
-    last = np.flatnonzero(np.diff(x) != 0.0)   # last sample of every run but the final one
-    start, end = last[:-1] + 1, last[1:]       # the runs touching neither end
-    keep = ((end - start < max_run) & (x[start - 1] > x[start])
-            & (x[end + 1] > x[start]))
-    return start[keep]
+    mid = x[1:-1]
+    candidate = x[:-2] > mid
+    candidate &= x[2:] >= mid
+    start = np.flatnonzero(candidate) + 1
+    del candidate
+    level = x[start]
+    # follow each run for at most max_run samples and never onto the last
+    # sample of x; a run cut short is followed by its own value and fails
+    end = start.copy()
+    grow = np.isfinite(level)
+    for _ in range(max_run - 1):
+        grow &= end < len(x) - 2
+        grow[grow] = x[end[grow] + 1] == level[grow]
+        end[grow] += 1
+    return start[x[end + 1] > level]
 
 
 def detect_waves(filtered: np.ndarray, fs: float,

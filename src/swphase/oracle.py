@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal
 
 from .errors import RecordingTooShortError
@@ -58,15 +59,24 @@ def hilbert_phase(filtered, fs: float) -> PhaseTrack:
     """Instantaneous phase of the filtered signal, cropped at both ends.
 
     The analytic signal is built over the full recording; angle is shifted
-    so the convention holds (a positive peak maps to 90 deg).
+    so the convention holds (a positive peak maps to 90 deg). These are
+    scipy.signal.hilbert's steps, with the inverse transform and the phase
+    arithmetic done in place.
     """
     filtered = np.asarray(filtered, dtype=float)
-    analytic = signal.hilbert(filtered)
-    phase = (np.degrees(np.angle(analytic)) + 90.0) % 360.0
-    valid = np.zeros(len(filtered), dtype=bool)
+    n = len(filtered)
+    spectrum = sp_fft.fft(filtered)
+    spectrum[1:(n + 1) // 2] *= 2.0
+    spectrum[n // 2 + 1:] = 0.0
+    phase = np.angle(sp_fft.ifft(spectrum, overwrite_x=True))
+    del spectrum
+    np.degrees(phase, out=phase)
+    phase += 90.0
+    phase %= 360.0
+    valid = np.zeros(n, dtype=bool)
     crop = int(CROP_S * fs)
-    if len(filtered) > 2 * crop:
-        valid[crop:len(filtered) - crop] = True
+    if n > 2 * crop:
+        valid[crop:n - crop] = True
     return PhaseTrack(phase, valid, fs)
 
 

@@ -151,43 +151,48 @@ def generate(spec: SynthSpec) -> SynthOutput:
     samples_per_step = int(round(fs / ENVELOPE_STEP_HZ))
     n_steps = -(-n // samples_per_step)
 
-    # slow-wave oscillator: frequency and amplitude walks, exact phase
+    # slow-wave oscillator: frequency and amplitude walks, exact phase. The
+    # per-step increment and half amplitude are taken before repeating.
     flo, fhi = spec.sw_freq_range_hz
     freq_walk = _reflected_walk(rng, n_steps, (flo + fhi) / 2.0, flo, fhi,
                                 spec.sw_freq_sigma_hz)
-    f_inst = _per_sample(freq_walk, n, samples_per_step)
-    true_phase_rad = np.cumsum(2.0 * np.pi * f_inst * dt)
+    true_phase_rad = _per_sample(2.0 * np.pi * freq_walk * dt, n, samples_per_step)
+    np.cumsum(true_phase_rad, out=true_phase_rad)
     true_phase_rad -= true_phase_rad[0]
 
     plo, phi = spec.sw_pp_range_uv
     pp_walk = _reflected_walk(rng, n_steps, (plo + phi) / 2.0, plo, phi,
                               spec.sw_pp_sigma_uv)
-    envelope = _per_sample(pp_walk, n, samples_per_step) / 2.0
 
     stage_per_epoch = np.asarray(spec.hypnogram)
-    stage = np.repeat(stage_per_epoch, epoch_n)[:n]
-    sw_active = np.isin(stage, NREM_STAGES)
-    gain = _stage_gain(sw_active, fs)
+    gain = _stage_gain(np.repeat(np.isin(stage_per_epoch, NREM_STAGES), epoch_n), fs)
 
-    x = gain * envelope * np.sin(true_phase_rad)
+    x = _per_sample(pp_walk / 2.0, n, samples_per_step)   # the envelope
+    x *= gain
+    x *= np.sin(true_phase_rad)
 
     # pink background, whole recording
     if spec.pink_noise_rms_uv > 0:
-        white = rng.normal(0.0, 1.0, n)
-        spectrum = np.fft.rfft(white)
+        spectrum = np.fft.rfft(rng.normal(0.0, 1.0, n))
         freqs = np.fft.rfftfreq(n, dt)
         spectrum[1:] /= np.sqrt(freqs[1:])
         spectrum[0] = 0.0
+        del freqs
         pink = np.fft.irfft(spectrum, n)
-        x += pink * (spec.pink_noise_rms_uv / pink.std())
+        del spectrum
+        pink *= spec.pink_noise_rms_uv / pink.std()
+        x += pink
+        del pink
 
     # NREM 1-4 Hz noise floor (rides the same gate as the oscillator)
     if spec.nrem_delta_noise_rms_uv > 0:
         sos = signal.butter(2, (1.0, 4.0), btype="bandpass", fs=fs, output="sos")
         delta = signal.sosfilt(sos, rng.normal(0.0, 1.0, n))
-        x += gain * delta * (spec.nrem_delta_noise_rms_uv / delta.std())
-
-    t = np.arange(n) * dt
+        scale = spec.nrem_delta_noise_rms_uv / delta.std()
+        delta *= gain
+        delta *= scale
+        x += delta
+        del delta
 
     # sigma spindles in N2
     if spec.spindle_amp_uv > 0 and spec.spindle_rate_per_min > 0:
@@ -199,17 +204,17 @@ def generate(spec: SynthSpec) -> SynthOutput:
                 continue
             for _ in range(rng.poisson(expected)):
                 start = e * epoch_n + rng.integers(0, epoch_n - spindle_n)
-                seg = t[start:start + spindle_n]
+                seg = np.arange(start, start + spindle_n) * dt
                 x[start:start + spindle_n] += (
                     spec.spindle_amp_uv * burst
                     * np.sin(2 * np.pi * SPINDLE_FREQ_HZ * seg))
 
     # wake: steady alpha plus beta bursts
-    wake = stage == "W"
+    wake = np.repeat(stage_per_epoch == "W", epoch_n)
     if np.any(wake):
         if spec.wake_alpha_rms_uv > 0:
             x[wake] += (spec.wake_alpha_rms_uv * math.sqrt(2.0)
-                        * np.sin(2 * np.pi * ALPHA_FREQ_HZ * t[wake]))
+                        * np.sin(2 * np.pi * ALPHA_FREQ_HZ * (np.flatnonzero(wake) * dt)))
         if spec.wake_beta_rms_uv > 0:
             # bursts of ~2 s with jittered 5 s spacing
             burst_mask = np.zeros(n, dtype=bool)
@@ -221,14 +226,16 @@ def generate(spec: SynthSpec) -> SynthOutput:
                 pos += int(fs * (5.0 + rng.uniform(-1.0, 1.0)))
             burst_mask &= wake
             x[burst_mask] += (spec.wake_beta_rms_uv * math.sqrt(2.0)
-                              * np.sin(2 * np.pi * BETA_FREQ_HZ * t[burst_mask]))
+                              * np.sin(2 * np.pi * BETA_FREQ_HZ
+                                     * (np.flatnonzero(burst_mask) * dt)))
 
-    rem = stage == "REM"
+    rem = np.repeat(stage_per_epoch == "REM", epoch_n)
     if np.any(rem) and spec.rem_theta_rms_uv > 0:
         x[rem] += (spec.rem_theta_rms_uv * math.sqrt(2.0)
-                   * np.sin(2 * np.pi * THETA_FREQ_HZ * t[rem]))
+                   * np.sin(2 * np.pi * THETA_FREQ_HZ * (np.flatnonzero(rem) * dt)))
 
-    phase_deg = np.degrees(true_phase_rad) % 360.0
+    phase_deg = np.degrees(true_phase_rad, out=true_phase_rad)
+    phase_deg %= 360.0
     valid = gain >= 0.999
     recording = EegRecording(x, fs, label="synthetic", hypnogram=list(spec.hypnogram))
     return SynthOutput(recording, PhaseTrack(phase_deg, valid, fs), gain)

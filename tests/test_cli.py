@@ -109,6 +109,37 @@ class TestEvaluate:
         assert payload["pas_all"] == pytest.approx(
             payload["pas_in_up"] + payload["pas_not_up"])
 
+    @pytest.fixture
+    def empty_log(self, corpus, tmp_path):
+        """An AT log whose threshold no wave reaches: no rows."""
+        path = tmp_path / "at.trig.csv"
+        assert main(["track", "--input", str(corpus / "r0.swp"), "--out", str(path),
+                     "--algorithm", "at", "--set", "at_threshold_uv=100000"]) == 0
+        assert read_trigger_log(path)[1] == []
+        return path
+
+    def test_log_without_rows_takes_its_provenance_algorithm(
+            self, corpus, empty_log, tmp_path):
+        out = tmp_path / "report.json"
+        rc = main(["evaluate", "--input", str(corpus / "r0.swp"),
+                   "--triggers", str(empty_log),
+                   "--hypnogram", str(corpus / "r0.hyp.csv"), "--json", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["algorithm"] == "at"
+        assert payload["n_candidates"] == payload["n_delivered"] == 0
+
+    def test_log_without_rows_or_provenance_is_refused(
+            self, corpus, empty_log, tmp_path, capsys):
+        bare = tmp_path / "bare.trig.csv"
+        bare.write_text("".join(ln for ln in empty_log.read_text().splitlines(True)
+                                if not ln.startswith("# tracker_config=")))
+        rc = main(["evaluate", "--input", str(corpus / "r0.swp"),
+                   "--triggers", str(bare), "--hypnogram", str(corpus / "r0.hyp.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "trigger log is empty" in err and len(err.splitlines()) == 1
+
 
 class TestOptimize:
     def test_tiny_grid_search(self, corpus, tmp_path, capsys):
@@ -221,6 +252,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "FileFormatError" in err and "input_sha256" in err
+
+    def test_row_flag_the_writer_never_produces_is_3(self, corpus, tmp_path, capsys):
+        lines = (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)
+        row = next(i for i, ln in enumerate(lines) if ln[0].isdigit())
+        fields = lines[row].split(",")
+        fields[5] = "2"
+        lines[row] = ",".join(fields)
+        bad = tmp_path / "flag.trig.csv"
+        bad.write_text("".join(lines))
+        rc = main(["evaluate", "--input", str(corpus / "r0.swp"),
+                   "--triggers", str(bad), "--hypnogram", str(corpus / "r0.hyp.csv")])
+        assert rc == 3
+        assert f"flag.trig.csv:{row + 1}: delivered must be 0 or 1" in capsys.readouterr().err
 
     def test_log_without_input_hash_still_evaluates(self, corpus, tmp_path):
         lines = (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)

@@ -268,6 +268,25 @@ class TestTriggerLog:
         with pytest.raises(FileFormatError, match="suppression_reason 'bogus'"):
             read_trigger_log(path)
 
+    @pytest.mark.parametrize("row,match", [
+        ("1000,4.000000,pv,44.931000,55.200000,2,,1", "delivered must be 0 or 1"),
+        ("1000,4.000000,pv,44.931000,55.200000,1,,-1", "on_window must be 0 or 1"),
+        ("1000,4.000000,pv,44.931000,55.200000,01,,1", "delivered must be 0 or 1"),
+        ("1000,4.000000,pv,44.931000,55.200000,1,nrem,1", "disagrees"),
+        ("1000,4.000000,pv,44.931000,55.200000,0,,1", "disagrees"),
+        ("1000,4.000000,foo,44.931000,55.200000,1,,1", "unknown algorithm 'foo'"),
+    ], ids=["delivered_2", "on_window_-1", "delivered_01", "delivered_with_reason",
+            "suppressed_without_reason", "unknown_algorithm"])
+    def test_rejects_rows_the_writer_never_produces(self, tmp_path, row, match):
+        path = tmp_path / "trig.csv"
+        write_trigger_log(path, sample_log())
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("1000,")
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=rf"trig\.csv:3: .*{match}"):
+            read_trigger_log(path)
+
 
 class TestConfigFiles:
     def test_parse_key_values(self):

@@ -1,0 +1,102 @@
+"""Peak memory of the per-night array code, and its identity with the
+plain formulas it replaced.
+
+``tracemalloc`` counts numpy's data allocations exactly. A peak is given in
+signal units (8 bytes per sample of the one-cycle night) and includes what
+the call returns. The bounds sit below the earlier formulas' peaks
+(``generate`` 14.6, ``hilbert_phase`` 4.0, ``local_minima`` 4.25 units).
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy import signal
+
+from swphase.metrics import PLATEAU_MAX_S, local_minima
+from swphase.oracle import hilbert_phase, zero_phase_bandpass
+from swphase.synth import SynthSpec, default_hypnogram, generate
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+SLACK_BYTES = 1 << 16     # Python objects beside the arrays
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the high-water mark of fn(), its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def night():
+    spec = SynthSpec(hypnogram=default_hypnogram(1), seed=0)
+    x = generate(spec).recording.samples
+    return spec, zero_phase_bandpass(x, spec.fs), 8 * len(x)
+
+
+class TestPeakMemory:
+    def test_generate_within_six_signal_units(self, night):
+        spec, _, unit = night
+        assert traced_peak(lambda: generate(spec)) <= 6 * unit
+
+    def test_hilbert_phase_within_three_signal_units(self, night):
+        spec, filtered, unit = night
+        peak = traced_peak(lambda: hilbert_phase(filtered, spec.fs))
+        assert peak <= 3 * unit + SLACK_BYTES
+
+    def test_local_minima_within_one_signal_unit(self, night):
+        spec, filtered, unit = night
+        assert traced_peak(lambda: local_minima(filtered, spec.fs)) <= unit
+
+
+@pytest.mark.parametrize("trim", [0, 1], ids=["even", "odd"])
+def test_hilbert_phase_is_scipys_analytic_phase(night, trim):
+    spec, filtered, _ = night
+    x = filtered[:len(filtered) - trim]
+    assert len(x) % 2 == trim
+    expected = (np.degrees(np.angle(signal.hilbert(x))) + 90) % 360
+    got = hilbert_phase(x, spec.fs).phase_deg
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def diff_local_minima(x, fs):
+    """The earlier rule over np.diff: one index per run boundary."""
+    x = np.asarray(x, dtype=float)
+    max_run = max(1, int(round(PLATEAU_MAX_S * fs)))
+    with np.errstate(invalid="ignore"):              # inf - inf
+        last = np.flatnonzero(np.diff(x) != 0.0)
+    start, end = last[:-1] + 1, last[1:]
+    keep = ((end - start < max_run) & (x[start - 1] > x[start])
+            & (x[end + 1] > x[start]))
+    return start[keep]
+
+
+VALUES = st.one_of(st.integers(-3, 3).map(float),
+                   st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+
+
+@st.composite
+def run_signals(draw):
+    """Runs of equal values, some longer than the 50 ms plateau cap, at
+    sampling rates whose cap is 1, 3, 5 and 12 samples."""
+    fs = draw(st.sampled_from([20.0, 60.0, 100.0, 250.0]))
+    max_run = max(1, int(round(PLATEAU_MAX_S * fs)))
+    runs = draw(st.lists(st.tuples(VALUES, st.integers(1, max_run + 2)),
+                         max_size=12))
+    return np.array([v for v, k in runs for _ in range(k)], dtype=float), fs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(run_signals())
+def test_local_minima_matches_the_diff_rule(case):
+    x, fs = case
+    got = local_minima(x, fs)
+    np.testing.assert_array_equal(got, diff_local_minima(x, fs))
+    assert got.dtype == np.intp

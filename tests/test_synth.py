@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,36 @@ class TestDeterminism:
         a = generate(SynthSpec(hypnogram=hyp, seed=3))
         b = generate(SynthSpec(hypnogram=hyp, seed=4))
         assert not np.array_equal(a.recording.samples, b.recording.samples)
+
+
+# sha256 of the little-endian bytes of each output of the one-cycle default
+# spec; a change to generate() that moves any value fails here
+PINNED_NIGHTS = {
+    0: {
+        "samples": "34a160ebb0982fe86caa8016c51111390f24fae53a6a5a3df740d3e1132b1a19",
+        "phase_deg": "66f394342fd7062783d022f0e3881278b3b4ade3df4f9ca00d1a42db8bb59225",
+        "valid": "4bc9ec226fc20126f944191f92497e09fd345a4bd53d186fee6d6a781ad25e6f",
+        "sw_gain": "c5fdfe669287625f9625d668af6e77106bfd0fd03856a1292998a296f92473b4",
+    },
+    7919: {
+        "samples": "d8711437a668cc8d4d84d6a1bc870557e11210e7fe7e0491c9bbc486d4eec252",
+        "phase_deg": "8589a964f46a2d0268e1922d6cc05dda368e56b0284e1599e8b96a91f3fa0604",
+        "valid": "4bc9ec226fc20126f944191f92497e09fd345a4bd53d186fee6d6a781ad25e6f",
+        "sw_gain": "c5fdfe669287625f9625d668af6e77106bfd0fd03856a1292998a296f92473b4",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_NIGHTS))
+def test_one_cycle_night_is_pinned(seed):
+    out = generate(SynthSpec(hypnogram=default_hypnogram(1), seed=seed))
+    arrays = {"samples": out.recording.samples,
+              "phase_deg": out.true_phase.phase_deg,
+              "valid": out.true_phase.valid, "sw_gain": out.sw_gain}
+    digests = {name: hashlib.sha256(np.ascontiguousarray(a, a.dtype.newbyteorder("<"))
+                                    .tobytes()).hexdigest()
+               for name, a in arrays.items()}
+    assert digests == PINNED_NIGHTS[seed]
 
 
 class TestShape:
