@@ -143,7 +143,6 @@ def _preprocessed(raw, fs: float) -> list:
 
 
 def measure_pipeline_cost(algorithm: str = "pv", fs: float = 250.0,
-                          tracker_config: TrackerConfig = None,
                           warmup_samples: int = DEFAULT_WARMUP_SAMPLES,
                           reps: int = DEFAULT_REPS,
                           chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> CostReport:
@@ -153,11 +152,7 @@ def measure_pipeline_cost(algorithm: str = "pv", fs: float = 250.0,
     if warmup_samples < 1000:
         raise ConfigurationError("need at least 1000 warmup samples")
     res = check_timer()
-    cfg = tracker_config or TrackerConfig(algorithm=algorithm)
-    if cfg.sample_rate_hz != fs or cfg.algorithm != algorithm:
-        cfg = TrackerConfig(**{**cfg.__dict__, "algorithm": algorithm,
-                               "sample_rate_hz": fs})
-    cfg.validate()
+    cfg = TrackerConfig(algorithm=algorithm, sample_rate_hz=fs)
 
     raw = _test_signal(fs, warmup_samples + chunk_samples)
     clean = _preprocessed(raw, fs)

@@ -14,13 +14,13 @@ from . import __version__
 from .bench import measure_pipeline_cost, pv_cost_vs_fs, tracker_cost_ratio
 from .errors import ConfigurationError, FileFormatError, SwphaseError
 from .gate import GateConfig, calibrate_gate
-from .io import (apply_config, config_echo, hash_file, parse_grid,
-                 parse_stage_runs, read_config, read_hypnogram,
+from .io import (apply_config, config_echo, hash_file, parse_config_echo,
+                 parse_grid, parse_stage_runs, read_config, read_hypnogram,
                  read_recording, read_trigger_log, write_hypnogram,
                  write_phase_track, write_recording, write_trigger_log)
 from .metrics import up_phase_pct
 from .optimize import default_grid, grid_search_cv, make_pipeline_evaluator
-from .pipeline import SessionResult, evaluate_session, run_session
+from .pipeline import evaluate_session, logged_session, run_session
 from .recording import epoch_samples
 from .synth import SynthSpec, default_hypnogram, generate
 from .trackers import ALGORITHMS, TrackerConfig
@@ -34,16 +34,6 @@ def _pairs(values) -> dict:
         key, _, val = item.partition("=")
         out[key.strip()] = val.strip()
     return out
-
-
-def _tracker_config(args) -> TrackerConfig:
-    cfg = TrackerConfig(algorithm=args.algorithm)
-    return apply_config(cfg, _pairs(args.set)).validate()
-
-
-def _gate_config(args) -> GateConfig:
-    cfg = GateConfig(onoff_enabled=getattr(args, "onoff", False))
-    return apply_config(cfg, _pairs(args.gate_set)).validate()
 
 
 def _read_hypnogram_into(recording, path) -> None:
@@ -61,7 +51,7 @@ def cmd_simulate(args) -> int:
     else:
         hyp = default_hypnogram(args.cycles)
     spec = SynthSpec(hypnogram=hyp, seed=args.seed)
-    spec = apply_config(spec, _pairs(args.synth_set)).validate()
+    spec = apply_config(spec, _pairs(args.synth_set))
     out = generate(spec)
     write_recording(args.out, out.recording)
     if args.hypnogram_out:
@@ -79,8 +69,8 @@ def cmd_track(args) -> int:
     recording = read_recording(args.input)
     if args.hypnogram:
         _read_hypnogram_into(recording, args.hypnogram)
-    cfg = _tracker_config(args)
-    gate_cfg = _gate_config(args)
+    cfg = apply_config(TrackerConfig(algorithm=args.algorithm), _pairs(args.set))
+    gate_cfg = apply_config(GateConfig(onoff_enabled=args.onoff), _pairs(args.gate_set))
     session = run_session(recording, cfg, gate_cfg, streaming=args.streaming)
     provenance = {
         "input_sha256": hash_file(args.input),
@@ -94,23 +84,26 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _logged_algorithm(path, provenance, log) -> str:
-    """The one algorithm of a trigger log's rows; a log without rows names it
-    in its tracker_config provenance line."""
-    if not log:
-        echo = dict(item.partition("=")[::2]
-                    for item in provenance.get("tracker_config", "").split(";"))
-        algo = echo.get("algorithm")
-        if algo is None:
-            raise ConfigurationError(
-                f"{path}: trigger log is empty and names no algorithm; pass --algorithm")
-        if algo not in ALGORITHMS:
-            raise FileFormatError(f"{path}: unknown tracker_config algorithm {algo!r}")
-        return algo
-    algos = {e.algorithm for e in log}
-    if len(algos) > 1:
-        raise ConfigurationError("trigger log holds multiple algorithms; pass --algorithm")
-    return algos.pop()
+def _logged_configs(path, provenance, log, fs):
+    """The tracker and gate configuration a trigger log was made under, read
+    back from its provenance; a log without a tracker_config line takes its
+    algorithm from its rows."""
+    if not log and "tracker_config" not in provenance:
+        raise ConfigurationError(f"{path}: trigger log is empty and names no algorithm")
+    base = TrackerConfig(algorithm=log[0].algorithm if log else "pv", sample_rate_hz=fs)
+    try:
+        cfg = parse_config_echo(provenance.get("tracker_config"), base)
+        gate_cfg = parse_config_echo(provenance.get("gate_config"), GateConfig())
+    except ConfigurationError as exc:
+        raise FileFormatError(f"{path}: unreadable provenance: {exc}") from None
+    if cfg.sample_rate_hz != fs:
+        raise FileFormatError(f"{path}: tracker_config sample_rate_hz "
+                              f"{cfg.sample_rate_hz:g} is not the recording's {fs:g} Hz")
+    others = sorted({e.algorithm for e in log} - {cfg.algorithm})
+    if others:
+        raise FileFormatError(f"{path}: rows of algorithm {others} disagree with "
+                              f"tracker_config algorithm {cfg.algorithm!r}")
+    return cfg, gate_cfg
 
 
 def cmd_evaluate(args) -> int:
@@ -121,17 +114,8 @@ def cmd_evaluate(args) -> int:
     logged = provenance.get("input_sha256")
     if logged is not None and logged != hash_file(args.input):
         raise FileFormatError(f"{args.triggers}: input_sha256 differs from {args.input}")
-    algo = args.algorithm or _logged_algorithm(args.triggers, provenance, log)
-    gate_cfg = _gate_config(args)
-    cfg = TrackerConfig(algorithm=algo, sample_rate_hz=recording.fs)
-    from .dsp import PreprocessChain
-    from .gate import gate_flags_batch
-    # the preprocessed copy is freed before the oracle runs
-    flags = gate_flags_batch(PreprocessChain(recording.fs).run(recording.samples),
-                             recording.fs, gate_cfg)
-    session = SessionResult(log=log, window_flags=flags, tracker_config=cfg,
-                            gate_config=gate_cfg, fs=recording.fs)
-    report = evaluate_session(recording, session)
+    cfg, gate_cfg = _logged_configs(args.triggers, provenance, log, recording.fs)
+    report = evaluate_session(recording, logged_session(recording, log, cfg, gate_cfg))
 
     lines = [
         f"algorithm            {report.algorithm}",
@@ -215,7 +199,7 @@ def cmd_optimize(args) -> int:
                           fixed=("algorithm", "sample_rate_hz"))
     else:
         grid = default_grid(args.algorithm)
-    gate_cfg = _gate_config(args)
+    gate_cfg = apply_config(GateConfig(), _pairs(args.gate_set))
     evaluate = make_pipeline_evaluator(recordings, args.algorithm, gate_cfg)
     outcome = grid_search_cv(recordings, grid, evaluate, k=args.k,
                              seed=args.seed)
@@ -312,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--input", required=True)
     ev.add_argument("--triggers", required=True)
     ev.add_argument("--hypnogram", required=True)
-    ev.add_argument("--algorithm", choices=ALGORITHMS)
-    ev.add_argument("--gate-set", action="append", metavar="KEY=VALUE")
-    ev.add_argument("--onoff", action="store_true")
     ev.add_argument("--json", help="write the report as JSON here")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -327,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--grid", help="file of key = v1,v2,... lines")
     opt.add_argument("--gate-set", action="append", metavar="KEY=VALUE")
     opt.add_argument("--json")
-    opt.set_defaults(func=cmd_optimize, onoff=False)
+    opt.set_defaults(func=cmd_optimize)
 
     ben = sub.add_parser("bench", help="per-sample cost measurement")
     ben.add_argument("--algorithm", choices=ALGORITHMS)

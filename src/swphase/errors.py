@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value checks every
+configuration runs on construction."""
+import math
 
 
 class SwphaseError(Exception):
@@ -27,3 +29,19 @@ class RecordingTooShortError(SwphaseError):
 
 class TimerResolutionError(SwphaseError):
     """The benchmark clock is too coarse for per-sample measurement."""
+
+
+def check_finite(config):
+    """Refuse a float field of a dataclass config, or a float member of a
+    tuple field, that is not finite."""
+    for name, value in vars(config).items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigurationError(f"{name} must be finite, got {v!r}")
+
+
+def check_positive(config, *names):
+    """Refuse a config whose named fields are not all above zero."""
+    for name in names:
+        if not getattr(config, name) > 0:
+            raise ConfigurationError(f"{name} must be positive")

@@ -19,18 +19,19 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .dsp import PreprocessChain, band_powers
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite, check_positive
 from .recording import EegRecording
 
 GATE_WINDOW_S = 4.0
 NREM_HISTORY_S = 80.0
 ONOFF_PERIOD_S = 6.0
+MAX_HISTORY_S = 24 * 3600.0   # a day: longer than any night
 
 NREM_LOW_BAND_HZ = (0.5, 2.0)
 NREM_MID_BAND_HZ = (2.0, 4.0)
@@ -66,14 +67,16 @@ class GateConfig:
     onoff_period_s: float = ONOFF_PERIOD_S
     onoff_enabled: bool = False
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        for name in ("nrem_low_threshold_uv2", "nrem_mid_threshold_uv2",
-                     "nrem_beta_threshold_uv2", "swa_threshold_uv2",
-                     "beta_threshold_uv2"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.window_step_s <= 0 or self.onoff_period_s <= 0:
-            raise ConfigurationError("window and protocol periods must be positive")
+        check_finite(self)
+        check_positive(self, "nrem_low_threshold_uv2", "nrem_mid_threshold_uv2",
+                       "nrem_beta_threshold_uv2", "swa_threshold_uv2",
+                       "beta_threshold_uv2", "window_step_s", "onoff_period_s")
+        if self.nrem_history_s > MAX_HISTORY_S:
+            raise ConfigurationError(f"nrem_history_s must be <= {MAX_HISTORY_S:g} s")
         ratio = self.nrem_history_s / self.window_step_s
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ConfigurationError("nrem_history_s must be a positive multiple of window_step_s")
@@ -84,7 +87,11 @@ class GateConfig:
         return int(round(self.nrem_history_s / self.window_step_s))
 
     def window_samples(self, fs: float) -> int:
-        return int(round(self.window_step_s * fs))
+        n = int(round(self.window_step_s * fs))
+        if n < 1:
+            raise ConfigurationError(f"window_step_s {self.window_step_s!r} is shorter "
+                                     f"than one sample at {fs:g} Hz")
+        return n
 
 
 class GateFlags(NamedTuple):
@@ -172,7 +179,6 @@ class StimulationGate:
     """
 
     def __init__(self, config: GateConfig, fs: float):
-        config.validate()
         self.config = config
         self.fs = fs
         self._window_n = config.window_samples(fs)
@@ -215,12 +221,11 @@ def gate_flags_batch(preprocessed: np.ndarray, fs: float, config: GateConfig):
     what the streaming gate would log. Samples in window k are governed by
     the flags of window k-1 (none before the first boundary).
     """
-    config.validate()
     powers = window_powers(preprocessed, fs, config.window_samples(fs))
     return list(map(GateFlags._make, window_rule(powers, config).tolist()))
 
 
-def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> GateConfig:
+def calibrate_gate(recording, base: GateConfig = None) -> GateConfig:
     """Derive thresholds from a recording with a hypnogram.
 
     Band statistics are collected per gate window (``base.window_step_s``,
@@ -234,7 +239,7 @@ def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> Gate
         raise ConfigurationError("calibrate_gate needs an EegRecording with a hypnogram")
     if not recording.hypnogram:
         raise ConfigurationError("recording has no hypnogram to calibrate against")
-    fs = fs or recording.fs
+    fs = recording.fs
     base = base or GateConfig()
     y = PreprocessChain(fs).run(recording.samples)
     window_n = base.window_samples(fs)
@@ -251,14 +256,6 @@ def calibrate_gate(recording, fs: float = None, base: GateConfig = None) -> Gate
     low, mid, high_beta, swa, beta = (
         math.sqrt(a * b) for a, b in zip(np.median(powers[n3], axis=0).tolist(),
                                          np.median(powers[wake], axis=0).tolist()))
-    return GateConfig(
-        nrem_low_threshold_uv2=low,
-        nrem_mid_threshold_uv2=mid,
-        nrem_beta_threshold_uv2=high_beta,
-        swa_threshold_uv2=swa,
-        beta_threshold_uv2=beta,
-        window_step_s=base.window_step_s,
-        nrem_history_s=base.nrem_history_s,
-        onoff_period_s=base.onoff_period_s,
-        onoff_enabled=base.onoff_enabled,
-    )
+    return replace(base, nrem_low_threshold_uv2=low, nrem_mid_threshold_uv2=mid,
+                   nrem_beta_threshold_uv2=high_beta, swa_threshold_uv2=swa,
+                   beta_threshold_uv2=beta)

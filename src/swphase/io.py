@@ -38,10 +38,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, FileFormatError
-from .gate import REASONS, GateConfig
+from .gate import REASONS
 from .oracle import PhaseTrack
 from .recording import EegRecording, STAGES
-from .trackers import ALGORITHMS, TrackerConfig
+from .trackers import ALGORITHMS
 
 MAGIC = b"SWPH"
 FORMAT_VERSION = 1
@@ -364,7 +364,7 @@ def _coerce(value: str, like) -> object:
     if isinstance(like, tuple):
         return tuple(float(v) for v in value.split(","))
     if like is None:       # optional numeric field (unset default)
-        return float(value)
+        return None if value == "None" else float(value)
     return value
 
 
@@ -383,19 +383,16 @@ def apply_config(base, overrides: dict):
 
 
 def parse_grid(raw: dict, base, fixed=()) -> dict:
-    """{key: [values]} from {key: "v1,v2,..."}, each value coerced like the
-    field of ``base``. Keys that ``base`` lacks, or that are ``fixed``,
-    are refused."""
+    """{key: [values]} from {key: "v1,v2,..."}, each value coerced and
+    refused as ``apply_config`` does for an override of ``base``. Keys that
+    ``base`` lacks, or that are ``fixed``, are refused."""
     grid = {}
     for key, text in raw.items():
         if key not in base.__dict__ or key in fixed:
             raise ConfigurationError(
                 f"{key!r} is not a grid parameter of {type(base).__name__}")
         vals = [v.strip() for v in text.split(",") if v.strip()]
-        try:
-            grid[key] = [_coerce(v, base.__dict__[key]) for v in vals]
-        except ValueError:
-            raise ConfigurationError(f"bad value for {key}: {text!r}")
+        grid[key] = [getattr(apply_config(base, {key: v}), key) for v in vals]
     return grid
 
 
@@ -404,9 +401,11 @@ def config_echo(cfg) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(cfg.__dict__.items()))
 
 
-def tracker_config_from(overrides: dict) -> TrackerConfig:
-    return apply_config(TrackerConfig(), overrides)
-
-
-def gate_config_from(overrides: dict) -> GateConfig:
-    return apply_config(GateConfig(), overrides)
+def parse_config_echo(echo: Optional[str], base):
+    """Inverse of ``config_echo``: base with the echoed fields applied, each
+    coerced and refused as ``apply_config`` does for an override; base
+    itself when there is no echo (None)."""
+    if echo is None:
+        return base
+    return apply_config(base, dict(item.partition("=")[::2]
+                                   for item in echo.split(";")))

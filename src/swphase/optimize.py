@@ -254,8 +254,7 @@ class _RecordingCache:
 
 def make_pipeline_evaluator(recordings: Sequence[EegRecording],
                             algorithm: str,
-                            gate_config: Optional[GateConfig] = None,
-                            base_config: Optional[TrackerConfig] = None):
+                            gate_config: Optional[GateConfig] = None):
     """evaluate(combo, recording) closure for grid_search_cv.
 
     Preprocessing, gate flags, the oracle track and qualifying-window counts
@@ -269,8 +268,7 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
     recordings one at a time. ``recordings`` names the corpus; nothing is
     built from it up front.
     """
-    gate_config = (gate_config or GateConfig()).validate()
-    base = base_config or TrackerConfig(algorithm=algorithm)
+    gate_config = gate_config or GateConfig()
     held, cache = None, None    # the recording whose intermediates are held
 
     def evaluate(combo: dict, recording: EegRecording) -> ObjectiveTally:
@@ -279,10 +277,8 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
             held, cache = None, None    # free the old cache before the new one
             cache = _RecordingCache(recording, gate_config)
             held = recording
-        cfg = TrackerConfig(**{**base.__dict__, **combo,
-                               "algorithm": algorithm,
+        cfg = TrackerConfig(**{**combo, "algorithm": algorithm,
                                "sample_rate_hz": cache.fs})
-        cfg.validate()
         refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
         if algorithm == "at":
             if cache.iso is None:

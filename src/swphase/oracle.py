@@ -34,8 +34,8 @@ class PhaseTrack:
 
 
 def design_oracle_bandpass(fs: float, order: int = FILTER_ORDER,
-                           stopband_db: float = STOPBAND_DB, band=SW_BAND_HZ):
-    return signal.cheby2(order, stopband_db, band, btype="bandpass",
+                           stopband_db: float = STOPBAND_DB):
+    return signal.cheby2(order, stopband_db, SW_BAND_HZ, btype="bandpass",
                          fs=fs, output="sos")
 
 

@@ -8,7 +8,7 @@ logic but advances the PLL and PV through the same recurrence code as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,6 @@ class SessionResult:
     gate_config: GateConfig
     fs: float
     slip_count: int = 0
-    preprocessed: Optional[np.ndarray] = None
 
     def delivered(self):
         return [e for e in self.log if e.delivered]
@@ -64,22 +63,18 @@ class SessionResult:
 
 def run_session(recording: EegRecording, tracker_config: TrackerConfig,
                 gate_config: Optional[GateConfig] = None,
-                streaming: bool = False,
-                keep_preprocessed: bool = False) -> SessionResult:
+                streaming: bool = False) -> SessionResult:
     """Process a recording through one tracker and the gate.
 
     All candidate triggers are logged; the gate only sets delivered /
     suppression fields (trackers never see the gate).
     """
-    gate_config = (gate_config or GateConfig()).validate()
-    cfg = tracker_config
-    if cfg.sample_rate_hz != recording.fs:
-        cfg = TrackerConfig(**{**cfg.__dict__, "sample_rate_hz": recording.fs})
-    cfg.validate()
+    gate_config = gate_config or GateConfig()
+    cfg = replace(tracker_config, sample_rate_hz=recording.fs)
     fs = recording.fs
 
     if streaming:
-        return _run_streaming(recording, cfg, gate_config, keep_preprocessed)
+        return _run_streaming(recording, cfg, gate_config)
 
     chain = PreprocessChain(fs)
     y = chain.run(recording.samples)
@@ -96,22 +91,27 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
                          code == DELIVERED, REASONS[code], on_window)
            for ev, code, on_window in zip(events, codes, on)]
     return SessionResult(log, window_flags, cfg, gate_config, fs,
-                         slip_count=getattr(tracker, "slip_count", 0),
-                         preprocessed=y if keep_preprocessed else None)
+                         slip_count=getattr(tracker, "slip_count", 0))
 
 
-def _run_streaming(recording, cfg, gate_config, keep_preprocessed):
+def logged_session(recording: EegRecording, log: list, tracker_config: TrackerConfig,
+                   gate_config: GateConfig) -> SessionResult:
+    """The session of a trigger log read back from a file, its window flags
+    rebuilt under gate_config. The preprocessed copy is freed on return."""
+    fs = recording.fs
+    flags = gate_flags_batch(PreprocessChain(fs).run(recording.samples), fs, gate_config)
+    return SessionResult(log, flags, tracker_config, gate_config, fs)
+
+
+def _run_streaming(recording, cfg, gate_config):
     fs = recording.fs
     chain = PreprocessChain(fs)
     tracker = make_tracker(cfg)
     gate = StimulationGate(gate_config, fs)
     preprocess, track, gate_step = chain.step, tracker.step, gate.step
     log = []
-    kept = np.empty(len(recording.samples)) if keep_preprocessed else None
-    for i, x in enumerate(np.asarray(recording.samples, dtype=float).tolist()):
+    for x in np.asarray(recording.samples, dtype=float).tolist():
         y = preprocess(x)
-        if kept is not None:
-            kept[i] = y
         ev = track(y)
         if type(ev) is tuple:   # the phase trackers put the event last
             ev = ev[-1]
@@ -123,8 +123,7 @@ def _run_streaming(recording, cfg, gate_config, keep_preprocessed):
                                      on_window_at(ev.time_s, gate_config)))
         gate_step(y)
     return SessionResult(log, list(gate.window_log), cfg, gate_config, fs,
-                         slip_count=getattr(tracker, "slip_count", 0),
-                         preprocessed=kept)
+                         slip_count=getattr(tracker, "slip_count", 0))
 
 
 def tracker_phase_stream(preprocessed: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
@@ -136,7 +135,6 @@ def tracker_phase_stream(preprocessed: np.ndarray, cfg: TrackerConfig) -> np.nda
     the stream, and its health counters (slips, holds, resets) are set as a
     step() loop would leave them.
     """
-    cfg.validate()
     if cfg.algorithm not in ("pll", "pv"):
         raise ConfigurationError("phase streams exist for pll and pv only")
     tracker = (PllTracker if cfg.algorithm == "pll" else PvTracker)(cfg)

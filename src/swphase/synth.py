@@ -13,14 +13,14 @@ or SW-free stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import signal
 
 from .dsp import check_fs
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 from .oracle import PhaseTrack
 from .recording import EPOCH_S, NREM_STAGES, STAGES, EegRecording, epoch_samples
 
@@ -32,6 +32,8 @@ ALPHA_FREQ_HZ = 10.0
 BETA_FREQ_HZ = 20.0
 THETA_FREQ_HZ = 5.0
 MIN_DURATION_S = 2 * 210.0 + 300.0  # leaves the oracle's valid window non-empty
+MAX_SAMPLES = 1 << 25     # about 37 h at 250 Hz; generate holds ~5 copies
+MAX_SPINDLE_RATE_PER_MIN = 60.0 / SPINDLE_DURATION_S   # back to back
 
 SW_FREQ_BOUNDS_HZ = (0.5, 4.0)
 
@@ -62,7 +64,11 @@ class SynthSpec:
     rem_theta_rms_uv: float = 4.0
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
+        check_finite(self)
         for stage in self.hypnogram:
             if stage not in STAGES:
                 raise ConfigurationError(f"unknown stage {stage!r}")
@@ -70,6 +76,13 @@ class SynthSpec:
             raise ConfigurationError(
                 f"hypnogram too short: need >= {MIN_DURATION_S:.0f} s "
                 f"({math.ceil(MIN_DURATION_S / EPOCH_S)} epochs)")
+        check_fs(self.fs)
+        if epoch_samples(self.fs) * len(self.hypnogram) > MAX_SAMPLES:
+            raise ConfigurationError(f"night of {len(self.hypnogram)} epochs at "
+                                     f"{self.fs:g} Hz exceeds {MAX_SAMPLES} samples")
+        for name in ("sw_pp_range_uv", "sw_freq_range_hz"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigurationError(f"{name} must be two values, low,high")
         plo, phi = self.sw_pp_range_uv
         if not 0 < plo <= phi:
             raise ConfigurationError("sw_pp_range_uv must be positive and ordered")
@@ -77,13 +90,17 @@ class SynthSpec:
         if not (SW_FREQ_BOUNDS_HZ[0] <= flo <= fhi <= SW_FREQ_BOUNDS_HZ[1]):
             raise ConfigurationError(
                 f"sw_freq_range_hz must lie inside {SW_FREQ_BOUNDS_HZ}")
-        check_fs(self.fs)
         for name in ("sw_pp_sigma_uv", "sw_freq_sigma_hz", "pink_noise_rms_uv",
                      "nrem_delta_noise_rms_uv", "spindle_rate_per_min",
                      "spindle_amp_uv", "wake_alpha_rms_uv", "wake_beta_rms_uv",
                      "rem_theta_rms_uv"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
+        if self.spindle_rate_per_min > MAX_SPINDLE_RATE_PER_MIN:
+            raise ConfigurationError(f"spindle_rate_per_min must be <= "
+                                     f"{MAX_SPINDLE_RATE_PER_MIN:g} (spindles back to back)")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         return self
 
     def amplitude_class_split(self):
@@ -142,7 +159,6 @@ def _stage_gain(active_mask: np.ndarray, fs: float) -> np.ndarray:
 
 def generate(spec: SynthSpec) -> SynthOutput:
     """Deterministic synthesis for a given spec (seed included)."""
-    spec.validate()
     fs = spec.fs
     rng = np.random.default_rng(spec.seed)
     epoch_n = epoch_samples(fs)

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .dsp import IirFilter, design_sw_isolation
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite, check_positive
 
 TAU = 2.0 * math.pi
 NCO_CENTER_HZ = 1.0          # free-running rate of the PLL oscillator
@@ -77,21 +77,19 @@ class TrackerConfig:
             return DEFAULT_TARGET_DEG[self.algorithm]
         return self.phi_target_deg
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
+        check_finite(self)
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
         if self.phi_target_deg is not None and not 0.0 <= self.phi_target_deg < 360.0:
             raise ConfigurationError("phi_target_deg must be in [0, 360)")
-        if self.k_pll <= 0 or self.k_pv <= 0:
-            raise ConfigurationError("loop gains must be positive")
+        check_positive(self, "k_pll", "k_pv", "at_threshold_uv", "refractory_s",
+                       "sample_rate_hz")
         if int(self.maf_span) < 1:
             raise ConfigurationError("maf_span must be >= 1 sample")
-        if self.at_threshold_uv <= 0:
-            raise ConfigurationError("at_threshold_uv must be positive")
-        if self.refractory_s <= 0:
-            raise ConfigurationError("refractory_s must be positive")
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
         return self
 
 
@@ -200,7 +198,6 @@ class _TrackerBase:
     """Shared counter/refractory bookkeeping."""
 
     def __init__(self, config: TrackerConfig):
-        config.validate()
         self.config = config
         self._target = config.target_deg()
         self._refr = max(1, math.ceil(config.refractory_s * config.sample_rate_hz))

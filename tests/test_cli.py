@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from swphase.cli import main
-from swphase.io import read_recording, read_trigger_log, write_recording
+from swphase.gate import GateConfig
+from swphase.io import (read_hypnogram, read_recording, read_trigger_log,
+                        write_recording)
+from swphase.pipeline import evaluate_session, run_session
+from swphase.trackers import TrackerConfig
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,24 @@ class TestEvaluate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "trigger log is empty" in err and len(err.splitlines()) == 1
+
+
+    def test_log_is_scored_under_the_gate_that_made_it(self, tmp_path):
+        night, hyp = tmp_path / "n.swp", tmp_path / "n.hyp.csv"
+        assert main(["simulate", "--out", str(night), "--hypnogram-out", str(hyp),
+                     "--stages", "W*5 N2*30 N3*10", "--seed", "3"]) == 0
+        log, out = tmp_path / "g50.trig.csv", tmp_path / "g50.json"
+        assert main(["track", "--input", str(night), "--out", str(log),
+                     "--gate-set", "swa_threshold_uv2=50"]) == 0
+        assert main(["evaluate", "--input", str(night), "--triggers", str(log),
+                     "--hypnogram", str(hyp), "--json", str(out)]) == 0
+        rec = read_recording(night)
+        rec.hypnogram = read_hypnogram(hyp)
+        windows = {swa: evaluate_session(rec, run_session(
+            rec, TrackerConfig(), GateConfig(swa_threshold_uv2=swa))
+        ).pas_report.qualifying_windows for swa in (50.0, GateConfig().swa_threshold_uv2)}
+        assert windows[50.0] != windows[GateConfig().swa_threshold_uv2]
+        assert json.loads(out.read_text())["qualifying_windows"] == windows[50.0]
 
 
 class TestOptimize:
@@ -341,6 +363,61 @@ class TestExitCodes:
             assert main(["calibrate", "--input", str(rec),
                          "--hypnogram", str(hyp)]) == rc
         assert "FileFormatError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("track", ["--set", "refractory_s=nan"]),
+        ("track", ["--set", "refractory_s=inf"]),
+        ("track", ["--set", "k_pll=nan"]),
+        ("track", ["--set", "at_threshold_uv=nan"]),
+        ("track", ["--gate-set", "window_step_s=nan"]),
+        ("track", ["--gate-set", "window_step_s=1e-300"]),
+        ("track", ["--gate-set", "nrem_history_s=inf"]),
+        ("track", ["--gate-set", "swa_threshold_uv2=nan"]),
+        ("track", ["--streaming", "--gate-set", "nrem_history_s=1e300"]),
+        ("simulate", ["--synth-set", "spindle_rate_per_min=inf"]),
+        ("simulate", ["--synth-set", "spindle_rate_per_min=1e300"]),
+        ("simulate", ["--synth-set", "pink_noise_rms_uv=nan"]),
+        ("simulate", ["--synth-set", "fs=1e300"]),
+        ("simulate", ["--synth-set", "sw_pp_range_uv=20,120,3"]),
+        ("simulate", ["--seed", "-1"]),
+        ("optimize", ["k_pv = 1, nan"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_bad_override_is_2(self, corpus, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        if command == "optimize":
+            grid = tmp_path / "grid.txt"
+            grid.write_text(extra[0] + "\n")
+            extra = ["--grid", str(grid)]
+        argv = {
+            "track": ["track", "--input", str(corpus / "r0.swp"), "--out", str(out)],
+            "simulate": ["simulate", "--out", str(out), "--stages", "N2*40"],
+            "optimize": ["optimize", str(corpus / "r0.swp"), str(corpus / "r1.swp"),
+                         "--algorithm", "pv", "-k", "2", "--json", str(out)],
+        }[command]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ConfigurationError" in err
+        assert not out.exists()
+
+    def test_echoed_rate_other_than_the_recordings_is_3(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "rate.trig.csv"
+        bad.write_text((corpus / "r0.trig.csv").read_text().replace(
+            "sample_rate_hz=250.0", "sample_rate_hz=500.0"))
+        assert main(["evaluate", "--input", str(corpus / "r0.swp"), "--triggers",
+                     str(bad), "--hypnogram", str(corpus / "r0.hyp.csv")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "sample_rate_hz 500 is not the recording's 250 Hz" in err
+
+    def test_echoed_algorithm_other_than_the_rows_is_3(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "algo.trig.csv"
+        bad.write_text((corpus / "r0.trig.csv").read_text().replace(
+            "algorithm=pv;", "algorithm=pll;"))
+        assert main(["evaluate", "--input", str(corpus / "r0.swp"), "--triggers",
+                     str(bad), "--hypnogram", str(corpus / "r0.hyp.csv")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "rows of algorithm ['pv'] disagree with tracker_config algorithm 'pll'" in err
 
     def test_missing_file_is_4(self, tmp_path, capsys):
         rc = main(["track", "--input", str(tmp_path / "absent.swp"),

@@ -3,19 +3,26 @@
 Each valid seed input is mutated a few bytes at a time (bit flips, byte
 changes, insertions, deletions, truncation). Every mutant must either parse
 or raise a SwphaseError subclass; any other exception is a crash the command
-line would show as a traceback.
+line would show as a traceback. A parsed config is also used and must hold
+finite numbers only; non-finite spellings are substituted into every key of
+every config text, since byte mutations seldom produce one.
 """
+import math
+from dataclasses import is_dataclass
+
 import numpy as np
 import pytest
 
 from swphase.errors import SwphaseError
-from swphase.gate import GateConfig
-from swphase.io import (apply_config, parse_stage_runs, read_hypnogram,
-                        read_recording, read_trigger_log, write_hypnogram,
-                        write_recording, write_trigger_log)
+from swphase.gate import GateConfig, StimulationGate
+from swphase.io import (apply_config, config_echo, parse_config_echo,
+                        parse_stage_runs, read_hypnogram, read_recording,
+                        read_trigger_log, write_hypnogram, write_recording,
+                        write_trigger_log)
 from swphase.pipeline import LoggedTrigger
 from swphase.recording import EegRecording
-from swphase.trackers import TrackerConfig
+from swphase.synth import SynthSpec
+from swphase.trackers import TrackerConfig, make_tracker
 
 CASES = 80
 INSERTS = b"0123456789-.,=*#e\n \x00\xff"
@@ -76,25 +83,47 @@ FILE_READERS = {
     "trig": lambda path: read_trigger_log(path, n_samples=500),
 }
 
+def used_tracker(cfg):
+    make_tracker(cfg)
+    return cfg
+
+
+def used_gate(cfg):
+    StimulationGate(cfg, 250.0)
+    cfg.window_samples(250.0)
+    return cfg
+
+
 TEXT_PARSERS = {
     "stage_runs": ("W*10 N1*3 N2*30 N3*5 REM*2", parse_stage_runs),
     "tracker_config": ("algorithm=pll\nk_pll=4e-4\nmaf_span=125\n"
                        "phi_target_deg=45\npv_trigger_on_nco=true",
-                       lambda text: apply_config(TrackerConfig(), overrides(text))),
+                       lambda text: used_tracker(apply_config(TrackerConfig(),
+                                                              overrides(text)))),
     "gate_config": ("swa_threshold_uv2=115\nonoff_enabled=false\n"
                     "nrem_history_s=80",
-                    lambda text: apply_config(GateConfig(), overrides(text))),
+                    lambda text: used_gate(apply_config(GateConfig(), overrides(text)))),
+    "tracker_echo": (config_echo(TrackerConfig(algorithm="pv", phi_target_deg=45.0)),
+                     lambda text: used_tracker(parse_config_echo(text, TrackerConfig()))),
+    "synth_spec": ("fs=250\nsw_pp_range_uv=20,120\nspindle_rate_per_min=3\n"
+                   "pink_noise_rms_uv=10\nseed=0",
+                   lambda text: apply_config(SynthSpec(), overrides(text))),
 }
 
 
 def check(parse, data, case):
     try:
-        parse(data)
+        parsed = parse(data)
     except SwphaseError:
-        pass
+        return
     except Exception as exc:   # any other type is the failure
         pytest.fail(f"mutant {case} raised {type(exc).__name__}: {exc} "
                     f"for input {data!r}")
+    if is_dataclass(parsed):   # a config must hold finite numbers only
+        for name, value in vars(parsed).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(v, float) or math.isfinite(v), \
+                    f"mutant {case} parsed {name}={v!r} from {data!r}"
 
 
 @pytest.mark.parametrize("kind", FILE_READERS)
@@ -119,3 +148,18 @@ def test_mutated_text_parses_or_raises_package_errors(kind):
     for case in range(CASES):
         data = mutate(text.encode(), rng).decode("utf-8", errors="replace")
         check(parser, data, case)
+
+
+NON_FINITE = ("nan", "inf", "-inf", "1e999", "Infinity")
+
+
+@pytest.mark.parametrize("kind", [k for k in TEXT_PARSERS if k != "stage_runs"])
+def test_non_finite_values_parse_or_raise_package_errors(kind):
+    text, parser = TEXT_PARSERS[kind]
+    sep = ";" if kind == "tracker_echo" else "\n"
+    items = text.split(sep)
+    for i, item in enumerate(items):
+        key = item.partition("=")[0]
+        for bad in NON_FINITE:
+            data = sep.join(items[:i] + [f"{key}={bad}"] + items[i + 1:])
+            check(parser, data, f"{key}={bad}")

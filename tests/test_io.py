@@ -12,8 +12,8 @@ from swphase.io import (
     MAGIC,
     apply_config,
     config_echo,
-    gate_config_from,
     hash_file,
+    parse_config_echo,
     parse_config_text,
     parse_stage_runs,
     read_hypnogram,
@@ -22,7 +22,6 @@ from swphase.io import (
     read_recording_binary,
     read_recording_csv,
     read_trigger_log,
-    tracker_config_from,
     write_hypnogram,
     write_phase_track,
     write_recording,
@@ -33,6 +32,7 @@ from swphase.io import (
 from swphase.oracle import PhaseTrack
 from swphase.pipeline import LoggedTrigger
 from swphase.recording import EegRecording
+from swphase.trackers import TrackerConfig
 
 
 def sample_recording(n=1000, label="EEG Fpz-Cz", start=12.5):
@@ -299,33 +299,33 @@ class TestConfigFiles:
             parse_config_text("fast\n")
 
     def test_tracker_overrides_coerced(self):
-        cfg = tracker_config_from({"algorithm": "pll", "k_pll": "2e-4",
-                                   "phi_target_deg": "120"})
+        cfg = apply_config(TrackerConfig(), {"algorithm": "pll", "k_pll": "2e-4",
+                                             "phi_target_deg": "120"})
         assert cfg.algorithm == "pll"
         assert cfg.k_pll == pytest.approx(2e-4)
         assert cfg.phi_target_deg == pytest.approx(120.0)
         assert isinstance(cfg.phi_target_deg, float)
 
     def test_gate_overrides_coerced(self):
-        cfg = gate_config_from({"onoff_enabled": "true",
-                                "swa_threshold_uv2": "90"})
+        cfg = apply_config(GateConfig(), {"onoff_enabled": "true",
+                                          "swa_threshold_uv2": "90"})
         assert cfg.onoff_enabled is True
         assert cfg.swa_threshold_uv2 == pytest.approx(90.0)
 
     def test_int_fields_stay_int(self):
-        cfg = tracker_config_from({"maf_span": "125"})
+        cfg = apply_config(TrackerConfig(), {"maf_span": "125"})
         assert cfg.maf_span == 125
         assert isinstance(cfg.maf_span, int)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
-            tracker_config_from({"threshold": "40"})
+            apply_config(TrackerConfig(), {"threshold": "40"})
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigurationError, match="bad value"):
-            tracker_config_from({"at_threshold_uv": "forty"})
+            apply_config(TrackerConfig(), {"at_threshold_uv": "forty"})
         with pytest.raises(ConfigurationError, match="boolean"):
-            gate_config_from({"onoff_enabled": "maybe"})
+            apply_config(GateConfig(), {"onoff_enabled": "maybe"})
 
     def test_echo_is_sorted_and_flat(self):
         echo = config_echo(GateConfig())

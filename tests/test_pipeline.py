@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from swphase.dsp import PreprocessChain
 from swphase.gate import (DELIVERED, REASONS, GateConfig, GateFlags,
                           candidate_reasons, window_reasons)
 from swphase.pipeline import (
@@ -23,8 +24,13 @@ ALGOS = ("at", "pll", "pv")
 @pytest.fixture(scope="module")
 def batch_sessions(short_synth):
     rec = short_synth.recording
-    return {a: run_session(rec, TrackerConfig(algorithm=a),
-                           keep_preprocessed=True) for a in ALGOS}
+    return {a: run_session(rec, TrackerConfig(algorithm=a)) for a in ALGOS}
+
+
+@pytest.fixture(scope="module")
+def preprocessed(short_synth):
+    rec = short_synth.recording
+    return PreprocessChain(rec.fs).run(rec.samples)
 
 
 class TestStreamingParity:
@@ -37,31 +43,24 @@ class TestStreamingParity:
         assert streamed.window_flags == batch.window_flags
         assert streamed.slip_count == batch.slip_count
 
-    def test_preprocessed_kept_on_request(self, short_synth, batch_sessions):
-        rec = short_synth.recording
-        assert batch_sessions["at"].preprocessed is not None
-        assert len(batch_sessions["at"].preprocessed) == len(rec.samples)
-        bare = run_session(rec, TrackerConfig(algorithm="at"))
-        assert bare.preprocessed is None
-
 
 class TestPhaseStreamFactorization:
     @pytest.mark.parametrize("algo", ("pll", "pv"))
-    def test_candidates_match_full_tracker(self, batch_sessions, algo):
+    def test_candidates_match_full_tracker(self, batch_sessions, preprocessed,
+                                           algo):
         # one phase-stream pass + crossing scan reproduces the tracker's
         # candidate set exactly (this is what makes the optimizer cheap)
         session = batch_sessions[algo]
         cfg = session.tracker_config
-        stream = tracker_phase_stream(session.preprocessed, cfg)
+        stream = tracker_phase_stream(preprocessed, cfg)
         refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
         idx = candidates_from_phase_stream(stream, cfg.target_deg(), refr)
         np.testing.assert_array_equal(
             idx, [e.sample_index for e in session.log])
 
-    def test_at_has_no_phase_stream(self, batch_sessions):
+    def test_at_has_no_phase_stream(self, preprocessed):
         with pytest.raises(Exception):
-            tracker_phase_stream(batch_sessions["at"].preprocessed,
-                                 TrackerConfig(algorithm="at"))
+            tracker_phase_stream(preprocessed, TrackerConfig(algorithm="at"))
 
     def test_refractory_filter(self):
         # a stream crossing 45 deg once per 100 samples, refractory 150
