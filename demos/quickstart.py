@@ -35,13 +35,13 @@ def main():
               f"{t.high_capacity_pct:>7.1f}% {r.intervals.median_s:>7.3f}s")
 
     print("\nper-sample cost (phase vocoder, the most expensive tracker):")
-    rep = measure_pipeline_cost("pv")
-    stages = ", ".join(f"{n} {s.median_ns:.0f} ns"
-                       for n, s in rep.stages.items())
+    rep = measure_pipeline_cost()
+    stages = ", ".join(f"{n} {ns:.0f} ns" for n, ns in rep.stages("pv").items())
     print(f"  {stages}")
-    print(f"  total {rep.total_median_ns:.0f} ns per {rep.sample_period_ns:.0f} ns "
-          f"sample period: rcr {rep.rcr:.5f}, "
-          f"efficiency {rep.efficiency_pct:.2f}%")
+    print(f"  total {rep.total_ns('pv'):.0f} ns per {rep.sample_period_ns:.0f} ns "
+          f"sample period: rcr {rep.rcr('pv'):.5f}, "
+          f"efficiency {rep.efficiency_pct('pv'):.2f}%")
+    print(f"  pv/pll tracker cost ratio {rep.pv_pll_ratio:.2f}, same run")
 
 
 if __name__ == "__main__":

@@ -1,28 +1,32 @@
 """Per-sample compute cost of the streaming pipeline.
 
-Wall-clock timing of the three stages (preprocess, tracker, gate) over a
-deterministic synthetic stream, plus static per-sample operation counts
-derived from the step arithmetic. The headline figures:
+Wall-clock timing of the pipeline's step functions (preprocess, gate and
+each of the three trackers) over a deterministic synthetic stream, plus
+static per-sample operation counts derived from the step arithmetic. All
+five stages take turns in one run, and each keeps one statistic: its
+fastest time per slice, in ns per sample. Every headline figure derives
+from those five numbers:
 
-- rcr: real-time consumption ratio, median per-sample cost of all three
-  stages divided by the sample period (must stay well under 1);
+- rcr: real-time consumption ratio, per-sample cost of preprocess, one
+  tracker and gate divided by the sample period (must stay well under 1);
 - efficiency: 100 * (1 - rcr);
 - tracker cost ratio: phase vocoder vs PLL, tracker stage alone.
 
+The sampling-rate sweep times other configurations in a run of its own.
 Timing refuses to run on clocks coarser than 1 microsecond.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import PreprocessChain
 from .errors import ConfigurationError, TimerResolutionError
 from .gate import GateConfig, StimulationGate
-from .trackers import TrackerConfig, make_tracker
+from .trackers import ALGORITHMS, TrackerConfig, make_tracker
 
 MAX_TIMER_RESOLUTION_S = 1e-6
 DEFAULT_WARMUP_SAMPLES = 2000
@@ -54,29 +58,37 @@ def check_timer() -> float:
     return res
 
 
-@dataclass
-class StageCost:
-    name: str
-    reps_ns: list            # per-sample cost of every repetition
-    median_ns: float
-    q1_ns: float
-    q3_ns: float
-
-
-@dataclass
+@dataclass(frozen=True)
 class CostReport:
-    algorithm: str
+    """ns per sample of every stage, all from one interleaved run. Each
+    algorithm's pipeline is preprocess, its tracker and the gate; its
+    total, rcr and efficiency, and the PV/PLL ratio, derive from these."""
     fs: float
-    warmup_samples: int
     reps: int
-    chunk_samples: int
     timer_resolution_s: float
-    stages: dict = field(default_factory=dict)
-    total_median_ns: float = 0.0
-    sample_period_ns: float = 0.0
-    rcr: float = 0.0
-    efficiency_pct: float = 0.0
-    op_counts: dict = field(default_factory=dict)
+    stage_ns: dict           # preprocess, gate and each tracker
+
+    @property
+    def sample_period_ns(self) -> float:
+        return 1e9 / self.fs
+
+    def stages(self, algorithm: str) -> dict:
+        return {"preprocess": self.stage_ns["preprocess"],
+                "tracker": self.stage_ns[algorithm],
+                "gate": self.stage_ns["gate"]}
+
+    def total_ns(self, algorithm: str) -> float:
+        return sum(self.stages(algorithm).values())
+
+    def rcr(self, algorithm: str) -> float:
+        return self.total_ns(algorithm) / self.sample_period_ns
+
+    def efficiency_pct(self, algorithm: str) -> float:
+        return 100.0 * (1.0 - self.rcr(algorithm))
+
+    @property
+    def pv_pll_ratio(self) -> float:
+        return self.stage_ns["pv"] / self.stage_ns["pll"]
 
 
 def _interleaved_ns(streams: dict, reps: int) -> dict:
@@ -123,14 +135,6 @@ def _fastest_ns(slices_ns, n: int) -> float:
     return float(slices_ns.min(axis=0).sum()) / n
 
 
-def _stage_cost(name, slices_ns, n: int) -> StageCost:
-    reps_ns = (slices_ns.sum(axis=1) / n).tolist()
-    return StageCost(name, reps_ns,
-                     float(np.median(reps_ns)),
-                     float(np.percentile(reps_ns, 25)),
-                     float(np.percentile(reps_ns, 75)))
-
-
 def _test_signal(fs: float, n: int, seed: int = 7):
     rng = np.random.default_rng(seed)
     t = np.arange(n) / fs
@@ -138,70 +142,32 @@ def _test_signal(fs: float, n: int, seed: int = 7):
     return x.tolist()
 
 
-def _preprocessed(raw, fs: float) -> list:
-    return PreprocessChain(fs).run(raw).tolist()
-
-
-def measure_pipeline_cost(algorithm: str = "pv", fs: float = 250.0,
+def measure_pipeline_cost(fs: float = 250.0,
                           warmup_samples: int = DEFAULT_WARMUP_SAMPLES,
                           reps: int = DEFAULT_REPS,
                           chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> CostReport:
-    """Time preprocess, tracker and gate steps separately on one stream."""
+    """Time the preprocess, gate and every tracker step on one stream, all
+    in one interleaved run; each stage keeps its fastest slices."""
     if reps < 3:
         raise ConfigurationError("need at least 3 repetitions")
     if warmup_samples < 1000:
         raise ConfigurationError("need at least 1000 warmup samples")
     res = check_timer()
-    cfg = TrackerConfig(algorithm=algorithm, sample_rate_hz=fs)
-
     raw = _test_signal(fs, warmup_samples + chunk_samples)
-    clean = _preprocessed(raw, fs)
+    clean = PreprocessChain(fs).run(raw).tolist()
     w = warmup_samples
-    costs = _interleaved_ns({
+    streams = {
         "preprocess": (PreprocessChain(fs).step, raw[:w], raw[w:]),
-        "tracker": (make_tracker(cfg).step, clean[:w], clean[w:]),
         "gate": (StimulationGate(GateConfig(), fs).step, clean[:w], clean[w:]),
-    }, reps)
-    pre, trk, gat = (_stage_cost(name, ns, chunk_samples)
-                     for name, ns in costs.items())
-
-    report = CostReport(algorithm=cfg.algorithm, fs=fs,
-                        warmup_samples=warmup_samples, reps=reps,
-                        chunk_samples=chunk_samples, timer_resolution_s=res)
-    report.stages = {s.name: s for s in (pre, trk, gat)}
-    report.total_median_ns = pre.median_ns + trk.median_ns + gat.median_ns
-    report.sample_period_ns = 1e9 / fs
-    report.rcr = report.total_median_ns / report.sample_period_ns
-    report.efficiency_pct = 100.0 * (1.0 - report.rcr)
-    report.op_counts = {"preprocess": OP_COUNTS["preprocess"],
-                        cfg.algorithm: OP_COUNTS[cfg.algorithm]}
-    return report
-
-
-def _tracker_stream(cfg: TrackerConfig, warmup_samples: int, chunk_samples: int):
-    """(step, warm, chunk) of a fresh tracker over the preprocessed test signal."""
-    fs = cfg.sample_rate_hz
-    clean = _preprocessed(_test_signal(fs, warmup_samples + chunk_samples), fs)
-    return (make_tracker(cfg).step, clean[:warmup_samples],
-            clean[warmup_samples:])
-
-
-def tracker_cost_ratio(fs: float = 250.0, reps: int = DEFAULT_REPS,
-                       chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> float:
-    """Phase vocoder vs PLL per-sample cost, tracker stage only.
-
-    Both trackers take turns in every repetition; each keeps its fastest
-    time per slice.
-    """
-    check_timer()
-    ns = _interleaved_ns({
-        algo: _tracker_stream(TrackerConfig(algorithm=algo, sample_rate_hz=fs),
-                              DEFAULT_WARMUP_SAMPLES, chunk_samples)
-        for algo in ("pv", "pll")}, reps)
-    denom = _fastest_ns(ns["pll"], chunk_samples)
-    if denom <= 0:
+    }
+    for algo in ALGORITHMS:
+        tracker = make_tracker(TrackerConfig(algorithm=algo, sample_rate_hz=fs))
+        streams[algo] = (tracker.step, clean[:w], clean[w:])
+    stage_ns = {name: _fastest_ns(ns, chunk_samples)
+                for name, ns in _interleaved_ns(streams, reps).items()}
+    if stage_ns["pll"] <= 0:
         raise TimerResolutionError("PLL tracker stage timed at zero cost")
-    return _fastest_ns(ns["pv"], chunk_samples) / denom
+    return CostReport(fs, reps, res, stage_ns)
 
 
 def pv_cost_vs_fs(fs_values=(125.0, 250.0, 500.0), span_s: float = 0.5,
@@ -213,10 +179,12 @@ def pv_cost_vs_fs(fs_values=(125.0, 250.0, 500.0), span_s: float = 0.5,
     slice.
     """
     check_timer()
+    w = DEFAULT_WARMUP_SAMPLES
     streams = {}
     for fs in fs_values:
         cfg = TrackerConfig(algorithm="pv", sample_rate_hz=fs,
                             maf_span=max(2, int(round(span_s * fs))))
-        streams[fs] = _tracker_stream(cfg, DEFAULT_WARMUP_SAMPLES, chunk_samples)
+        clean = PreprocessChain(fs).run(_test_signal(fs, w + chunk_samples)).tolist()
+        streams[fs] = (make_tracker(cfg).step, clean[:w], clean[w:])
     return {fs: _fastest_ns(ns, chunk_samples)
             for fs, ns in _interleaved_ns(streams, reps).items()}

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .bench import measure_pipeline_cost, pv_cost_vs_fs, tracker_cost_ratio
+from .bench import OP_COUNTS, measure_pipeline_cost, pv_cost_vs_fs
 from .errors import ConfigurationError, FileFormatError, SwphaseError
 from .gate import GateConfig, calibrate_gate
 from .io import (apply_config, config_echo, hash_file, parse_config_echo,
@@ -67,8 +67,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     recording = read_recording(args.input)
-    if args.hypnogram:
-        _read_hypnogram_into(recording, args.hypnogram)
     cfg = apply_config(TrackerConfig(algorithm=args.algorithm), _pairs(args.set))
     gate_cfg = apply_config(GateConfig(onoff_enabled=args.onoff), _pairs(args.gate_set))
     session = run_session(recording, cfg, gate_cfg, streaming=args.streaming)
@@ -227,26 +225,25 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    reports = {}
-    for algo in (args.algorithm,) if args.algorithm else ALGORITHMS:
-        rep = measure_pipeline_cost(algo, fs=args.fs, reps=args.reps)
-        reports[algo] = rep
-        stages = " ".join(f"{name}={s.median_ns:.0f}ns"
-                          for name, s in rep.stages.items())
-        print(f"{algo:>4}: {stages} total={rep.total_median_ns:.0f}ns "
-              f"rcr={rep.rcr:.5f} efficiency={rep.efficiency_pct:.2f}%")
-    if not args.algorithm or args.algorithm in ("pll", "pv"):
-        ratio = tracker_cost_ratio(fs=args.fs, reps=args.reps)
-        print(f"pv/pll tracker cost ratio: {ratio:.2f}")
+    report = measure_pipeline_cost(fs=args.fs, reps=args.reps)
+    for algo in ALGORITHMS:
+        stages = " ".join(f"{name}={ns:.0f}ns"
+                          for name, ns in report.stages(algo).items())
+        print(f"{algo:>4}: {stages} total={report.total_ns(algo):.0f}ns "
+              f"rcr={report.rcr(algo):.5f} "
+              f"efficiency={report.efficiency_pct(algo):.2f}%")
+    print(f"pv/pll tracker cost ratio: {report.pv_pll_ratio:.2f}")
     if args.fs_sweep:
         sweep = pv_cost_vs_fs()
         pretty = ", ".join(f"{fs:g} Hz: {ns:.0f}ns" for fs, ns in sweep.items())
         print(f"pv tracker cost vs fs (span scaled): {pretty}")
     if args.json:
-        payload = {a: {"rcr": r.rcr, "efficiency_pct": r.efficiency_pct,
-                       "stages": {n: s.median_ns for n, s in r.stages.items()},
-                       "op_counts": r.op_counts}
-                   for a, r in reports.items()}
+        payload = {a: {"rcr": report.rcr(a),
+                       "efficiency_pct": report.efficiency_pct(a),
+                       "stages": report.stages(a),
+                       "op_counts": {"preprocess": OP_COUNTS["preprocess"],
+                                     a: OP_COUNTS[a]}}
+                   for a in ALGORITHMS}
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--input", required=True)
     trk.add_argument("--out", required=True)
     trk.add_argument("--algorithm", choices=ALGORITHMS, default="pv")
-    trk.add_argument("--hypnogram")
     trk.add_argument("--set", action="append", metavar="KEY=VALUE")
     trk.add_argument("--gate-set", action="append", metavar="KEY=VALUE")
     trk.add_argument("--onoff", action="store_true",
@@ -311,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.set_defaults(func=cmd_optimize)
 
     ben = sub.add_parser("bench", help="per-sample cost measurement")
-    ben.add_argument("--algorithm", choices=ALGORITHMS)
     ben.add_argument("--fs", type=float, default=250.0)
     ben.add_argument("--reps", type=int, default=5)
     ben.add_argument("--fs-sweep", action="store_true")

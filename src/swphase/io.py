@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, FileFormatError
+from .errors import ConfigurationError, FileFormatError, StreamIntegrityError
 from .gate import REASONS
 from .oracle import PhaseTrack
 from .recording import EegRecording, STAGES
@@ -80,9 +80,20 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
+def _float32_samples(path, recording: EegRecording) -> np.ndarray:
+    """The samples as stored, little-endian float32. NaN and +-inf pass
+    through; a finite sample past the float32 range is refused."""
+    try:
+        with np.errstate(over="raise"):
+            return np.asarray(recording.samples, dtype="<f4")
+    except FloatingPointError:
+        raise StreamIntegrityError(f"{path}: a sample exceeds the float32 range "
+                                   f"(|x| > {np.finfo(np.float32).max:.4g} uV)") from None
+
+
 def write_recording_binary(path, recording: EegRecording) -> None:
     label = recording.label.encode("utf-8")
-    samples = np.asarray(recording.samples, dtype="<f4")
+    samples = _float32_samples(path, recording)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<H", FORMAT_VERSION))
@@ -121,11 +132,12 @@ def read_recording_binary(path) -> EegRecording:
 
 
 def write_recording_csv(path, recording: EegRecording) -> None:
+    samples = _float32_samples(path, recording)
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# fs={recording.fs!r}\n")
         f.write(f"# label={recording.label}\n")
         f.write(f"# start_time={recording.start_time!r}\n")
-        for v in np.asarray(recording.samples, dtype=np.float32):
+        for v in samples:
             f.write(f"{float(v)!r}\n")
 
 

@@ -279,7 +279,7 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
             held = recording
         cfg = TrackerConfig(**{**combo, "algorithm": algorithm,
                                "sample_rate_hz": cache.fs})
-        refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
+        refr = cfg.refractory_samples()
         if algorithm == "at":
             if cache.iso is None:
                 cache.iso = IirFilter(design_sw_isolation(cache.fs)).run(cache.y)

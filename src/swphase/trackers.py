@@ -77,6 +77,11 @@ class TrackerConfig:
             return DEFAULT_TARGET_DEG[self.algorithm]
         return self.phi_target_deg
 
+    def refractory_samples(self) -> int:
+        """Minimum spacing between triggers, refractory_s rounded up to
+        whole samples, never below one."""
+        return max(1, math.ceil(self.refractory_s * self.sample_rate_hz))
+
     def __post_init__(self):
         self.validate()
 
@@ -100,11 +105,6 @@ class TriggerEvent:
     algorithm: str
     tracker_phase_deg: Optional[float]
     amplitude_uv: float
-
-
-def wrap_degrees(v: float) -> float:
-    v = math.fmod(v, 360.0)
-    return v + 360.0 if v < 0.0 else v
 
 
 def phase_crossed(prev_deg: float, cur_deg: float, target_deg: float) -> bool:
@@ -200,7 +200,7 @@ class _TrackerBase:
     def __init__(self, config: TrackerConfig):
         self.config = config
         self._target = config.target_deg()
-        self._refr = max(1, math.ceil(config.refractory_s * config.sample_rate_hz))
+        self._refr = config.refractory_samples()
         self._n = 0
         self._last_trigger = NEVER
         self.slip_count = 0

@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from swphase.bench import measure_pipeline_cost, pv_cost_vs_fs, tracker_cost_ratio
+from swphase.bench import measure_pipeline_cost, pv_cost_vs_fs
 from swphase.cli import main
 from swphase.gate import GateConfig
 from swphase.io import read_recording, read_trigger_log, write_recording
@@ -194,10 +194,9 @@ def test_criterion_6_optimizer_selection():
 
 
 def test_criterion_7_per_sample_cost():
-    rcrs = {}
-    for algo in ("pll", "pv"):
-        rcrs[algo] = measure_pipeline_cost(algo, reps=7).rcr
-    ratio = tracker_cost_ratio(reps=7)
+    report = measure_pipeline_cost(reps=7)
+    rcrs = {algo: report.rcr(algo) for algo in ("pll", "pv")}
+    ratio = report.pv_pll_ratio
     sweep = pv_cost_vs_fs(reps=15)
     lo, hi = min(sweep.values()), max(sweep.values())
     spread = hi / lo - 1.0

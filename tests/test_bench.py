@@ -11,7 +11,6 @@ from swphase.bench import (
     OP_COUNTS,
     check_timer,
     measure_pipeline_cost,
-    tracker_cost_ratio,
 )
 from swphase.errors import ConfigurationError
 
@@ -28,35 +27,34 @@ def test_timer_is_fine_grained_here():
 ])
 def test_measurement_guards(kw):
     with pytest.raises(ConfigurationError):
-        measure_pipeline_cost("pv", **kw)
+        measure_pipeline_cost(**kw)
 
 
 @pytest.fixture(scope="module")
-def pv_report():
-    return measure_pipeline_cost("pv", reps=3, chunk_samples=2000,
-                                 warmup_samples=1000)
+def report():
+    return measure_pipeline_cost(reps=3, chunk_samples=2000, warmup_samples=1000)
 
 
-def test_report_shape(pv_report):
-    r = pv_report
-    assert r.algorithm == "pv"
-    assert set(r.stages) == {"preprocess", "tracker", "gate"}
-    for s in r.stages.values():
-        assert len(s.reps_ns) == 3
-        assert s.q1_ns <= s.median_ns <= s.q3_ns
-        assert s.median_ns >= 0.0
-    assert r.total_median_ns == pytest.approx(
-        sum(s.median_ns for s in r.stages.values()))
+def test_report_shape(report):
+    r = report
+    assert r.reps == 3
+    assert set(r.stage_ns) == {"preprocess", "gate", "at", "pll", "pv"}
+    assert all(ns >= 0.0 for ns in r.stage_ns.values())
     assert r.sample_period_ns == pytest.approx(4e6)   # 250 Hz
-    assert r.rcr == pytest.approx(r.total_median_ns / 4e6)
-    assert r.efficiency_pct == pytest.approx(100.0 * (1.0 - r.rcr))
+    for algo in ("at", "pll", "pv"):
+        stages = r.stages(algo)
+        assert list(stages) == ["preprocess", "tracker", "gate"]
+        assert stages["tracker"] == r.stage_ns[algo]
+        assert r.total_ns(algo) == pytest.approx(sum(stages.values()))
+        assert r.rcr(algo) == pytest.approx(r.total_ns(algo) / 4e6)
+        assert r.efficiency_pct(algo) == pytest.approx(100.0 * (1.0 - r.rcr(algo)))
+    assert r.pv_pll_ratio == pytest.approx(r.stage_ns["pv"] / r.stage_ns["pll"])
 
-    assert set(r.op_counts) == {"preprocess", "pv"}
 
-def test_real_time_headroom(pv_report):
+def test_real_time_headroom(report):
     # the whole point: a 4 ms sample period dwarfs per-sample cost
-    assert pv_report.rcr < 0.5
-    assert pv_report.efficiency_pct > 50.0
+    assert report.rcr("pv") < 0.5
+    assert report.efficiency_pct("pv") > 50.0
 
 
 def test_op_counts_are_static_and_complete():
@@ -99,5 +97,5 @@ def test_op_counts_follow_the_step_code(algorithm, monkeypatch):
 
 
 def test_tracker_ratio_in_expected_band():
-    ratio = tracker_cost_ratio(reps=5, chunk_samples=3000)
+    ratio = measure_pipeline_cost(reps=5, chunk_samples=3000).pv_pll_ratio
     assert 1.0 < ratio < 6.0

@@ -1,5 +1,6 @@
 """Command line driving: file flows, provenance, exit codes, truncation."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -210,11 +211,24 @@ class TestOptimize:
 
 
 class TestBenchCommand:
-    def test_single_algorithm_smoke(self, capsys):
-        rc = main(["bench", "--algorithm", "at", "--reps", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "rcr=" in out and "efficiency=" in out
+    def test_every_figure_comes_from_one_run(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--reps", "3", "--json", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "rcr=" in printed and "efficiency=" in printed
+        report = json.loads(out.read_text())
+        assert set(report) == {"at", "pll", "pv"}
+        for stage in ("preprocess", "gate"):
+            assert len({r["stages"][stage] for r in report.values()}) == 1
+        for r in report.values():
+            assert r["rcr"] == pytest.approx(sum(r["stages"].values()) * 250.0 / 1e9)
+        ratio = report["pv"]["stages"]["tracker"] / report["pll"]["stages"]["tracker"]
+        assert f"pv/pll tracker cost ratio: {ratio:.2f}\n" in printed
+
+    def test_takes_no_algorithm(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert "--algorithm" not in capsys.readouterr().out
 
 
 class TestCalibrateCommand:
@@ -326,8 +340,7 @@ class TestExitCodes:
         assert main(["track", "--input", str(night),
                      "--out", str(tmp_path / "n.csv")]) == 0
 
-    @pytest.mark.parametrize("command", ["track", "evaluate", "calibrate",
-                                         "optimize"])
+    @pytest.mark.parametrize("command", ["evaluate", "calibrate", "optimize"])
     def test_hypnogram_past_the_recording_is_3(self, corpus, tmp_path, capsys,
                                                command):
         # r0 spans exactly 40 epochs; a 41st starts past its end
@@ -337,8 +350,6 @@ class TestExitCodes:
         hyp.write_text("epoch_index,stage\n"
                        + "".join(f"{i},N3\n" for i in range(41)))
         argv = {
-            "track": ["track", "--input", str(rec), "--out",
-                      str(tmp_path / "t.csv"), "--hypnogram", str(hyp)],
             "evaluate": ["evaluate", "--input", str(rec), "--hypnogram", str(hyp),
                          "--triggers", str(corpus / "r0.trig.csv")],
             "calibrate": ["calibrate", "--input", str(rec), "--hypnogram", str(hyp)],
@@ -424,3 +435,17 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".swp", ".csv"])
+    def test_sample_past_the_float32_range_is_4(self, tmp_path, capsys, suffix):
+        # each component is finite, but the sum overflows float32
+        out = tmp_path / ("x" + suffix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--stages", "N2*40", "--out", str(out),
+                       "--synth-set", "pink_noise_rms_uv=1e300"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "StreamIntegrityError" in err and "float32" in err
+        assert not out.exists()

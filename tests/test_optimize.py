@@ -226,6 +226,11 @@ class TestPipelineEvaluator:
     @pytest.mark.parametrize("algorithm,combo", [
         ("pv", {"phi_target_deg": 90.0, "k_pv": 2.0, "maf_span": 50}),
         ("at", {"at_threshold_uv": 40.0}),
+        ("pll", {"phi_target_deg": 180.0, "k_pll": 6e-4}),
+        # 75.25 samples at 250 Hz: both paths round the spacing up to 76
+        ("pll", {"refractory_s": 0.301}),
+        ("pv", {"refractory_s": 0.301}),
+        ("at", {"refractory_s": 0.301}),
     ])
     def test_fast_path_matches_full_session(self, short_synth, algorithm, combo):
         rec = short_synth.recording

@@ -6,7 +6,7 @@ import pytest
 from swphase.errors import ConfigurationError
 from swphase.trackers import (AmplitudeThresholdTracker, PllTracker,
                               PvTracker, TrackerConfig, make_tracker,
-                              phase_crossed, wrap_degrees)
+                              phase_crossed)
 
 from conftest import FS, sinusoid
 
@@ -41,10 +41,6 @@ class TestCrossing:
     def test_large_jump_is_never_a_crossing(self):
         assert not phase_crossed(0.0, 180.0, 90.0)
         assert not phase_crossed(10.0, 350.0, 180.0)
-
-    def test_wrap_degrees(self):
-        assert wrap_degrees(-10.0) == pytest.approx(350.0)
-        assert wrap_degrees(725.0) == pytest.approx(5.0)
 
 
 class TestConfig:
