@@ -3,16 +3,19 @@
 Wall-clock timing of the pipeline's step functions (preprocess, gate and
 each of the three trackers) over a deterministic synthetic stream, plus
 static per-sample operation counts derived from the step arithmetic. All
-five stages take turns in one run, and each keeps one statistic: its
-fastest time per slice, in ns per sample. Every headline figure derives
-from those five numbers:
+stages take turns in one run, and each keeps one statistic: its fastest
+time per slice, in ns per sample. The same run also times the phase
+vocoder at the other rates of ``SWEEP_FS``, its moving-average span scaled
+to SPAN_S; at ``fs`` the sweep point is the ``pv`` stage itself. Every
+headline figure derives from those numbers:
 
 - rcr: real-time consumption ratio, per-sample cost of preprocess, one
   tracker and gate divided by the sample period (must stay well under 1);
 - efficiency: 100 * (1 - rcr);
-- tracker cost ratio: phase vocoder vs PLL, tracker stage alone.
+- tracker cost ratio: phase vocoder vs PLL, tracker stage alone;
+- vocoder cost vs fs: must not grow with the rate (running sums make the
+  span free).
 
-The sampling-rate sweep times other configurations in a run of its own.
 Timing refuses to run on clocks coarser than 1 microsecond.
 """
 from __future__ import annotations
@@ -26,13 +29,17 @@ import numpy as np
 from .dsp import PreprocessChain
 from .errors import ConfigurationError, TimerResolutionError
 from .gate import GateConfig, StimulationGate
-from .trackers import ALGORITHMS, TrackerConfig, make_tracker
+from .trackers import TrackerConfig, make_tracker
 
 MAX_TIMER_RESOLUTION_S = 1e-6
 DEFAULT_WARMUP_SAMPLES = 2000
 DEFAULT_REPS = 5
+MAX_REPS = 1000              # a minute or two of timing
 DEFAULT_CHUNK_SAMPLES = 4000
 SLICE_SAMPLES = 250          # streams take turns at this granularity
+PRIME_SAMPLES = 100          # untimed lead of each slice, run by a twin stage
+SWEEP_FS = (125.0, 250.0, 500.0)
+SPAN_S = 0.5                 # vocoder moving-average span; 125 samples at 250 Hz
 
 # Static per-sample floating-point operation counts of each stage's inner
 # step, by kind. They follow from the recurrences and do not depend on the
@@ -62,11 +69,12 @@ def check_timer() -> float:
 class CostReport:
     """ns per sample of every stage, all from one interleaved run. Each
     algorithm's pipeline is preprocess, its tracker and the gate; its
-    total, rcr and efficiency, and the PV/PLL ratio, derive from these."""
+    total, rcr and efficiency, the PV/PLL ratio and the vocoder's cost vs
+    fs derive from these."""
     fs: float
     reps: int
     timer_resolution_s: float
-    stage_ns: dict           # preprocess, gate and each tracker
+    stage_ns: dict           # preprocess, gate, each tracker, "pv@<rate>"
 
     @property
     def sample_period_ns(self) -> float:
@@ -90,22 +98,48 @@ class CostReport:
     def pv_pll_ratio(self) -> float:
         return self.stage_ns["pv"] / self.stage_ns["pll"]
 
+    @property
+    def pv_ns_vs_fs(self) -> dict:
+        """Vocoder tracker ns per sample by rate, span scaled; the point at
+        fs is the pv stage."""
+        return {rate: self.stage_ns[_pv_stage(rate, self.fs)]
+                for rate in sorted({self.fs, *SWEEP_FS})}
+
+
+def _pv_stage(rate: float, fs: float) -> str:
+    """Name of the vocoder stage at rate in a run at fs."""
+    return "pv" if rate == fs else f"pv@{rate:g}"
+
 
 def _interleaved_ns(streams: dict, reps: int) -> dict:
     """Time each stream's step function over its chunk, slice by slice.
 
-    streams maps a name to (fn, warm, chunk); all chunks have one length.
-    Every fn runs over its warm samples first. Each repetition then cuts
-    the chunks into slices of SLICE_SAMPLES and lets the streams take turns
-    slice by slice. On a shared host the speed changes within a second, so
-    this way a change reaches all streams alike. Each slice's loop
-    overhead, its fastest empty pass, is subtracted.
+    streams maps a name to (make, warm, chunk); make() builds a fresh step
+    function, and all chunks have one length. The timed function and a
+    twin from a second make() each run over the warm samples first. Each
+    repetition then cuts the chunks into slices of SLICE_SAMPLES and lets
+    the streams take turns slice by slice. On a shared host the speed
+    changes within a second, so this way a change reaches all streams
+    alike. Each slice's loop overhead, its fastest empty pass, is
+    subtracted.
+
+    A stage's time also depends on the stage that ran just before it: its
+    code and data are cold in the caches. On a 2-vCPU Xeon container two
+    identical vocoder stages differed by about 7% depending on whether the
+    PLL or a vocoder went first. So before each timed slice the twin runs the slice's first
+    PRIME_SAMPLES untimed, and every stage is timed after its own code. The
+    timed function's state and samples stay as they are; trimming the
+    timed slice instead would distort the gate, whose window transform
+    falls once every thousand samples.
 
     Returns {name: array (reps, slices)} of ns per slice.
     """
-    for fn, warm, _ in streams.values():
+    timed = {}
+    for name, (make, warm, _) in streams.items():
+        timed[name] = fn, twin = make(), make()
         for xi in warm:
             fn(xi)
+            twin(xi)
     n = len(next(iter(streams.values()))[2])
     starts = range(0, n, SLICE_SAMPLES)
     full = {name: np.empty((reps, len(starts))) for name in streams}
@@ -114,8 +148,10 @@ def _interleaved_ns(streams: dict, reps: int) -> dict:
              for name, (_, _, chunk) in streams.items()}
     for r in range(reps):
         for j in range(len(starts)):
-            for name, (fn, _, _) in streams.items():
+            for name, (fn, twin) in timed.items():
                 part = parts[name][j]
+                for xi in part[:PRIME_SAMPLES]:
+                    twin(xi)
                 t0 = time.perf_counter_ns()
                 for xi in part:
                     pass
@@ -146,45 +182,35 @@ def measure_pipeline_cost(fs: float = 250.0,
                           warmup_samples: int = DEFAULT_WARMUP_SAMPLES,
                           reps: int = DEFAULT_REPS,
                           chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> CostReport:
-    """Time the preprocess, gate and every tracker step on one stream, all
-    in one interleaved run; each stage keeps its fastest slices."""
-    if reps < 3:
-        raise ConfigurationError("need at least 3 repetitions")
+    """Time the preprocess, gate and every tracker step at fs, and the
+    vocoder at the other rates of SWEEP_FS, all in one interleaved run;
+    each stage keeps its fastest slices."""
+    if not 3 <= reps <= MAX_REPS:
+        raise ConfigurationError(f"need 3 to {MAX_REPS} repetitions, got {reps}")
     if warmup_samples < 1000:
         raise ConfigurationError("need at least 1000 warmup samples")
     res = check_timer()
-    raw = _test_signal(fs, warmup_samples + chunk_samples)
-    clean = PreprocessChain(fs).run(raw).tolist()
     w = warmup_samples
+    raw = _test_signal(fs, w + chunk_samples)
+    clean = PreprocessChain(fs).run(raw).tolist()
     streams = {
-        "preprocess": (PreprocessChain(fs).step, raw[:w], raw[w:]),
-        "gate": (StimulationGate(GateConfig(), fs).step, clean[:w], clean[w:]),
+        "preprocess": (lambda: PreprocessChain(fs).step, raw[:w], raw[w:]),
+        "gate": (lambda: StimulationGate(GateConfig(), fs).step, clean[:w], clean[w:]),
     }
-    for algo in ALGORITHMS:
-        tracker = make_tracker(TrackerConfig(algorithm=algo, sample_rate_hz=fs))
-        streams[algo] = (tracker.step, clean[:w], clean[w:])
+
+    def tracker(cfg, x):
+        return (lambda: make_tracker(cfg).step, x[:w], x[w:])
+
+    for algo in ("at", "pll"):
+        streams[algo] = tracker(TrackerConfig(algorithm=algo, sample_rate_hz=fs), clean)
+    for rate in [fs] + [r for r in SWEEP_FS if r != fs]:
+        x = clean if rate == fs else \
+            PreprocessChain(rate).run(_test_signal(rate, w + chunk_samples)).tolist()
+        cfg = TrackerConfig(algorithm="pv", sample_rate_hz=rate,
+                            maf_span=int(round(SPAN_S * rate)))
+        streams[_pv_stage(rate, fs)] = tracker(cfg, x)
     stage_ns = {name: _fastest_ns(ns, chunk_samples)
                 for name, ns in _interleaved_ns(streams, reps).items()}
     if stage_ns["pll"] <= 0:
         raise TimerResolutionError("PLL tracker stage timed at zero cost")
     return CostReport(fs, reps, res, stage_ns)
-
-
-def pv_cost_vs_fs(fs_values=(125.0, 250.0, 500.0), span_s: float = 0.5,
-                  reps: int = 9, chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> dict:
-    """Vocoder tracker cost per sample at several rates, span scaled with fs.
-
-    With running-sum moving averages the cost must not grow with fs. The
-    rates take turns in every repetition; each keeps its fastest time per
-    slice.
-    """
-    check_timer()
-    w = DEFAULT_WARMUP_SAMPLES
-    streams = {}
-    for fs in fs_values:
-        cfg = TrackerConfig(algorithm="pv", sample_rate_hz=fs,
-                            maf_span=max(2, int(round(span_s * fs))))
-        clean = PreprocessChain(fs).run(_test_signal(fs, w + chunk_samples)).tolist()
-        streams[fs] = (make_tracker(cfg).step, clean[:w], clean[w:])
-    return {fs: _fastest_ns(ns, chunk_samples)
-            for fs, ns in _interleaved_ns(streams, reps).items()}

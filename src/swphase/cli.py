@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .bench import OP_COUNTS, measure_pipeline_cost, pv_cost_vs_fs
+from .bench import OP_COUNTS, measure_pipeline_cost
 from .errors import ConfigurationError, FileFormatError, SwphaseError
 from .gate import GateConfig, calibrate_gate
 from .io import (apply_config, config_echo, hash_file, parse_config_echo,
@@ -233,10 +233,8 @@ def cmd_bench(args) -> int:
               f"rcr={report.rcr(algo):.5f} "
               f"efficiency={report.efficiency_pct(algo):.2f}%")
     print(f"pv/pll tracker cost ratio: {report.pv_pll_ratio:.2f}")
-    if args.fs_sweep:
-        sweep = pv_cost_vs_fs()
-        pretty = ", ".join(f"{fs:g} Hz: {ns:.0f}ns" for fs, ns in sweep.items())
-        print(f"pv tracker cost vs fs (span scaled): {pretty}")
+    pretty = ", ".join(f"{fs:g} Hz: {ns:.0f}ns" for fs, ns in report.pv_ns_vs_fs.items())
+    print(f"pv tracker cost vs fs (span scaled): {pretty}")
     if args.json:
         payload = {a: {"rcr": report.rcr(a),
                        "efficiency_pct": report.efficiency_pct(a),
@@ -309,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="per-sample cost measurement")
     ben.add_argument("--fs", type=float, default=250.0)
     ben.add_argument("--reps", type=int, default=5)
-    ben.add_argument("--fs-sweep", action="store_true")
     ben.add_argument("--json")
     ben.set_defaults(func=cmd_bench)
 

@@ -24,13 +24,18 @@ LOWPASS_HZ = 30.0
 SW_ISOLATION_BAND = (0.5, 2.0)
 
 MIN_FS = 2 * NOTCH_HZ       # exclusive: here the notch sits at Nyquist
+MAX_FS = 20000.0            # above any EEG amplifier; a gate window is 80,000 samples
 
 
 def check_fs(fs: float):
-    """Refuse a sampling rate at which the notch is not below Nyquist."""
-    if not fs > MIN_FS:
+    """Refuse a sampling rate at which the notch is not below Nyquist, and
+    one above MAX_FS, where buffers sized by the rate (the gate window, its
+    Hann taper) would outgrow memory whatever the input's length. NaN and
+    infinities are refused too."""
+    if not MIN_FS < fs <= MAX_FS:
         raise ConfigurationError(f"sampling rate {fs} Hz: fs must be above {MIN_FS:g} Hz, "
-                                 f"twice the {NOTCH_HZ:g} Hz notch frequency")
+                                 f"twice the {NOTCH_HZ:g} Hz notch frequency, "
+                                 f"and at most {MAX_FS:g} Hz")
 
 
 def design_notch(fs: float = REFERENCE_FS):
@@ -133,14 +138,6 @@ class PreprocessChain(IirFilter):
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise StreamIntegrityError(f"non-finite sample at index {bad}")
         return IirFilter.run(self, x)
-
-    def frequency_response(self, freqs_hz):
-        """Composed analytic response of the chain at the given frequencies."""
-        w = 2 * np.pi * np.asarray(freqs_hz, dtype=float) / self.fs
-        h = np.ones(len(w), dtype=complex)
-        for b, a in self.sections:
-            h = h * signal.freqz(b, a, worN=w)[1]
-        return h
 
 
 @dataclass(frozen=True)

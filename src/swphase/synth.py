@@ -103,18 +103,6 @@ class SynthSpec:
             raise ConfigurationError("seed must be >= 0")
         return self
 
-    def amplitude_class_split(self):
-        """Expected (low, high) wave fractions under the stationary
-        (uniform) amplitude distribution; low is p-p 20-60 uV, high > 60."""
-        plo, phi = self.sw_pp_range_uv
-        width = phi - plo
-        if width == 0:
-            lo = 1.0 if 20.0 <= plo <= 60.0 else 0.0
-            return lo, (1.0 if plo > 60.0 else 0.0)
-        low = max(0.0, min(phi, 60.0) - max(plo, 20.0)) / width
-        high = max(0.0, phi - max(plo, 60.0)) / width
-        return low, high
-
 
 @dataclass
 class SynthOutput:

@@ -107,17 +107,6 @@ class TriggerEvent:
     amplitude_uv: float
 
 
-def phase_crossed(prev_deg: float, cur_deg: float, target_deg: float) -> bool:
-    """True iff target lies on the forward arc prev -> cur, arc < 180 deg.
-
-    Arcs of 180 deg or more in one sample are treated as slips, never as
-    crossings. The phase trackers' ``step`` applies this rule inline, and
-    ``forward_arcs`` plus ``phase_hits`` apply it to a whole stream.
-    """
-    arc = (cur_deg - prev_deg) % 360.0
-    return arc < 180.0 and 0.0 < (target_deg - prev_deg) % 360.0 <= arc
-
-
 def _mod360(v):
     """``np.mod(v, 360.0)`` in place.
 
@@ -156,8 +145,10 @@ def forward_arcs(stream_deg, prev_deg: float = 0.0, resets=()):
 def phase_hits(stream_deg, arcs, target_deg: float, prev_deg: float = 0.0):
     """Indices of the samples whose forward arc contains the target.
 
-    The test is ``phase_crossed`` per sample: 0 < d <= arc, where d is the
-    target's forward distance from the previous estimate.
+    The test is the one ``_PhaseTracker.step`` applies per sample:
+    0 < d <= arc, where d is the target's forward distance from the
+    previous estimate; slips carry NO_ARC, so an arc of 180 deg or more is
+    never a crossing.
     """
     p = np.asarray(stream_deg, dtype=float)
     d = np.empty_like(p)

@@ -30,3 +30,12 @@ def sinusoid(freq_hz: float, amp_uv: float, duration_s: float, fs: float = FS,
              phase0: float = 0.0) -> np.ndarray:
     t = np.arange(int(round(duration_s * fs))) / fs
     return amp_uv * np.sin(2.0 * np.pi * freq_hz * t + phase0)
+
+
+def phase_crossed(prev_deg: float, cur_deg: float, target_deg: float) -> bool:
+    """Reference crossing rule: True iff target lies on the forward arc
+    prev -> cur, arc < 180 deg. Arcs of 180 deg or more in one sample are
+    slips, never crossings. The phase trackers' ``step`` applies this rule
+    inline, and ``forward_arcs`` plus ``phase_hits`` apply it to a stream."""
+    arc = (cur_deg - prev_deg) % 360.0
+    return arc < 180.0 and 0.0 < (target_deg - prev_deg) % 360.0 <= arc

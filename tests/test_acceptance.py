@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from swphase.bench import measure_pipeline_cost, pv_cost_vs_fs
+from swphase.bench import measure_pipeline_cost
 from swphase.cli import main
 from swphase.gate import GateConfig
 from swphase.io import read_recording, read_trigger_log, write_recording
@@ -194,10 +194,10 @@ def test_criterion_6_optimizer_selection():
 
 
 def test_criterion_7_per_sample_cost():
-    report = measure_pipeline_cost(reps=7)
+    report = measure_pipeline_cost(reps=15)
     rcrs = {algo: report.rcr(algo) for algo in ("pll", "pv")}
     ratio = report.pv_pll_ratio
-    sweep = pv_cost_vs_fs(reps=15)
+    sweep = report.pv_ns_vs_fs
     lo, hi = min(sweep.values()), max(sweep.values())
     spread = hi / lo - 1.0
     print(f"criterion 7: rcr pll={rcrs['pll']:.4f} pv={rcrs['pv']:.4f}, "

@@ -23,9 +23,9 @@ from swphase.oracle import compute_phase_track
 from swphase.pipeline import (evaluate_session, qualifying_windows,
                               run_session, tracker_phase_stream)
 from swphase.trackers import (TrackerConfig, forward_arcs, make_tracker,
-                              phase_crossed, phase_hits)
+                              phase_hits)
 
-from conftest import FS
+from conftest import FS, phase_crossed
 
 CONFIGS = {
     "at": TrackerConfig(algorithm="at"),

@@ -8,6 +8,7 @@ import pytest
 
 from swphase import trackers
 from swphase.bench import (
+    MAX_REPS,
     OP_COUNTS,
     check_timer,
     measure_pipeline_cost,
@@ -24,6 +25,10 @@ def test_timer_is_fine_grained_here():
 @pytest.mark.parametrize("kw", [
     {"reps": 2},
     {"warmup_samples": 999},
+    {"reps": MAX_REPS + 1},
+    {"fs": 100.0},
+    {"fs": float("inf")},
+    {"fs": float("nan")},
 ])
 def test_measurement_guards(kw):
     with pytest.raises(ConfigurationError):
@@ -38,7 +43,8 @@ def report():
 def test_report_shape(report):
     r = report
     assert r.reps == 3
-    assert set(r.stage_ns) == {"preprocess", "gate", "at", "pll", "pv"}
+    assert set(r.stage_ns) == {"preprocess", "gate", "at", "pll", "pv",
+                               "pv@125", "pv@500"}
     assert all(ns >= 0.0 for ns in r.stage_ns.values())
     assert r.sample_period_ns == pytest.approx(4e6)   # 250 Hz
     for algo in ("at", "pll", "pv"):
@@ -49,6 +55,8 @@ def test_report_shape(report):
         assert r.rcr(algo) == pytest.approx(r.total_ns(algo) / 4e6)
         assert r.efficiency_pct(algo) == pytest.approx(100.0 * (1.0 - r.rcr(algo)))
     assert r.pv_pll_ratio == pytest.approx(r.stage_ns["pv"] / r.stage_ns["pll"])
+    assert r.pv_ns_vs_fs == {125.0: r.stage_ns["pv@125"], 250.0: r.stage_ns["pv"],
+                             500.0: r.stage_ns["pv@500"]}
 
 
 def test_real_time_headroom(report):

@@ -10,6 +10,7 @@ from swphase.gate import GateConfig
 from swphase.io import (read_hypnogram, read_recording, read_trigger_log,
                         write_recording)
 from swphase.pipeline import evaluate_session, run_session
+from swphase.recording import EegRecording
 from swphase.trackers import TrackerConfig
 
 
@@ -224,11 +225,18 @@ class TestBenchCommand:
             assert r["rcr"] == pytest.approx(sum(r["stages"].values()) * 250.0 / 1e9)
         ratio = report["pv"]["stages"]["tracker"] / report["pll"]["stages"]["tracker"]
         assert f"pv/pll tracker cost ratio: {ratio:.2f}\n" in printed
+        sweep = printed.split("pv tracker cost vs fs (span scaled): ")[1]
+        assert f"250 Hz: {report['pv']['stages']['tracker']:.0f}ns," in sweep
 
     def test_takes_no_algorithm(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--help"])
         assert "--algorithm" not in capsys.readouterr().out
+
+    def test_sweep_has_no_switch_of_its_own(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert "sweep" not in capsys.readouterr().out
 
 
 class TestCalibrateCommand:
@@ -406,6 +414,29 @@ class TestExitCodes:
                          "--algorithm", "pv", "-k", "2", "--json", str(out)],
         }[command]
         assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ConfigurationError" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--fs", "inf"],
+        ["bench", "--fs", "nan"],
+        ["bench", "--fs", "1e12"],
+        ["bench", "--reps", str(10 ** 21)],
+        ["track"],
+        ["track", "--streaming"],
+    ], ids=" ".join)
+    def test_rate_or_reps_sized_beyond_the_input_is_2(self, tmp_path, capsys, argv):
+        # past 20 kHz, buffers sized by the rate would outgrow memory: a
+        # 1,000-sample recording whose header says 1 GHz must not allocate
+        out = tmp_path / "out"
+        if argv[0] == "track":
+            rec = tmp_path / "fast.swp"
+            write_recording(rec, EegRecording(samples=np.zeros(1000), fs=1e9))
+            argv = argv + ["--input", str(rec), "--out", str(out)]
+        else:
+            argv = argv + ["--json", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "ConfigurationError" in err
         assert not out.exists()

@@ -1,0 +1,82 @@
+"""The parity claims as properties over drawn configurations.
+
+Chunking invariance: for any tracker, sampling rate, moving-average span,
+refractory interval, chunking and placement of non-finite samples, ``run``
+over the chunks gives the events of one ``run`` over the whole stream and
+of a ``step`` loop, and leaves the same state behind: the health counters
+(slips, vocoder holds, PLL resets) and everything else the next sample
+would read. The trackers are fed directly, because ``PreprocessChain``
+refuses non-finite samples.
+"""
+import math
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+from swphase.trackers import ALGORITHMS, TrackerConfig, make_tracker
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def chunked_streams(draw):
+    cfg = TrackerConfig(
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        sample_rate_hz=draw(st.floats(100.0, 600.0, exclude_min=True)),
+        maf_span=draw(st.integers(1, 400)),
+        refractory_s=draw(st.floats(0.01, 2.0)),
+        pv_trigger_on_nco=draw(st.booleans()))
+    n = draw(st.integers(0, 2500))
+    t = np.arange(n) / cfg.sample_rate_hz
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = (draw(st.floats(20.0, 120.0)) * np.sin(2 * math.pi * draw(st.floats(0.5, 2.0)) * t)
+         + 15.0 * rng.standard_normal(n))
+    # chunks of any length, down to empty and single samples, at the start
+    # and at the end of the stream
+    sizes = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, n)), max_size=8))
+    tail = draw(st.integers(0, 3))
+    bounds = sorted({min(b, n) for b in accumulate(sizes)} | {max(n - tail, 0)})
+    # non-finite samples anywhere, and on either side of a chunk boundary
+    edges = sorted({i for b in bounds for i in (b - 1, b) if 0 <= i < n})
+    if n:
+        anywhere = st.integers(0, n - 1)
+        where = st.one_of(anywhere, st.sampled_from(edges)) if edges else anywhere
+        for i in draw(st.lists(where, max_size=6)):
+            x[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return cfg, x, bounds
+
+
+def events_and_state(tracker, events):
+    """The events, and everything the tracker carries into its next sample:
+    counters, phase, moving averages and the AT's filter memory. Events are
+    compared by repr, which is exact for floats and lets the NaN amplitude
+    of a vocoder trigger on a non-finite sample equal itself."""
+    state = dict(vars(tracker))
+    if "_iso" in state:
+        state["_iso"] = list(tracker._iso._z)
+    return repr(events), state
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(chunked_streams())
+def test_chunked_run_equals_one_run_and_step_loop(case):
+    cfg, x, bounds = case
+    whole = make_tracker(cfg)
+    expected = events_and_state(whole, whole.run(x))
+
+    chunked = make_tracker(cfg)
+    events = []
+    for a, b in zip([0] + bounds, bounds + [len(x)]):
+        events += chunked.run(x[a:b])
+    assert events_and_state(chunked, events) == expected
+
+    stepped = make_tracker(cfg)
+    events = []
+    for v in x.tolist():
+        out = stepped.step(v)
+        ev = out[-1] if isinstance(out, tuple) else out
+        if ev is not None:
+            events.append(ev)
+    assert events_and_state(stepped, events) == expected

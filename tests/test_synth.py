@@ -11,6 +11,19 @@ from swphase.synth import SynthSpec, default_hypnogram, generate
 from conftest import FS
 
 
+def amplitude_class_split(spec):
+    """Expected (low, high) wave fractions under the stationary (uniform)
+    amplitude distribution of spec; low is p-p 20-60 uV, high > 60."""
+    plo, phi = spec.sw_pp_range_uv
+    width = phi - plo
+    if width == 0:
+        lo = 1.0 if 20.0 <= plo <= 60.0 else 0.0
+        return lo, (1.0 if plo > 60.0 else 0.0)
+    low = max(0.0, min(phi, 60.0) - max(plo, 20.0)) / width
+    high = max(0.0, phi - max(plo, 60.0)) / width
+    return low, high
+
+
 def stage_windows(rec, stage, band, window_s=4.0, agg=np.median):
     """Aggregate band power over whole 4 s windows lying inside the stage."""
     mask = rec.stage_mask((stage,))
@@ -138,7 +151,7 @@ class TestStageTextures:
 class TestSpecValidation:
     def test_amplitude_class_split_is_uniform_prediction(self):
         spec = SynthSpec()
-        low, high = spec.amplitude_class_split()
+        low, high = amplitude_class_split(spec)
         assert low == pytest.approx((60.0 - 20.0) / (120.0 - 20.0))
         assert low + high == pytest.approx(1.0)
 

@@ -5,10 +5,9 @@ import pytest
 
 from swphase.errors import ConfigurationError
 from swphase.trackers import (AmplitudeThresholdTracker, PllTracker,
-                              PvTracker, TrackerConfig, make_tracker,
-                              phase_crossed)
+                              PvTracker, TrackerConfig, make_tracker)
 
-from conftest import FS, sinusoid
+from conftest import FS, phase_crossed, sinusoid
 
 
 def signal_phase_deg(freq_hz, index, fs=FS, phase0=0.0):
