@@ -25,6 +25,10 @@ from .recording import epoch_samples
 from .synth import SynthSpec, default_hypnogram, generate
 from .trackers import ALGORITHMS, TrackerConfig
 
+# configuration keys that a command's own options or its input set
+_TRACKER_FIXED = ("algorithm", "sample_rate_hz")
+_SYNTH_FIXED = ("seed", "hypnogram")
+
 
 def _pairs(values) -> dict:
     out = {}
@@ -51,7 +55,7 @@ def cmd_simulate(args) -> int:
     else:
         hyp = default_hypnogram(args.cycles)
     spec = SynthSpec(hypnogram=hyp, seed=args.seed)
-    spec = apply_config(spec, _pairs(args.synth_set))
+    spec = apply_config(spec, _pairs(args.synth_set), _SYNTH_FIXED)
     out = generate(spec)
     write_recording(args.out, out.recording)
     if args.hypnogram_out:
@@ -67,8 +71,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     recording = read_recording(args.input)
-    cfg = apply_config(TrackerConfig(algorithm=args.algorithm), _pairs(args.set))
-    gate_cfg = apply_config(GateConfig(onoff_enabled=args.onoff), _pairs(args.gate_set))
+    cfg = apply_config(TrackerConfig(algorithm=args.algorithm), _pairs(args.set),
+                       _TRACKER_FIXED)
+    gate_cfg = apply_config(GateConfig(), _pairs(args.gate_set))
     session = run_session(recording, cfg, gate_cfg, streaming=args.streaming)
     provenance = {
         "input_sha256": hash_file(args.input),
@@ -193,8 +198,7 @@ def cmd_optimize(args) -> int:
     recordings = _load_corpus(args.inputs)
     if args.grid:
         grid = parse_grid(read_config(args.grid),
-                          TrackerConfig(algorithm=args.algorithm),
-                          fixed=("algorithm", "sample_rate_hz"))
+                          TrackerConfig(algorithm=args.algorithm), _TRACKER_FIXED)
     else:
         grid = default_grid(args.algorithm)
     gate_cfg = apply_config(GateConfig(), _pairs(args.gate_set))
@@ -280,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--algorithm", choices=ALGORITHMS, default="pv")
     trk.add_argument("--set", action="append", metavar="KEY=VALUE")
     trk.add_argument("--gate-set", action="append", metavar="KEY=VALUE")
-    trk.add_argument("--onoff", action="store_true",
-                     help="enable the 6 s ON / 6 s OFF protocol")
     trk.add_argument("--streaming", action="store_true",
                      help="per-sample reference path (slower, same output)")
     trk.set_defaults(func=cmd_track)

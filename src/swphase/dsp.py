@@ -27,12 +27,18 @@ MIN_FS = 2 * NOTCH_HZ       # exclusive: here the notch sits at Nyquist
 MAX_FS = 20000.0            # above any EEG amplifier; a gate window is 80,000 samples
 
 
+def _stable(a) -> bool:
+    """Every root of the feedback polynomial a lies inside the unit circle."""
+    return np.max(np.abs(np.roots(a)), initial=0.0) < 1.0
+
+
 def check_fs(fs: float):
     """Refuse a sampling rate at which the notch is not below Nyquist, and
     one above MAX_FS, where buffers sized by the rate (the gate window, its
     Hann taper) would outgrow memory whatever the input's length. NaN and
-    infinities are refused too."""
-    if not MIN_FS < fs <= MAX_FS:
+    infinities are refused too. Within about 3e-7 Hz of MIN_FS the notch's
+    poles round onto the unit circle, so there it counts as at Nyquist."""
+    if not (MIN_FS < fs <= MAX_FS and _stable(design_notch(fs)[1])):
         raise ConfigurationError(f"sampling rate {fs} Hz: fs must be above {MIN_FS:g} Hz, "
                                  f"twice the {NOTCH_HZ:g} Hz notch frequency, "
                                  f"and at most {MAX_FS:g} Hz")
@@ -67,7 +73,7 @@ def _section(b, a):
     if not len(a) or a[0] == 0:
         raise ConfigurationError("leading feedback coefficient must be nonzero")
     b, a = b / a[0], a / a[0]
-    if np.max(np.abs(np.roots(a)), initial=0.0) >= 1.0:
+    if not _stable(a):
         raise ConfigurationError("unstable filter: feedback root on or outside the unit circle")
     return np.pad(b, (0, 3 - len(b))), np.pad(a, (0, 3 - len(a)))
 

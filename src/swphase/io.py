@@ -380,13 +380,18 @@ def _coerce(value: str, like) -> object:
     return value
 
 
-def apply_config(base, overrides: dict):
-    """New dataclass instance with string overrides coerced per field."""
+def apply_config(base, overrides: dict, fixed=()):
+    """New dataclass instance with string overrides coerced per field. Keys
+    that ``base`` lacks, or that are ``fixed`` (the caller sets them some
+    other way), are refused."""
     fields = dict(base.__dict__)
     for key, raw in overrides.items():
         if key not in fields:
             raise ConfigurationError(
                 f"unknown configuration key {key!r} for {type(base).__name__}")
+        if key in fixed:
+            raise ConfigurationError(
+                f"{key!r} of {type(base).__name__} cannot be overridden here")
         try:
             fields[key] = _coerce(raw, fields[key])
         except ValueError:
@@ -396,15 +401,11 @@ def apply_config(base, overrides: dict):
 
 def parse_grid(raw: dict, base, fixed=()) -> dict:
     """{key: [values]} from {key: "v1,v2,..."}, each value coerced and
-    refused as ``apply_config`` does for an override of ``base``. Keys that
-    ``base`` lacks, or that are ``fixed``, are refused."""
+    refused as ``apply_config`` does for an override of ``base``."""
     grid = {}
     for key, text in raw.items():
-        if key not in base.__dict__ or key in fixed:
-            raise ConfigurationError(
-                f"{key!r} is not a grid parameter of {type(base).__name__}")
         vals = [v.strip() for v in text.split(",") if v.strip()]
-        grid[key] = [getattr(apply_config(base, {key: v}), key) for v in vals]
+        grid[key] = [getattr(apply_config(base, {key: v}, fixed), key) for v in vals]
     return grid
 
 

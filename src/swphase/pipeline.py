@@ -91,7 +91,7 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
                          code == DELIVERED, REASONS[code], on_window)
            for ev, code, on_window in zip(events, codes, on)]
     return SessionResult(log, window_flags, cfg, gate_config, fs,
-                         slip_count=getattr(tracker, "slip_count", 0))
+                         slip_count=tracker.slip_count)
 
 
 def logged_session(recording: EegRecording, log: list, tracker_config: TrackerConfig,
@@ -123,7 +123,7 @@ def _run_streaming(recording, cfg, gate_config):
                                      on_window_at(ev.time_s, gate_config)))
         gate_step(y)
     return SessionResult(log, list(gate.window_log), cfg, gate_config, fs,
-                         slip_count=getattr(tracker, "slip_count", 0))
+                         slip_count=tracker.slip_count)
 
 
 def tracker_phase_stream(preprocessed: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
@@ -132,14 +132,14 @@ def tracker_phase_stream(preprocessed: np.ndarray, cfg: TrackerConfig) -> np.nda
     Used by the optimizer to factor the parameter grid: the stream depends
     on the loop dynamics but not on the trigger target, so crossings for
     many targets can be derived from one pass. The tracker's kernel makes
-    the stream, and its health counters (slips, holds, resets) are set as a
-    step() loop would leave them.
+    the stream, and its health counters (slip, hold and reset counts) are
+    set as a step() loop would leave them.
     """
     if cfg.algorithm not in ("pll", "pv"):
         raise ConfigurationError("phase streams exist for pll and pv only")
     tracker = (PllTracker if cfg.algorithm == "pll" else PvTracker)(cfg)
-    stream, resets = tracker.phase_stream(preprocessed)
-    _, tracker.slip_count = forward_arcs(stream, 0.0, resets)
+    stream = tracker.phase_stream(preprocessed)
+    _, tracker.slip_count = forward_arcs(stream, 0.0, preprocessed)
     return stream
 
 
@@ -152,8 +152,8 @@ def candidates_from_phase_stream(stream_deg: np.ndarray, target_deg: float,
     the target, then the refractory filter. Sample 0 is judged from 0 deg,
     the trackers' estimate before the first sample. ``arcs`` is
     ``forward_arcs(stream_deg)[0]``, for callers that scan one stream for
-    many targets. A bare stream does not mark PLL reset samples, which
-    need a non-finite loop state; finite EEG input does not produce one.
+    many targets. A bare stream carries no input, so no sample is judged
+    non-finite; the preprocessed EEG it comes from is finite.
     """
     if arcs is None:
         arcs, _ = forward_arcs(stream_deg)

@@ -9,7 +9,10 @@ Three algorithms over the common preprocessed stream:
   tracking instantaneous frequency and phase.
 
 All trackers enforce the same refractory spacing between triggers and are
-strictly causal: ``step`` consumes one sample and never looks ahead.
+strictly causal: ``step`` consumes one sample and never looks ahead. A
+sample whose input is not finite (a dropout the device could not measure)
+is never a slip and never a trigger; each tracker then restarts the state
+the sample would poison (AT filter, PLL loop, PV moving averages).
 
 ``run`` is the batch path and yields exactly the events of a ``step`` loop.
 The PLL and PV write their recurrence once, as a loop over a sequence of
@@ -27,7 +30,7 @@ events. The optimizer reuses the same kernels and scan through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import atan2, cos, fmod, hypot, isfinite, pi, sin
 from typing import Optional
 
@@ -43,7 +46,7 @@ PV_EPSILON_UV = 0.1          # below this demodulated magnitude the angle is noi
 DEFAULT_REFRACTORY_S = 0.25  # 4 Hz stimulation ceiling
 BLOCK_SAMPLES = 1 << 16      # samples per kernel block held as Python floats
 NEVER = -(1 << 60)           # last-trigger index before the first trigger
-NO_ARC = -1.0                # arc of a slip or reset sample: no target hits it
+NO_ARC = -1.0                # arc of a slip or non-finite sample: no target hits it
 
 ALGORITHMS = ("at", "pll", "pv")
 
@@ -120,13 +123,14 @@ def _mod360(v):
     return np.add(v, 360.0, out=v, where=v < 0.0)
 
 
-def forward_arcs(stream_deg, prev_deg: float = 0.0, resets=()):
+def forward_arcs(stream_deg, prev_deg: float = 0.0, x=None):
     """Forward arc (deg) into each sample of a phase stream, and the slip count.
 
     The arc into sample i runs from the previous estimate (``prev_deg`` for
-    i = 0) to sample i, modulo 360. An arc of 180 deg or more is a slip. A
-    PLL reset sample is judged from 0 deg to its own 0 deg, so it is never
-    a slip. Slips and resets come back as NO_ARC, which no target can hit.
+    i = 0) to sample i, modulo 360. An arc of 180 deg or more is a slip.
+    ``x`` is the input that made the stream: a sample whose input is not
+    finite is never a slip. Slips and non-finite samples come back as
+    NO_ARC, which no target can hit.
     """
     p = np.asarray(stream_deg, dtype=float)
     arcs = np.empty_like(p)
@@ -134,11 +138,10 @@ def forward_arcs(stream_deg, prev_deg: float = 0.0, resets=()):
         arcs[0] = p[0] - prev_deg
         np.subtract(p[1:], p[:-1], out=arcs[1:])
         _mod360(arcs)
-    resets = np.asarray(resets, dtype=np.intp)
+    if x is not None:
+        arcs[~np.isfinite(x)] = NO_ARC
     slip = arcs >= 180.0
-    slip[resets] = False
     arcs[slip] = NO_ARC
-    arcs[resets] = NO_ARC
     return arcs, int(np.count_nonzero(slip))
 
 
@@ -276,13 +279,11 @@ class _PhaseTracker(_TrackerBase):
     A subclass writes its recurrence once, as ``_advance``: it takes a
     sequence of samples, runs the loop with the state held on the tracker
     (read at entry, written back at exit) and returns the estimates in
-    radians. The PLL appends the position of each reset sample within the
-    sequence to ``_resets``, which the caller empties; a list kept on the
-    tracker rather than a second return value, so that a one-sample call
-    allocates nothing for it. ``step`` feeds it one sample and applies the
-    crossing test to the result; ``phase_stream`` feeds it blocks of
-    ``BLOCK_SAMPLES``, and ``run`` scans each block with ``forward_arcs``
-    and ``phase_hits`` from the estimate before the block.
+    radians. ``step`` feeds it one sample and applies the crossing test to
+    the result; ``phase_stream`` feeds it blocks of ``BLOCK_SAMPLES``, and
+    ``run`` scans each block with ``forward_arcs`` and ``phase_hits`` from
+    the estimate before the block. A sample whose input is not finite is
+    never a slip and never a crossing, whatever the recurrence made of it.
     """
 
     _reports_freq = False   # step also returns the tracked frequency (PV)
@@ -290,27 +291,19 @@ class _PhaseTracker(_TrackerBase):
     def __init__(self, config: TrackerConfig):
         super().__init__(config)
         self._prev_est = 0.0   # last estimate (deg) the crossing test saw
-        self._resets = []      # reset positions in the last _advance input
 
     def step(self, x: float):
         """Advance one sample; returns (phase_estimate_deg, event or None),
-        and for the vocoder (phase_estimate_deg, freq_hz, event or None).
-
-        A reset sample is judged from 0 deg to its own 0 deg, so it is
-        neither a slip nor a crossing.
-        """
+        and for the vocoder (phase_estimate_deg, freq_hz, event or None)."""
         est = math.degrees(self._advance((x,))[0])
-        if self._resets:
-            self._resets.clear()
-            prev = 0.0
-        else:
-            prev = self._prev_est
+        prev = self._prev_est
         self._prev_est = est
         event = None
         arc = (est - prev) % 360.0
         if arc >= 180.0:
-            self.slip_count += 1
-        elif 0.0 < (self._target - prev) % 360.0 <= arc:
+            if isfinite(x):
+                self.slip_count += 1
+        elif 0.0 < (self._target - prev) % 360.0 <= arc and isfinite(x):
             event = self._emit(est, x)
         self._n += 1
         if self._reports_freq:
@@ -318,23 +311,16 @@ class _PhaseTracker(_TrackerBase):
         return est, event
 
     def phase_stream(self, x):
-        """Advance the tracker over x without trigger logic.
-
-        Returns the per-sample phase estimate in degrees, as ``step``
-        reports it, and the indices of the samples where a non-finite state
-        reset the loop (the vocoder holds instead, so it never resets).
-        """
+        """Advance the tracker over x without trigger logic; returns the
+        per-sample phase estimate in degrees, as ``step`` reports it."""
         x = np.asarray(x, dtype=float)
         out = np.empty(len(x))
-        resets = []
         for a in range(0, len(x), BLOCK_SAMPLES):
             out[a:a + BLOCK_SAMPLES] = self._advance(x[a:a + BLOCK_SAMPLES].tolist())
-            resets += [a + i for i in self._resets]
-            self._resets.clear()
         np.degrees(out, out=out)
         if len(out):
             self._prev_est = float(out[-1])
-        return out, np.asarray(resets, dtype=np.intp)
+        return out
 
     def _run_blocks(self, x) -> list:
         x = np.asarray(x, dtype=float)
@@ -342,8 +328,8 @@ class _PhaseTracker(_TrackerBase):
         for a in range(0, len(x), BLOCK_SAMPLES):
             xb = x[a:a + BLOCK_SAMPLES]
             prev = self._prev_est
-            stream, resets = self.phase_stream(xb)
-            arcs, slips = forward_arcs(stream, prev, resets)
+            stream = self.phase_stream(xb)
+            arcs, slips = forward_arcs(stream, prev, xb)
             self.slip_count += slips
             hits = phase_hits(stream, arcs, self._target, prev)
             events += self._events(hits, xb, stream)
@@ -358,7 +344,8 @@ class PllTracker(_PhaseTracker):
     same correction. Triggers fire when wrapped theta crosses the target
     phase. The error has no extra low-pass; ripple at twice the input
     frequency is inherent and the loop gain bounds it. A non-finite state
-    (from a NaN or infinite sample) resets theta and the correction to 0.
+    (from a NaN or infinite sample, or from overflow) sets theta and the
+    correction back to 0. A reset on a finite sample is judged like any other.
     """
 
     def __init__(self, config: TrackerConfig):
@@ -379,7 +366,6 @@ class PllTracker(_PhaseTracker):
             theta = (theta + omega_dt - k * e) % TAU
             if not (isfinite(theta) and isfinite(phi_p)):
                 theta = phi_p = 0.0
-                self._resets.append(len(thetas))
                 self.reset_count += 1
             thetas.append(theta)
         self.theta = theta

@@ -400,8 +400,16 @@ class TestExitCodes:
         ("simulate", ["--synth-set", "sw_pp_range_uv=20,120,3"]),
         ("simulate", ["--seed", "-1"]),
         ("optimize", ["k_pv = 1, nan"]),
+        # keys a command's own options or its input set
+        ("track", ["--algorithm", "pv", "--set", "algorithm=at"]),
+        ("track", ["--set", "sample_rate_hz=500"]),
+        ("simulate", ["--seed", "1", "--synth-set", "seed=5"]),
+        ("simulate", ["--synth-set", "hypnogram=N2,N3"]),
+        ("optimize", ["sample_rate_hz = 250"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_override_is_2(self, corpus, tmp_path, capsys, command, extra):
+        key = (extra[-1].partition("=")[0].strip() if "=" in extra[-1]
+               else extra[-2].lstrip("-"))
         out = tmp_path / "out"
         if command == "optimize":
             grid = tmp_path / "grid.txt"
@@ -416,6 +424,7 @@ class TestExitCodes:
         assert main(argv + extra) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "ConfigurationError" in err
+        assert key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -241,6 +241,13 @@ class TestPreprocessChain:
             PreprocessChain(100.0)
         PreprocessChain(101.0)
 
+    @pytest.mark.parametrize("fs", [100.000000001, 100.0000001])
+    def test_fs_whose_notch_rounds_onto_nyquist_rejected(self, fs):
+        # the notch's poles round onto the unit circle: refused as a rate,
+        # never as an unstable filter
+        with pytest.raises(ConfigurationError, match="twice the 50 Hz notch"):
+            PreprocessChain(fs)
+
     def test_chunked_run_equals_one_run_and_step_loop_bitwise(self):
         rng = np.random.default_rng(9)
         x = 40.0 * rng.standard_normal(6000)

@@ -286,6 +286,19 @@ class TestPv:
                                          pv_trigger_on_nco=True)).run(x)
         assert [e.sample_index for e in corrected] != [e.sample_index for e in raw]
 
+    @pytest.mark.parametrize("on_nco", [False, True])
+    def test_nonfinite_sample_never_triggers(self, on_nco):
+        # sample 4281 triggers on the clean tone in both modes; as a dropout
+        # the oscillator still turns through the target there
+        cfg = TrackerConfig(algorithm="pv", pv_trigger_on_nco=on_nco)
+        x = sinusoid(1.0, 50.0, 20.0)
+        assert 4281 in [e.sample_index for e in make_tracker(cfg).run(x)]
+        x[4281] = math.nan
+        batch_tracker, stepped_tracker = make_tracker(cfg), make_tracker(cfg)
+        for events in (batch_tracker.run(x), run_stepwise(stepped_tracker, x)):
+            assert 4281 not in [e.sample_index for e in events]
+        assert batch_tracker.slip_count == stepped_tracker.slip_count
+
 
 class TestMidBandDynamics:
     """Interval behavior on a 1.5 Hz / 25 uV tone: the vocoder follows the
