@@ -97,6 +97,7 @@ def _logged_configs(path, provenance, log, fs):
     try:
         cfg = parse_config_echo(provenance.get("tracker_config"), base)
         gate_cfg = parse_config_echo(provenance.get("gate_config"), GateConfig())
+        gate_cfg.window_samples(fs)
     except ConfigurationError as exc:
         raise FileFormatError(f"{path}: unreadable provenance: {exc}") from None
     if cfg.sample_rate_hz != fs:

@@ -1,14 +1,14 @@
 """Causal streaming filters and windowed band power.
 
 Every IIR filter is an ``IirFilter``: a cascade of sections of at most
-second order that all run one recurrence. ``step`` runs it for one sample
-and ``run`` is ``scipy.signal.lfilter`` per section with carried state; the
-two are bit-identical.
+second order, each with its own state, that all run one recurrence. ``step``
+runs it for one sample and ``run`` is ``lfilter`` per section with carried
+state; the two are bit-identical and refuse non-finite samples.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 from scipy import signal
@@ -82,50 +82,52 @@ class IirFilter:
     """Cascade of IIR sections: ``IirFilter((b1, a1), (b2, a2), ...)``.
 
     Each (b, a) section, of at most second order, runs in direct form II
-    transposed with two state values. A first-order section is padded with
-    zero b2 and a2, so all sections run the same recurrence, the one
+    transposed on its own two state values. A first-order section is padded
+    with zero b2 and a2, so all sections run the same recurrence, the one
     ``lfilter`` runs: ``step`` and ``run`` agree bit for bit, for any
     chunking. Against an unpadded first-order recurrence the outputs agree
     in value, and in bits except that a zero output can change sign once the
     section's state has decayed to zeros and denormals (+0 + -0 is +0).
+    A non-finite sample raises StreamIntegrityError and touches no state.
     """
 
     def __init__(self, *sections):
         self.sections = [_section(b, a) for b, a in sections]
-        # plain floats keep step() cheap: (b0, b1, b2, a1, a2) per section
-        self._coefs = [(*b.tolist(), *a[1:].tolist()) for b, a in self.sections]
-        self._z = [0.0] * (2 * len(self.sections))
+        # per section: plain-float (b0, b1, b2, a1, a2) for a cheap step(), state [z0, z1]
+        self._steps = [((*b.tolist(), *a[1:].tolist()), [0.0, 0.0])
+                       for b, a in self.sections]
 
     def reset(self):
-        self._z = [0.0] * len(self._z)
+        for _, z in self._steps:
+            z[:] = 0.0, 0.0
 
     def step(self, x: float) -> float:
-        z = self._z
-        j = 0
-        for b0, b1, b2, a1, a2 in self._coefs:
-            y = b0 * x + z[j]
-            z[j] = z[j + 1] + x * b1 - y * a1
-            z[j + 1] = x * b2 - y * a2
+        if not isfinite(x):
+            raise StreamIntegrityError(f"non-finite sample {x!r}")
+        for (b0, b1, b2, a1, a2), z in self._steps:
+            y = b0 * x + z[0]
+            z[0] = z[1] + x * b1 - y * a1
+            z[1] = x * b2 - y * a2
             x = y
-            j += 2
         return x
 
     def run(self, x: np.ndarray) -> np.ndarray:
         y = np.asarray(x, dtype=float)
+        if not np.isfinite(y).all():
+            raise StreamIntegrityError(f"non-finite sample at index {np.isfinite(y).argmin()}")
         if not len(y):   # lfilter would return a bogus state for no input
             return y
-        z = self._z
-        for j, (b, a) in zip(range(0, len(z), 2), self.sections):
-            y, zf = signal.lfilter(b, a, y, zi=z[j:j + 2])
-            z[j:j + 2] = zf.tolist()
+        for (b, a), (_, z) in zip(self.sections, self._steps):
+            y, zf = signal.lfilter(b, a, y, zi=z)
+            z[:] = zf.tolist()
         return y
 
 
 class PreprocessChain(IirFilter):
     """The common front end: notch(50 Hz) -> high-pass(0.1 Hz) -> low-pass(30 Hz).
 
-    Causal, one output sample per input sample. Non-finite input raises
-    StreamIntegrityError rather than poisoning downstream state.
+    Causal, one output sample per input sample. Like any ``IirFilter`` it
+    refuses non-finite input rather than poisoning downstream state.
     """
 
     def __init__(self, fs: float = REFERENCE_FS):
@@ -133,16 +135,8 @@ class PreprocessChain(IirFilter):
         super().__init__(design_notch(fs), design_highpass(fs), design_lowpass(fs))
         self.fs = fs
 
-    def step(self, x: float) -> float:
-        if not math.isfinite(x):
-            raise StreamIntegrityError(f"non-finite sample {x!r}")
-        return IirFilter.step(self, x)
-
     def run(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise StreamIntegrityError(f"non-finite sample at index {bad}")
+        """The chain's batch entry point: the cascade's ``run``."""
         return IirFilter.run(self, x)
 
 
@@ -163,10 +157,16 @@ def band_powers(windows, fs: float, bands) -> np.ndarray:
     n = x.shape[-1]
     w = np.hanning(n)
     spectrum = np.abs(np.fft.rfft(x * w)) ** 2
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
     scale = 2.0 / (n * np.sum(w * w))
-    return np.stack([spectrum[..., freqs.searchsorted(lo):freqs.searchsorted(hi, "right")]
-                     .sum(axis=-1) * scale for lo, hi in bands], axis=-1)
+    return np.stack([spectrum[..., bins].sum(axis=-1) * scale
+                     for bins in band_bins(n, fs, bands)], axis=-1)
+
+
+def band_bins(n: int, fs: float, bands) -> list:
+    """Slice of an n-sample window's rfft bins in each band (Hz, edges inclusive)."""
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    return [slice(freqs.searchsorted(lo), freqs.searchsorted(hi, "right"))
+            for lo, hi in bands]
 
 
 def band_power(window, fs: float, band: tuple) -> BandPower:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsp import PreprocessChain, band_powers
+from .dsp import PreprocessChain, band_bins, band_powers, check_fs
 from .errors import ConfigurationError, check_finite, check_positive
 from .recording import EegRecording
 
@@ -87,10 +87,13 @@ class GateConfig:
         return int(round(self.nrem_history_s / self.window_step_s))
 
     def window_samples(self, fs: float) -> int:
+        """Samples per window at fs, refused if a gate band gets no frequency bin."""
+        check_fs(fs)
         n = int(round(self.window_step_s * fs))
-        if n < 1:
-            raise ConfigurationError(f"window_step_s {self.window_step_s!r} is shorter "
-                                     f"than one sample at {fs:g} Hz")
+        for (lo, hi), bins in zip(GATE_BANDS_HZ, band_bins(max(n, 1), fs, GATE_BANDS_HZ)):
+            if bins.start == bins.stop:   # its power would read 0 in every window
+                raise ConfigurationError(f"window_step_s {self.window_step_s!r} at {fs:g} Hz: "
+                                         f"no frequency bin in the {lo:g}-{hi:g} Hz band")
         return n
 
 
@@ -172,18 +175,17 @@ def on_window_at(time_s, config: GateConfig):
 class StimulationGate:
     """Streaming gate: feed every preprocessed sample, ask for decisions.
 
-    Flags update on 4 s window boundaries and apply to all samples until the
-    next boundary, so a candidate is always judged by already-complete
-    windows (causal). Until the first 80 s of history exist the nrem flag
-    stays False and everything is suppressed.
+    Samples gather in a list; each complete 4 s window updates the flags,
+    which govern the samples up to the next boundary, so a candidate is
+    judged by complete windows only (causal). Until 80 s of history exist
+    the nrem flag stays False and everything is suppressed.
     """
 
     def __init__(self, config: GateConfig, fs: float):
         self.config = config
         self.fs = fs
         self._window_n = config.window_samples(fs)
-        self._buf = np.empty(self._window_n)
-        self._fill = 0
+        self._buf = []
         self._history = deque(maxlen=config.history_windows)
         self._flags = CLOSED
         self.window_log = []   # GateFlags per completed window
@@ -193,14 +195,13 @@ class StimulationGate:
         return self._flags
 
     def step(self, x: float) -> GateFlags:
-        self._buf[self._fill] = x
-        self._fill += 1
-        if self._fill == self._window_n:
+        self._buf.append(x)
+        if len(self._buf) == self._window_n:
             self._history.append(band_powers(self._buf, self.fs, GATE_BANDS_HZ))
             flags = window_rule(np.array(self._history), self.config)[-1]
             self._flags = GateFlags._make(flags.tolist())
             self.window_log.append(self._flags)
-            self._fill = 0
+            self._buf.clear()
         return self._flags
 
     def decide(self, time_s: float):

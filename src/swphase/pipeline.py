@@ -76,14 +76,13 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
     if streaming:
         return _run_streaming(recording, cfg, gate_config)
 
-    chain = PreprocessChain(fs)
-    y = chain.run(recording.samples)
+    window_n = gate_config.window_samples(fs)   # refused before any tracker work
+    y = PreprocessChain(fs).run(recording.samples)
     tracker = make_tracker(cfg)
     events = tracker.run(y)
     window_flags = gate_flags_batch(y, fs, gate_config)
     times = np.array([ev.time_s for ev in events], dtype=float)
-    reasons = in_window(window_reasons(window_flags), trigger_samples(events),
-                        gate_config.window_samples(fs))
+    reasons = in_window(window_reasons(window_flags), trigger_samples(events), window_n)
     codes = candidate_reasons(reasons, times, gate_config).tolist()
     on = on_window_at(times, gate_config).tolist()
     log = [LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,

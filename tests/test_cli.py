@@ -393,6 +393,10 @@ class TestExitCodes:
         ("track", ["--gate-set", "nrem_history_s=inf"]),
         ("track", ["--gate-set", "swa_threshold_uv2=nan"]),
         ("track", ["--streaming", "--gate-set", "nrem_history_s=1e300"]),
+        # a window in which the 0.5-2 Hz gate band holds no frequency bin
+        ("track", ["--gate-set", "window_step_s=0.4"]),
+        ("track", ["--streaming", "--gate-set", "window_step_s=0.4"]),
+        ("optimize", ["--gate-set", "window_step_s=0.4"]),
         ("simulate", ["--synth-set", "spindle_rate_per_min=inf"]),
         ("simulate", ["--synth-set", "spindle_rate_per_min=1e300"]),
         ("simulate", ["--synth-set", "pink_noise_rms_uv=nan"]),
@@ -411,7 +415,7 @@ class TestExitCodes:
         key = (extra[-1].partition("=")[0].strip() if "=" in extra[-1]
                else extra[-2].lstrip("-"))
         out = tmp_path / "out"
-        if command == "optimize":
+        if command == "optimize" and not extra[0].startswith("--"):
             grid = tmp_path / "grid.txt"
             grid.write_text(extra[0] + "\n")
             extra = ["--grid", str(grid)]
@@ -459,6 +463,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "sample_rate_hz 500 is not the recording's 250 Hz" in err
+
+    def test_echoed_gate_window_without_a_band_bin_is_3(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "window.trig.csv"
+        bad.write_text((corpus / "r0.trig.csv").read_text().replace(
+            "window_step_s=4.0", "window_step_s=0.4"))
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--input", str(corpus / "r0.swp"), "--triggers",
+                     str(bad), "--hypnogram", str(corpus / "r0.hyp.csv"),
+                     "--json", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "window_step_s 0.4 at 250 Hz: no frequency bin in the 0.5-2 Hz band" in err
+        assert not report.exists()
 
     def test_echoed_algorithm_other_than_the_rows_is_3(self, corpus, tmp_path, capsys):
         bad = tmp_path / "algo.trig.csv"

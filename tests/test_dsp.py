@@ -188,6 +188,23 @@ class TestIirFilter:
         f.reset()
         assert f.step(1.0) == first
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sample_refused_before_it_touches_the_state(self, bad):
+        # a bare cascade, not the preprocessing chain
+        sections = (design_sw_isolation(FS), design_notch(FS))
+        x = sinusoid(1.0, 40.0, 1.0).tolist()
+        clean, refusing = IirFilter(*sections), IirFilter(*sections)
+        for v in x[:100]:
+            clean.step(v)
+            refusing.step(v)
+        with pytest.raises(StreamIntegrityError, match="non-finite sample"):
+            refusing.step(bad)
+        with pytest.raises(StreamIntegrityError, match="at index 3"):
+            refusing.run(x[100:103] + [bad])
+        # the next finite sample sees the state the bad one never reached
+        assert refusing.step(x[100]) == clean.step(x[100])
+        assert refusing.run(x[101:]).tobytes() == clean.run(x[101:]).tobytes()
+
 
 class TestPreprocessChain:
     def test_empirical_gain_matches_analytic_response(self):

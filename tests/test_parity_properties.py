@@ -1,5 +1,10 @@
 """The parity claims as properties over drawn configurations.
 
+Cascade step == run: for any cascade of stable first- and second-order
+sections, input and chunking, a ``step`` loop, a chunked ``run`` and one
+``run`` give the same output bits and leave every section in the same
+state.
+
 Chunking invariance: for any tracker, sampling rate, moving-average span,
 refractory interval, chunking and placement of non-finite samples, ``run``
 over the chunks gives the events of one ``run`` over the whole stream and
@@ -19,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from swphase.dsp import PreprocessChain, check_fs
+from swphase.dsp import IirFilter, PreprocessChain, check_fs
 from swphase.errors import ConfigurationError
 from swphase.gate import GateConfig, window_powers
 from swphase.pipeline import run_session
@@ -28,6 +33,63 @@ from swphase.trackers import ALGORITHMS, TrackerConfig, make_tracker
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def chunk_bounds(draw, n):
+    """Chunk bounds for an n-sample stream: chunks of any length, down to
+    empty and single samples, at the start and at the end of the stream."""
+    sizes = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, n)), max_size=8))
+    tail = draw(st.integers(0, 3))
+    return sorted({min(b, n) for b in accumulate(sizes)} | {max(n - tail, 0)})
+
+
+def chunks(x, bounds):
+    return [x[a:b] for a, b in zip([0] + bounds, bounds + [len(x)])]
+
+
+@st.composite
+def stable_sections(draw):
+    """A (b, a) section of order 1 or 2, its poles within |z| <= 0.95, its
+    a[0] not always 1."""
+    order = draw(st.integers(1, 2))
+    radius = st.floats(-0.95, 0.95)
+    if order == 1:
+        a = [1.0, -draw(radius)]
+    elif draw(st.booleans()):   # a complex pair r exp(+-i theta)
+        r, theta = abs(draw(radius)), draw(st.floats(0.0, math.pi))
+        a = [1.0, -2.0 * r * math.cos(theta), r * r]
+    else:                       # two real poles
+        p, q = draw(radius), draw(radius)
+        a = [1.0, -(p + q), p * q]
+    b = draw(st.lists(st.floats(-2.0, 2.0), min_size=order + 1, max_size=order + 1))
+    a0 = draw(st.floats(0.5, 2.0))
+    return [v * a0 for v in b], [v * a0 for v in a]
+
+
+@st.composite
+def chunked_cascades(draw):
+    sections = draw(st.lists(stable_sections(), min_size=1, max_size=3))
+    x = np.array(draw(st.lists(st.floats(-1e3, 1e3), max_size=300)), dtype=float)
+    return sections, x, chunk_bounds(draw, len(x))
+
+
+def cascade_state(f):
+    return np.array([z for _, z in f._steps]).tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(chunked_cascades())
+def test_cascade_step_loop_chunked_run_and_one_run_agree_bitwise(case):
+    sections, x, bounds = case
+    whole = IirFilter(*sections)
+    want = whole.run(x)
+    chunked = IirFilter(*sections)
+    got = np.concatenate([chunked.run(c) for c in chunks(x, bounds)])
+    stepped = IirFilter(*sections)
+    looped = np.array([stepped.step(v) for v in x.tolist()], dtype=float)
+    for out, f in ((got, chunked), (looped, stepped)):
+        assert out.tobytes() == want.tobytes()
+        assert cascade_state(f) == cascade_state(whole)
 
 
 @st.composite
@@ -43,11 +105,7 @@ def chunked_streams(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     x = (draw(st.floats(20.0, 120.0)) * np.sin(2 * math.pi * draw(st.floats(0.5, 2.0)) * t)
          + 15.0 * rng.standard_normal(n))
-    # chunks of any length, down to empty and single samples, at the start
-    # and at the end of the stream
-    sizes = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, n)), max_size=8))
-    tail = draw(st.integers(0, 3))
-    bounds = sorted({min(b, n) for b in accumulate(sizes)} | {max(n - tail, 0)})
+    bounds = chunk_bounds(draw, n)
     # non-finite samples anywhere, and on either side of a chunk boundary
     edges = sorted({i for b in bounds for i in (b - 1, b) if 0 <= i < n})
     if n:
@@ -63,7 +121,7 @@ def events_and_state(tracker, events):
     counters, phase, moving averages and the AT's filter memory."""
     state = dict(vars(tracker))
     if "_iso" in state:
-        state["_iso"] = list(tracker._iso._z)
+        state["_iso"] = [list(z) for _, z in tracker._iso._steps]
     return events, state
 
 
@@ -77,8 +135,8 @@ def test_chunked_run_equals_one_run_and_step_loop(case):
 
     chunked = make_tracker(cfg)
     events = []
-    for a, b in zip([0] + bounds, bounds + [len(x)]):
-        events += chunked.run(x[a:b])
+    for c in chunks(x, bounds):
+        events += chunked.run(c)
     assert events_and_state(chunked, events) == expected
 
     stepped = make_tracker(cfg)
@@ -91,18 +149,25 @@ def test_chunked_run_equals_one_run_and_step_loop(case):
     assert events_and_state(stepped, events) == expected
 
 
-def accepted_rate(fs):
+def accepted(check, *args):
     try:
-        check_fs(fs)
+        check(*args)
     except ConfigurationError:
         return False
     return True
 
 
+def accepted_window(window_s, fs):
+    gate = GateConfig(window_step_s=window_s, nrem_history_s=window_s)
+    return accepted(gate.window_samples, fs)
+
+
 @st.composite
 def gated_sessions(draw):
-    fs = draw(st.floats(100.0, 400.0, exclude_min=True).filter(accepted_rate))
-    window_s = draw(st.floats(0.5, 4.0))
+    fs = draw(st.floats(100.0, 400.0, exclude_min=True)
+              .filter(lambda fs: accepted(check_fs, fs)))
+    # a window in which a gate band holds no frequency bin is refused
+    window_s = draw(st.floats(0.5, 4.0).filter(lambda w: accepted_window(w, fs)))
     history = draw(st.integers(1, 4))
     cfg = TrackerConfig(
         algorithm=draw(st.sampled_from(ALGORITHMS)),
@@ -117,8 +182,7 @@ def gated_sessions(draw):
     x = (draw(st.floats(20.0, 120.0)) * np.sin(2 * math.pi * draw(st.floats(0.5, 2.0)) * t)
          + draw(st.floats(1.0, 20.0)) * rng.standard_normal(n))
     # thresholds drawn around the signal's own median window powers, so
-    # that windows pass and fail each condition (a band that holds no bin
-    # of a short window has power 0)
+    # that windows pass and fail each condition
     powers = window_powers(PreprocessChain(fs).run(x), fs, int(round(window_s * fs)))
     low, mid, high_beta, swa, beta = np.maximum(np.median(powers, axis=0), 1e-3)
     above, below = st.floats(0.05, 1.0), st.floats(1.0, 8.0)
