@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .dsp import BandPower, IirFilter, PreprocessChain, band_power
+from .dsp import IirFilter, PreprocessChain
 from .errors import (ConfigurationError, FileFormatError,
                      RecordingTooShortError, StreamIntegrityError,
                      SwphaseError, TimerResolutionError,
@@ -10,8 +10,7 @@ from .errors import (ConfigurationError, FileFormatError,
 from .gate import GateConfig, GateFlags, StimulationGate, calibrate_gate
 from .metrics import (CircularSummary, IntervalReport, PasReport, SlowWave,
                       TargetingReport, circular_mean_sd, cmae45, detect_waves,
-                      pas, phase_histogram, targeting_capacity,
-                      trigger_intervals)
+                      pas, targeting_capacity, trigger_intervals)
 from .oracle import (PhaseTrack, compute_phase_track, hilbert_phase,
                      phase_at_triggers, zero_phase_bandpass)
 from .optimize import (CvOutcome, ObjectiveTally, euclidean_distance,
@@ -25,19 +24,18 @@ from .trackers import (AmplitudeThresholdTracker, PllTracker, PvTracker,
                        TrackerConfig, TriggerEvent, make_tracker)
 
 __all__ = [
-    "AmplitudeThresholdTracker", "BandPower", "CircularSummary",
-    "ConfigurationError", "CvOutcome", "EegRecording", "FileFormatError",
-    "GateConfig", "GateFlags", "IirFilter", "IntervalReport", "LoggedTrigger",
-    "MetricsReport", "ObjectiveTally", "PasReport", "PhaseTrack", "PllTracker",
+    "AmplitudeThresholdTracker", "CircularSummary", "ConfigurationError",
+    "CvOutcome", "EegRecording", "FileFormatError", "GateConfig", "GateFlags",
+    "IirFilter", "IntervalReport", "LoggedTrigger", "MetricsReport",
+    "ObjectiveTally", "PasReport", "PhaseTrack", "PllTracker",
     "PreprocessChain", "PvTracker", "RecordingTooShortError", "SessionResult",
     "SlowWave", "StimulationGate", "StreamIntegrityError", "SwphaseError",
     "SynthOutput", "SynthSpec", "TargetingReport", "TimerResolutionError",
-    "TrackerConfig", "TriggerEvent", "UndefinedStatisticError", "band_power",
+    "TrackerConfig", "TriggerEvent", "UndefinedStatisticError",
     "calibrate_gate", "circular_mean_sd", "cmae45", "compute_phase_track",
     "default_hypnogram", "detect_waves", "euclidean_distance",
     "evaluate_session", "generate", "grid_search_cv", "hilbert_phase",
     "kfold_split", "make_pipeline_evaluator", "make_tracker",
-    "objectives_from_tally", "pas", "phase_at_triggers", "phase_histogram",
-    "run_session", "targeting_capacity", "trigger_intervals",
-    "zero_phase_bandpass",
+    "objectives_from_tally", "pas", "phase_at_triggers", "run_session",
+    "targeting_capacity", "trigger_intervals", "zero_phase_bandpass",
 ]

@@ -32,10 +32,10 @@ from .gate import GateConfig, StimulationGate
 from .trackers import TrackerConfig, make_tracker
 
 MAX_TIMER_RESOLUTION_S = 1e-6
-DEFAULT_WARMUP_SAMPLES = 2000
+WARMUP_SAMPLES = 2000        # untimed lead of every stage
 DEFAULT_REPS = 5
 MAX_REPS = 1000              # a minute or two of timing
-DEFAULT_CHUNK_SAMPLES = 4000
+CHUNK_SAMPLES = 4000         # timed samples of every stage, per repetition
 SLICE_SAMPLES = 250          # streams take turns at this granularity
 PRIME_SAMPLES = 100          # untimed lead of each slice, run by a twin stage
 SWEEP_FS = (125.0, 250.0, 500.0)
@@ -178,20 +178,15 @@ def _test_signal(fs: float, n: int, seed: int = 7):
     return x.tolist()
 
 
-def measure_pipeline_cost(fs: float = 250.0,
-                          warmup_samples: int = DEFAULT_WARMUP_SAMPLES,
-                          reps: int = DEFAULT_REPS,
-                          chunk_samples: int = DEFAULT_CHUNK_SAMPLES) -> CostReport:
+def measure_pipeline_cost(fs: float = 250.0, reps: int = DEFAULT_REPS) -> CostReport:
     """Time the preprocess, gate and every tracker step at fs, and the
     vocoder at the other rates of SWEEP_FS, all in one interleaved run;
     each stage keeps its fastest slices."""
     if not 3 <= reps <= MAX_REPS:
         raise ConfigurationError(f"need 3 to {MAX_REPS} repetitions, got {reps}")
-    if warmup_samples < 1000:
-        raise ConfigurationError("need at least 1000 warmup samples")
     res = check_timer()
-    w = warmup_samples
-    raw = _test_signal(fs, w + chunk_samples)
+    w = WARMUP_SAMPLES
+    raw = _test_signal(fs, w + CHUNK_SAMPLES)
     clean = PreprocessChain(fs).run(raw).tolist()
     streams = {
         "preprocess": (lambda: PreprocessChain(fs).step, raw[:w], raw[w:]),
@@ -205,11 +200,11 @@ def measure_pipeline_cost(fs: float = 250.0,
         streams[algo] = tracker(TrackerConfig(algorithm=algo, sample_rate_hz=fs), clean)
     for rate in [fs] + [r for r in SWEEP_FS if r != fs]:
         x = clean if rate == fs else \
-            PreprocessChain(rate).run(_test_signal(rate, w + chunk_samples)).tolist()
+            PreprocessChain(rate).run(_test_signal(rate, w + CHUNK_SAMPLES)).tolist()
         cfg = TrackerConfig(algorithm="pv", sample_rate_hz=rate,
                             maf_span=int(round(SPAN_S * rate)))
         streams[_pv_stage(rate, fs)] = tracker(cfg, x)
-    stage_ns = {name: _fastest_ns(ns, chunk_samples)
+    stage_ns = {name: _fastest_ns(ns, CHUNK_SAMPLES)
                 for name, ns in _interleaved_ns(streams, reps).items()}
     if stage_ns["pll"] <= 0:
         raise TimerResolutionError("PLL tracker stage timed at zero cost")

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .bench import OP_COUNTS, measure_pipeline_cost
+from .bench import DEFAULT_REPS, OP_COUNTS, measure_pipeline_cost
 from .errors import ConfigurationError, FileFormatError, SwphaseError
 from .gate import GateConfig, calibrate_gate
 from .io import (apply_config, config_echo, hash_file, parse_config_echo,
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="per-sample cost measurement")
     ben.add_argument("--fs", type=float, default=250.0)
-    ben.add_argument("--reps", type=int, default=5)
+    ben.add_argument("--reps", type=int, default=DEFAULT_REPS)
     ben.add_argument("--json")
     ben.set_defaults(func=cmd_bench)
 

@@ -7,7 +7,6 @@ state; the two are bit-identical and refuse non-finite samples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -140,13 +139,6 @@ class PreprocessChain(IirFilter):
         return IirFilter.run(self, x)
 
 
-@dataclass(frozen=True)
-class BandPower:
-    band_hz: tuple
-    power_uv2: float
-    window_s: float
-
-
 def band_powers(windows, fs: float, bands) -> np.ndarray:
     """Power (uV^2) of each window over each band (Hz, edges inclusive),
     shape ``windows.shape[:-1] + (len(bands),)``: a Hann-tapered one-sided
@@ -167,21 +159,3 @@ def band_bins(n: int, fs: float, bands) -> list:
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     return [slice(freqs.searchsorted(lo), freqs.searchsorted(hi, "right"))
             for lo, hi in bands]
-
-
-def band_power(window, fs: float, band: tuple) -> BandPower:
-    """Power of ``window`` integrated over ``band`` (Hz), in uV^2, from
-    ``band_powers``.
-
-    Args:
-        window: samples, at least 2 s worth.
-        fs: sampling rate in Hz.
-        band: (low_hz, high_hz), inside (0, fs/2).
-    """
-    lo, hi = band
-    if not (0 < lo < hi < fs / 2):
-        raise ConfigurationError(f"band {band} outside (0, {fs / 2}) Hz")
-    x = np.asarray(window, dtype=float)
-    if len(x) < 2 * fs:
-        raise ConfigurationError(f"band_power window {len(x)} samples, need >= {int(2 * fs)}")
-    return BandPower((lo, hi), float(band_powers(x, fs, [band])[0]), len(x) / fs)

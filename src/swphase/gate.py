@@ -31,6 +31,7 @@ from .recording import EegRecording
 GATE_WINDOW_S = 4.0
 NREM_HISTORY_S = 80.0
 ONOFF_PERIOD_S = 6.0
+MAX_WINDOW_S = 60.0           # window buffers and transforms grow with it
 MAX_HISTORY_S = 24 * 3600.0   # a day: longer than any night
 
 NREM_LOW_BAND_HZ = (0.5, 2.0)
@@ -75,6 +76,8 @@ class GateConfig:
         check_positive(self, "nrem_low_threshold_uv2", "nrem_mid_threshold_uv2",
                        "nrem_beta_threshold_uv2", "swa_threshold_uv2",
                        "beta_threshold_uv2", "window_step_s", "onoff_period_s")
+        if self.window_step_s > MAX_WINDOW_S:
+            raise ConfigurationError(f"window_step_s must be <= {MAX_WINDOW_S:g} s")
         if self.nrem_history_s > MAX_HISTORY_S:
             raise ConfigurationError(f"nrem_history_s must be <= {MAX_HISTORY_S:g} s")
         ratio = self.nrem_history_s / self.window_step_s

@@ -40,12 +40,11 @@ import numpy as np
 from .errors import ConfigurationError, FileFormatError, StreamIntegrityError
 from .gate import REASONS
 from .oracle import PhaseTrack
-from .recording import EegRecording, STAGES
+from .recording import MAX_STAGE_EPOCHS, EegRecording, STAGES
 from .trackers import ALGORITHMS
 
 MAGIC = b"SWPH"
 FORMAT_VERSION = 1
-MAX_STAGE_EPOCHS = 4320   # 24 h of 20 s epochs
 
 
 def hash_file(path) -> str:

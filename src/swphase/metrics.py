@@ -27,7 +27,6 @@ PLATEAU_MAX_S = 0.05          # flat-run tolerance in minima detection
 
 INTERVAL_HIST_RANGE_S = (0.25, 3.0)
 INTERVAL_HIST_BIN_S = 0.05
-PHASE_HIST_BINS = 36          # 10 deg each
 
 
 @dataclass(frozen=True)
@@ -247,11 +246,3 @@ def trigger_intervals(trigger_times_s) -> Optional[IntervalReport]:
     counts, _ = np.histogram(iv, bins=edges)
     return IntervalReport(float(np.median(iv)), float(np.std(iv)), len(iv),
                           edges, counts)
-
-
-def phase_histogram(phases_deg, bins: int = PHASE_HIST_BINS):
-    """Circular histogram: (edges_deg, counts), default 36 bins of 10 deg."""
-    p = np.asarray(phases_deg, dtype=float) % 360.0
-    edges = np.linspace(0.0, 360.0, bins + 1)
-    counts, _ = np.histogram(p, bins=edges)
-    return edges, counts

@@ -35,8 +35,6 @@ from .pipeline import (candidates_from_phase_stream, in_pas_window,
 from .recording import EegRecording
 from .trackers import TrackerConfig, forward_arcs, level_hits, refractory
 
-UTOPIA = (0.0, 0.0, 1.0)
-
 
 @dataclass
 class ObjectiveTally:

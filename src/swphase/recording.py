@@ -10,6 +10,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 EPOCH_S = 20.0  # hypnogram epoch length
+MAX_STAGE_EPOCHS = 4320   # 24 h of 20 s epochs
 
 STAGES = ("W", "N1", "N2", "N3", "REM")
 NREM_STAGES = ("N2", "N3")

@@ -21,7 +21,8 @@ from scipy import signal
 from .dsp import check_fs
 from .errors import ConfigurationError, check_finite
 from .oracle import PhaseTrack
-from .recording import EPOCH_S, NREM_STAGES, STAGES, EegRecording, epoch_samples
+from .recording import (EPOCH_S, MAX_STAGE_EPOCHS, NREM_STAGES, STAGES,
+                        EegRecording, epoch_samples)
 
 ENVELOPE_STEP_HZ = 10.0   # update rate of the frequency and amplitude walks
 RAMP_S = 2.0              # raised-cosine on/off ramp at stage transitions
@@ -43,6 +44,8 @@ DEFAULT_STAGE_CYCLE = (
 
 
 def default_hypnogram(cycles: int = 4) -> list:
+    if cycles * len(DEFAULT_STAGE_CYCLE) > MAX_STAGE_EPOCHS:
+        raise ConfigurationError(f"{cycles} cycles exceed {MAX_STAGE_EPOCHS} epochs (24 h)")
     return list(DEFAULT_STAGE_CYCLE) * cycles
 
 

@@ -44,6 +44,7 @@ NCO_CENTER_HZ = 1.0          # free-running rate of the PLL oscillator
 PV_FREQ_RANGE_HZ = (0.5, 4.0)  # clamp on the vocoder's tracked frequency
 PV_EPSILON_UV = 0.1          # below this demodulated magnitude the angle is noise
 DEFAULT_REFRACTORY_S = 0.25  # 4 Hz stimulation ceiling
+MAX_MAF_SPAN = 1 << 20       # length of each of the vocoder's two ring buffers
 BLOCK_SAMPLES = 1 << 16      # samples per kernel block held as Python floats
 NEVER = -(1 << 60)           # last-trigger index before the first trigger
 NO_ARC = -1.0                # arc of a slip or non-finite sample: no target hits it
@@ -96,8 +97,8 @@ class TrackerConfig:
             raise ConfigurationError("phi_target_deg must be in [0, 360)")
         check_positive(self, "k_pll", "k_pv", "at_threshold_uv", "refractory_s",
                        "sample_rate_hz")
-        if int(self.maf_span) < 1:
-            raise ConfigurationError("maf_span must be >= 1 sample")
+        if not 1 <= int(self.maf_span) <= MAX_MAF_SPAN:
+            raise ConfigurationError(f"maf_span must be 1 to {MAX_MAF_SPAN} samples")
         return self
 
 
@@ -229,9 +230,9 @@ class AmplitudeThresholdTracker(_TrackerBase):
 
     Input is the common preprocessed stream; a first-order 0.5-2 Hz band-pass
     inside the tracker isolates slow waves before thresholding. No phase is
-    estimated. A non-finite sample would leave the band-pass state
-    non-finite for good, so it restarts the filter from zero state and reads
-    as an isolated 0.0, which never reaches the (positive) level.
+    estimated. ``IirFilter`` refuses a non-finite sample, so the tracker
+    restarts the band-pass from zero state instead of passing one in, and
+    reads it as an isolated 0.0, which never reaches the (positive) level.
     """
 
     def __init__(self, config: TrackerConfig):

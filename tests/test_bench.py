@@ -24,7 +24,7 @@ def test_timer_is_fine_grained_here():
 
 @pytest.mark.parametrize("kw", [
     {"reps": 2},
-    {"warmup_samples": 999},
+    {"fs": 20000.5},
     {"reps": MAX_REPS + 1},
     {"fs": 100.0},
     {"fs": float("inf")},
@@ -37,7 +37,7 @@ def test_measurement_guards(kw):
 
 @pytest.fixture(scope="module")
 def report():
-    return measure_pipeline_cost(reps=3, chunk_samples=2000, warmup_samples=1000)
+    return measure_pipeline_cost(reps=3)
 
 
 def test_report_shape(report):
@@ -105,5 +105,5 @@ def test_op_counts_follow_the_step_code(algorithm, monkeypatch):
 
 
 def test_tracker_ratio_in_expected_band():
-    ratio = measure_pipeline_cost(reps=5, chunk_samples=3000).pv_pll_ratio
+    ratio = measure_pipeline_cost(reps=5).pv_pll_ratio
     assert 1.0 < ratio < 6.0

@@ -1,0 +1,72 @@
+"""Every public top-level name of ``src/swphase`` is used by the program.
+
+A public function, class or constant must be read somewhere besides its own
+definition: in a module of ``src/swphase`` (the ``__init__`` re-exports do
+not count), in a demo or in the benchmark. A name that only the tests use
+is test code, and belongs in the tests. Modules are parsed with ``ast``, so
+a mention in a docstring or comment is no use.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "swphase"
+
+# public names that no program line reads, each kept for its reason
+ALLOWED = {
+    "read_phase_track": "the only reader of the sidecar `simulate --phase-out` writes",
+    "BETA": "a reason code, unpacked with the other four from range(len(REASONS))",
+}
+
+
+def public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def used_names(tree):
+    """Names a module reads, attributes it touches and names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unused_public_names(modules: dict, users) -> list:
+    """"module.name" of each public name in ``modules`` ({module: source})
+    that neither those modules nor the ``users`` sources read."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    used = set()
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        used.update(used_names(tree))
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in public_definitions(tree) if name not in used)
+
+
+def test_the_census_sees_an_unused_public_name():
+    modules = {"a": "LIMIT = 3\nLO, HI = 1, 2\n\ndef used():\n    return LIMIT + HI\n\n"
+                    "def unused():\n    return 1\n\nclass _Private:\n    pass\n",
+               "b": "from .a import used\n"}
+    assert unused_public_names(modules, ["import swphase\nswphase.a.used()\n"]) == [
+        "a.LO", "a.unused"]
+
+
+def test_every_public_name_is_used_by_the_program():
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    users = [p.read_text(encoding="utf-8")
+             for folder in ("demos", "benchmark") for p in sorted((ROOT / folder).rglob("*.py"))]
+    unused = unused_public_names(modules, users)
+    assert [name for name in unused if name.partition(".")[2] not in ALLOWED] == []
+    # an allowed name that the program has come to use leaves the list
+    assert sorted(name.partition(".")[2] for name in unused) == sorted(ALLOWED)

@@ -410,6 +410,11 @@ class TestExitCodes:
         ("simulate", ["--seed", "1", "--synth-set", "seed=5"]),
         ("simulate", ["--synth-set", "hypnogram=N2,N3"]),
         ("optimize", ["sample_rate_hz = 250"]),
+        # sizes refused before anything of that size is allocated
+        ("track", ["--set", "maf_span=1000000000000"]),
+        ("optimize", ["maf_span = 25, 1000000000000"]),
+        ("simulate", ["--cycles", "1000000000000"]),
+        ("track", ["--gate-set", "nrem_history_s=86400", "--gate-set", "window_step_s=86400"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_override_is_2(self, corpus, tmp_path, capsys, command, extra):
         key = (extra[-1].partition("=")[0].strip() if "=" in extra[-1]
@@ -421,7 +426,8 @@ class TestExitCodes:
             extra = ["--grid", str(grid)]
         argv = {
             "track": ["track", "--input", str(corpus / "r0.swp"), "--out", str(out)],
-            "simulate": ["simulate", "--out", str(out), "--stages", "N2*40"],
+            "simulate": ["simulate", "--out", str(out)]
+            + ([] if "--cycles" in extra else ["--stages", "N2*40"]),
             "optimize": ["optimize", str(corpus / "r0.swp"), str(corpus / "r1.swp"),
                          "--algorithm", "pv", "-k", "2", "--json", str(out)],
         }[command]

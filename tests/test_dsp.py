@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from swphase.dsp import (IirFilter, PreprocessChain, band_power,
+from swphase.dsp import (IirFilter, PreprocessChain, band_powers,
                          design_highpass, design_lowpass, design_notch,
                          design_sw_isolation)
 from swphase.errors import ConfigurationError, StreamIntegrityError
@@ -290,37 +290,29 @@ class TestSlowWaveIsolation:
 
 
 class TestBandPower:
+    """``band_powers`` over one window and one band."""
+
+    def power(self, x, band):
+        return float(band_powers(x, FS, [band])[0])
+
     def test_sinusoid_power_is_half_amplitude_squared(self):
         # 60 uV peak-to-peak -> amplitude 30 -> 450 uV^2
         x = sinusoid(1.0, 30.0, 4.0)
-        bp = band_power(x, FS, (0.5, 2.0))
-        assert bp.power_uv2 == pytest.approx(450.0, rel=0.01)
+        assert self.power(x, (0.5, 2.0)) == pytest.approx(450.0, rel=0.01)
 
     def test_out_of_band_sinusoid_contributes_nothing(self):
         x = sinusoid(20.0, 30.0, 4.0)
-        bp = band_power(x, FS, (0.5, 4.0))
-        assert bp.power_uv2 < 0.5
+        assert self.power(x, (0.5, 4.0)) < 0.5
 
     def test_white_noise_total_power_is_variance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(int(FS * 60)) * 10.0
-        bp = band_power(x, FS, (0.1, FS / 2 - 0.1))
-        assert bp.power_uv2 == pytest.approx(100.0, rel=0.05)
+        assert self.power(x, (0.1, FS / 2 - 0.1)) == pytest.approx(100.0, rel=0.05)
 
     def test_band_additivity(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(int(FS * 30))
-        whole = band_power(x, FS, (1.0, 20.0)).power_uv2
-        left = band_power(x, FS, (1.0, 9.99)).power_uv2
-        right = band_power(x, FS, (10.0, 20.0)).power_uv2
+        whole = self.power(x, (1.0, 20.0))
+        left = self.power(x, (1.0, 9.99))
+        right = self.power(x, (10.0, 20.0))
         assert left + right == pytest.approx(whole, rel=1e-9)
-
-    def test_invalid_band_rejected(self):
-        x = np.zeros(int(FS * 4))
-        for band in ((0.0, 2.0), (4.0, 2.0), (1.0, 130.0)):
-            with pytest.raises(ConfigurationError):
-                band_power(x, FS, band)
-
-    def test_short_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            band_power(np.zeros(100), FS, (0.5, 4.0))

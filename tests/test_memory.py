@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from swphase.dsp import MAX_FS
+from swphase.gate import MAX_HISTORY_S, MAX_WINDOW_S, GateConfig, gate_flags_batch
 from swphase.metrics import PLATEAU_MAX_S, local_minima
 from swphase.oracle import hilbert_phase, zero_phase_bandpass
 from swphase.synth import SynthSpec, default_hypnogram, generate
@@ -54,6 +56,14 @@ class TestPeakMemory:
     def test_local_minima_within_one_signal_unit(self, night):
         spec, filtered, unit = night
         assert traced_peak(lambda: local_minima(filtered, spec.fs)) <= unit
+
+
+def test_largest_gate_window_at_the_highest_rate_stays_small():
+    # the window's taper and bin frequencies are sized by the window, not by
+    # the input: on one second of input they are all that is allocated
+    config = GateConfig(window_step_s=MAX_WINDOW_S, nrem_history_s=MAX_HISTORY_S)
+    one_second = np.zeros(int(MAX_FS))
+    assert traced_peak(lambda: gate_flags_batch(one_second, MAX_FS, config)) < 64 << 20
 
 
 @pytest.mark.parametrize("trim", [0, 1], ids=["even", "odd"])

@@ -16,7 +16,6 @@ from swphase.metrics import (
     local_minima,
     pas,
     up_phase_pct,
-    phase_histogram,
     targeting_capacity,
     trigger_intervals,
 )
@@ -362,15 +361,3 @@ class TestTriggerIntervals:
         assert r.hist_counts.sum() == 2
         hit_bins = np.flatnonzero(r.hist_counts)
         np.testing.assert_allclose(r.hist_edges_s[hit_bins], [0.3, 0.5], atol=1e-9)
-
-
-class TestPhaseHistogram:
-    def test_default_bins(self):
-        edges, counts = phase_histogram([5.0, 15.0, 355.0])
-        assert len(edges) == 37
-        assert counts.sum() == 3
-        assert counts[0] == 1 and counts[1] == 1 and counts[35] == 1
-
-    def test_negative_phases_wrap(self):
-        _, counts = phase_histogram([-5.0])
-        assert counts[35] == 1

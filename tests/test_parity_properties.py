@@ -17,7 +17,13 @@ Streaming == batch: for any tracker, sampling rate, gate window, history,
 thresholds and ON/OFF protocol, ``run_session`` per sample and in batch
 log the same candidates with the same gate decisions, and agree in the
 window flags and the slip count.
+
+Optimizer == pipeline: for any tracker, target, refractory interval, loop
+dynamics, gate thresholds and ON/OFF protocol, the search's cached
+evaluator tallies a night as the pipeline does: ``run_session``, its
+delivered triggers, and the oracle's phases and qualifying windows.
 """
+import functools
 import math
 from itertools import accumulate
 
@@ -27,8 +33,11 @@ import pytest
 from swphase.dsp import IirFilter, PreprocessChain, check_fs
 from swphase.errors import ConfigurationError
 from swphase.gate import GateConfig, window_powers
-from swphase.pipeline import run_session
+from swphase.optimize import make_pipeline_evaluator, tally_from_phases
+from swphase.oracle import compute_phase_track
+from swphase.pipeline import qualifying_windows, run_session
 from swphase.recording import EegRecording
+from swphase.synth import SynthSpec, generate
 from swphase.trackers import ALGORITHMS, TrackerConfig, make_tracker
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -209,3 +218,57 @@ def test_streaming_session_equals_batch(case):
     assert streamed.window_flags == batch.window_flags
     assert streamed.slip_count == batch.slip_count
     assert streamed.suppression_counts() == batch.suppression_counts()
+
+
+@functools.cache
+def short_night():
+    """A 760 s night, mostly NREM: the recording, its oracle track and its
+    median gate-window powers."""
+    spec = SynthSpec(hypnogram=["W"] * 2 + ["N2"] * 12 + ["N3"] * 24, seed=4)
+    rec = generate(spec).recording
+    powers = window_powers(PreprocessChain(rec.fs).run(rec.samples), rec.fs,
+                           GateConfig().window_samples(rec.fs))
+    return rec, compute_phase_track(rec.samples, rec.fs), np.median(powers, axis=0)
+
+
+@st.composite
+def searched_combos(draw):
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    combo = {"refractory_s": draw(st.floats(0.05, 1.0))}
+    if algorithm == "at":
+        combo["at_threshold_uv"] = draw(st.floats(5.0, 80.0))
+    else:
+        combo["phi_target_deg"] = draw(st.floats(0.0, 360.0, exclude_max=True))
+    if algorithm == "pll":
+        combo["k_pll"] = draw(st.floats(1e-5, 1e-2))
+    if algorithm == "pv":
+        combo.update(k_pv=draw(st.floats(0.5, 4.0)), maf_span=draw(st.integers(1, 60)),
+                     pv_trigger_on_nco=draw(st.booleans()))
+    # thresholds drawn around the night's median window powers
+    low, mid, high_beta, swa, beta = short_night()[2]
+    above, below = st.floats(0.05, 1.0), st.floats(1.0, 8.0)
+    gate = GateConfig(
+        nrem_low_threshold_uv2=low * draw(above),
+        nrem_mid_threshold_uv2=mid * draw(above),
+        nrem_beta_threshold_uv2=high_beta * draw(below),
+        swa_threshold_uv2=swa * draw(above),
+        beta_threshold_uv2=beta * draw(below),
+        onoff_enabled=draw(st.booleans()),
+        onoff_period_s=draw(st.floats(0.5, 10.0)))
+    return algorithm, combo, gate
+
+
+@settings(derandomize=True, max_examples=7, deadline=None)
+@given(searched_combos())
+def test_optimizer_tally_equals_the_pipelines(case):
+    algorithm, combo, gate = case
+    rec, track, _ = short_night()
+    fast = make_pipeline_evaluator([rec], algorithm, gate)(combo, rec)
+    cfg = TrackerConfig(algorithm=algorithm, sample_rate_hz=rec.fs, **combo)
+    session = run_session(rec, cfg, gate)
+    q_count, _, qual = qualifying_windows(rec, session.window_flags, gate, track.valid)
+    idx = np.asarray([e.sample_index for e in session.delivered()], dtype=int)
+    valid = idx[track.valid[idx]]
+    win = int(round(2.0 * rec.fs))
+    inw = [w < len(qual) and bool(qual[w]) for w in valid // win]
+    assert fast == tally_from_phases(track.phase_deg[valid], inw, q_count)

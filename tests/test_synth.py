@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from swphase.dsp import band_power
+from swphase.dsp import band_powers
 from swphase.errors import ConfigurationError
-from swphase.recording import EPOCH_S
+from swphase.recording import EPOCH_S, MAX_STAGE_EPOCHS
 from swphase.synth import SynthSpec, default_hypnogram, generate
 
 from conftest import FS
@@ -32,7 +32,7 @@ def stage_windows(rec, stage, band, window_s=4.0, agg=np.median):
     for k in range(len(rec.samples) // n):
         s = slice(k * n, (k + 1) * n)
         if mask[s].all():
-            vals.append(band_power(rec.samples[s], rec.fs, band).power_uv2)
+            vals.append(float(band_powers(rec.samples[s], rec.fs, [band])[0]))
     return float(agg(vals))
 
 
@@ -93,6 +93,13 @@ class TestShape:
         hyp = default_hypnogram(4)
         nrem_s = sum(20.0 for s in hyp if s in ("N2", "N3"))
         assert nrem_s >= 2 * 3600.0   # two hours of scored NREM
+
+    def test_default_hypnogram_is_bounded_like_a_stage_list(self):
+        # 32 cycles fit in 24 h of epochs; the count is refused before any list is built
+        assert len(default_hypnogram(32)) <= MAX_STAGE_EPOCHS
+        for cycles in (33, 10 ** 12):
+            with pytest.raises(ConfigurationError, match="cycles"):
+                default_hypnogram(cycles)
 
     def test_true_phase_valid_only_while_oscillator_active(self, short_synth):
         valid = short_synth.true_phase.valid

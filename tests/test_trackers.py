@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from swphase.errors import ConfigurationError
-from swphase.trackers import (AmplitudeThresholdTracker, PllTracker,
-                              PvTracker, TrackerConfig, make_tracker)
+from swphase.trackers import (MAX_MAF_SPAN, AmplitudeThresholdTracker,
+                              PllTracker, PvTracker, TrackerConfig, make_tracker)
 
 from conftest import FS, phase_crossed, sinusoid
 
@@ -64,6 +64,7 @@ class TestConfig:
         dict(at_threshold_uv=0.0),
         dict(refractory_s=0.0),
         dict(sample_rate_hz=-250.0),
+        dict(maf_span=MAX_MAF_SPAN + 1),
     ])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ConfigurationError):
