@@ -49,11 +49,18 @@ def _read_hypnogram_into(recording, path) -> None:
     recording.hypnogram = stages
 
 
+def _write_json(path, payload, sort_keys=True) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
+
+
 def cmd_simulate(args) -> int:
+    if args.stages and args.cycles is not None:
+        raise ConfigurationError("--cycles cannot be combined with --stages")
     if args.stages:
         hyp = parse_stage_runs(args.stages)
     else:
-        hyp = default_hypnogram(args.cycles)
+        hyp = default_hypnogram(4 if args.cycles is None else args.cycles)
     spec = SynthSpec(hypnogram=hyp, seed=args.seed)
     spec = apply_config(spec, _pairs(args.synth_set), _SYNTH_FIXED)
     out = generate(spec)
@@ -175,9 +182,7 @@ def cmd_evaluate(args) -> int:
     lines.append(f"suppressed           {report.suppression_counts}")
     print("\n".join(lines))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -220,12 +225,10 @@ def cmd_optimize(args) -> int:
                  "mean_val_ed": r.mean_val_ed, "mean_opt_ed": r.mean_opt_ed,
                  "fold_val_ed": r.fold_val_ed, "fold_opt_ed": r.fold_opt_ed}
                 for r in outcome.results]
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump({"algorithm": args.algorithm, "k": args.k,
-                       "seed": args.seed, "best": rows and
-                       {"combo": best.combo, "ed_error": best.ed_error},
-                       "results": rows}, f, indent=2)
-            f.write("\n")
+        _write_json(args.json, {"algorithm": args.algorithm, "k": args.k,
+                                "seed": args.seed, "best": rows and
+                                {"combo": best.combo, "ed_error": best.ed_error},
+                                "results": rows}, sort_keys=False)
     return 0
 
 
@@ -247,9 +250,7 @@ def cmd_bench(args) -> int:
                        "op_counts": {"preprocess": OP_COUNTS["preprocess"],
                                      a: OP_COUNTS[a]}}
                    for a in ALGORITHMS}
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -273,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--hypnogram-out")
     sim.add_argument("--phase-out", help="true phase sidecar file")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--cycles", type=int, default=4,
-                     help="sleep cycles when --stages is not given")
+    sim.add_argument("--cycles", type=int,
+                     help="sleep cycles in place of --stages (default 4)")
     sim.add_argument("--stages", help='run-length stages, e.g. "W*10 N2*30"')
     sim.add_argument("--synth-set", action="append", metavar="KEY=VALUE")
     sim.set_defaults(func=cmd_simulate)
@@ -325,18 +326,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (SwphaseError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except FileFormatError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except SwphaseError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        return (2 if isinstance(exc, ConfigurationError)
+                else 3 if isinstance(exc, FileFormatError) else 4)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dsp import IirFilter, PreprocessChain, design_sw_isolation
+from .dsp import PreprocessChain
 from .errors import ConfigurationError
 from .gate import (DELIVERED, GateConfig, candidate_reasons, gate_flags_batch,
                    in_window, window_reasons)
@@ -33,7 +33,8 @@ from .oracle import compute_phase_track, valid_samples
 from .pipeline import (candidates_from_phase_stream, in_pas_window,
                        qualifying_windows, tracker_phase_stream)
 from .recording import EegRecording
-from .trackers import TrackerConfig, forward_arcs, level_hits, refractory
+from .trackers import (SCAN_FIELDS, TrackerConfig, forward_arcs, level_hits,
+                       make_tracker, refractory)
 
 
 @dataclass
@@ -234,8 +235,7 @@ class _RecordingCache:
         self.track = compute_phase_track(recording.samples, fs)
         self.q_count, _, self.qual = qualifying_windows(
             recording, flags, gate_config, self.track.valid)
-        self.streams: dict = {}     # dynamics key -> (phase stream, forward arcs)
-        self.iso: Optional[np.ndarray] = None
+        self.kernels: dict = {}     # non-scan config fields -> band, or (stream, arcs)
 
     def delivered_filter(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=int)
@@ -256,10 +256,11 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
     """evaluate(combo, recording) closure for grid_search_cv.
 
     Preprocessing, gate flags, the oracle track and qualifying-window counts
-    are computed once per recording; tracker phase streams once per distinct
-    loop-dynamics setting. Trigger targets and thresholds then reuse those.
+    are computed once per recording; the tracker's kernel once per setting
+    of every config field outside ``SCAN_FIELDS``. The trigger scan then
+    reuses those for each target, threshold and refractory period.
 
-    The closure holds one recording's intermediates, phase streams included,
+    The closure holds one recording's intermediates, kernels included,
     and builds them when it is first called with that recording. A call
     with another recording drops them before building the next, so memory
     follows one recording, not the corpus; ``grid_search_cv`` visits the
@@ -277,21 +278,20 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
             held = recording
         cfg = TrackerConfig(**{**combo, "algorithm": algorithm,
                                "sample_rate_hz": cache.fs})
+        key = tuple(v for k, v in vars(cfg).items() if k not in SCAN_FIELDS)
+        if key not in cache.kernels:
+            if algorithm == "at":
+                cache.kernels[key] = make_tracker(cfg).band(cache.y)
+            else:
+                stream = tracker_phase_stream(cache.y, cfg)
+                cache.kernels[key] = (stream, forward_arcs(stream)[0])
+        kernel = cache.kernels[key]
         refr = cfg.refractory_samples()
         if algorithm == "at":
-            if cache.iso is None:
-                cache.iso = IirFilter(design_sw_isolation(cache.fs)).run(cache.y)
-            hits = level_hits(cache.iso, cfg.at_threshold_uv)
+            hits = level_hits(kernel, cfg.at_threshold_uv)
             cand = np.asarray(refractory(hits, refr)[0], dtype=int)
         else:
-            key = (("k_pll", cfg.k_pll) if algorithm == "pll"
-                   else ("k_pv", cfg.k_pv, cfg.maf_span, cfg.pv_trigger_on_nco))
-            cached = cache.streams.get(key)
-            if cached is None:
-                stream = tracker_phase_stream(cache.y, cfg)
-                cached = (stream, forward_arcs(stream)[0])
-                cache.streams[key] = cached
-            stream, arcs = cached
+            stream, arcs = kernel
             cand = candidates_from_phase_stream(stream, cfg.target_deg(), refr,
                                                 arcs=arcs)
         return cache.tally(cache.delivered_filter(cand))

@@ -19,13 +19,13 @@ The PLL and PV write their recurrence once, as a loop over a sequence of
 samples whose state lives on the tracker between calls: ``step`` feeds it
 one sample and applies the scalar crossing test, ``phase_stream`` feeds it
 blocks and returns the estimates with no trigger logic. AT's kernel is its
-isolation filter (``step`` per sample, ``lfilter`` per block). ``run`` then
+isolation filter (``step`` per sample, ``band`` per block). ``run`` then
 turns each block into triggers with one vectorised scan: ``forward_arcs``
 and ``phase_hits`` (or ``level_hits`` for AT), then ``refractory`` over the
 hits only. State carries across calls, so any chunking gives the same
-events. The optimizer reuses the same kernels and scan through
-``pipeline.tracker_phase_stream`` and
-``pipeline.candidates_from_phase_stream``.
+events. Only the scan reads the config's ``SCAN_FIELDS``, so the optimizer
+runs a kernel (``band``, or ``pipeline.tracker_phase_stream``) once per
+setting of the other fields and the scan once per combo.
 """
 from __future__ import annotations
 
@@ -55,6 +55,9 @@ ALGORITHMS = ("at", "pll", "pv")
 # locks half a cycle away from the input, so its target sits across the
 # circle from the vocoder's.
 DEFAULT_TARGET_DEG = {"at": 45.0, "pll": 195.0, "pv": 45.0}
+
+# the TrackerConfig fields the trigger scan reads; no kernel reads them
+SCAN_FIELDS = ("phi_target_deg", "at_threshold_uv", "refractory_s")
 
 
 @dataclass
@@ -253,21 +256,23 @@ class AmplitudeThresholdTracker(_TrackerBase):
         self._n += 1
         return event
 
+    def band(self, x) -> np.ndarray:
+        """The kernel: x through the band-pass, as ``step`` isolates it."""
+        bad = np.flatnonzero(~np.isfinite(x)).tolist()
+        v = np.zeros(len(x))
+        start = 0
+        for stop in bad + [len(x)]:
+            v[start:stop] = self._iso.run(x[start:stop])
+            if stop < len(x):
+                self._iso.reset()
+            start = stop + 1
+        return v
+
     def run(self, x) -> list:
         x = np.asarray(x, dtype=float)
         if not len(x):
             return []
-        bad = np.flatnonzero(~np.isfinite(x)).tolist()
-        if bad:   # filter the finite runs between them, restarting at each
-            v = np.zeros(len(x))
-            start = 0
-            for stop in bad + [len(x)]:
-                v[start:stop] = self._iso.run(x[start:stop])
-                if stop < len(x):
-                    self._iso.reset()
-                start = stop + 1
-        else:
-            v = self._iso.run(x)
+        v = self.band(x)
         hits = level_hits(v, self.config.at_threshold_uv, self._prev)
         self._prev = float(v[-1])
         return self._events(hits, x, None)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import swphase.cli as cli
 from swphase.cli import main
 from swphase.gate import GateConfig
 from swphase.io import (read_hypnogram, read_recording, read_trigger_log,
@@ -49,6 +50,18 @@ class TestSimulate:
         for p in (a, b):
             main(["simulate", "--out", str(p), "--stages", "N2*36", "--seed", "7"])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("extra, epochs", [([], 4 * 133), (["--cycles", "1"], 133)])
+    def test_cycles_without_stages_set_the_night(self, tmp_path, monkeypatch,
+                                                 extra, epochs):
+        specs = []
+
+        def stop(spec):   # the hypnogram is all this test needs
+            specs.append(spec)
+            raise OSError("stop")
+        monkeypatch.setattr(cli, "generate", stop)
+        assert main(["simulate", "--out", str(tmp_path / "n.swp"), *extra]) == 4
+        assert len(specs[0].hypnogram) == epochs
 
     def test_synth_overrides(self, tmp_path):
         out = tmp_path / "slow.csv"
@@ -414,6 +427,8 @@ class TestExitCodes:
         ("track", ["--set", "maf_span=1000000000000"]),
         ("optimize", ["maf_span = 25, 1000000000000"]),
         ("simulate", ["--cycles", "1000000000000"]),
+        # --cycles has no meaning next to --stages
+        ("simulate", ["--stages", "N2*40", "--cycles", "2"]),
         ("track", ["--gate-set", "nrem_history_s=86400", "--gate-set", "window_step_s=86400"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_override_is_2(self, corpus, tmp_path, capsys, command, extra):

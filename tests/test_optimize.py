@@ -1,4 +1,5 @@
 """Grid-search optimizer: tallies, distances, folds, selection, fast path."""
+import dataclasses
 import math
 import weakref
 
@@ -25,7 +26,7 @@ from swphase.optimize import (
 from swphase.oracle import compute_phase_track
 from swphase.pipeline import (qualifying_windows, run_session,
                               tracker_phase_stream)
-from swphase.trackers import TrackerConfig
+from swphase.trackers import SCAN_FIELDS, AmplitudeThresholdTracker, TrackerConfig
 
 
 class TestTally:
@@ -287,16 +288,59 @@ class TestRecordingMajorSearch:
         assert seen and max(seen) == 1
         assert len(live) <= 1    # after the search, the closure holds the last
 
-    @pytest.mark.parametrize("first", ["target", "dynamics"])
+    GRIDS = {
+        "target": (GRID, 2),
+        "dynamics": (dict(reversed(GRID.items())), 2),
+        "maf_span-and-nco": ({"maf_span": [25, 50], "phi_target_deg": [15.0, 45.0],
+                              "pv_trigger_on_nco": [False, True]}, 4),
+        "refractory_s": ({"phi_target_deg": [15.0, 45.0],
+                          "refractory_s": [0.25, 0.5]}, 1),
+    }
+
+    @pytest.mark.parametrize("grid_name", list(GRIDS))
     def test_one_stream_per_recording_and_dynamics_setting(self, corpus,
-                                                           monkeypatch, first):
-        grid = self.GRID if first == "target" else dict(reversed(self.GRID.items()))
+                                                           monkeypatch, grid_name):
+        grid, settings = self.GRIDS[grid_name]
         made = []
 
         def counted(y, cfg):
-            made.append(cfg.k_pv)
+            made.append((cfg.k_pv, cfg.maf_span, cfg.pv_trigger_on_nco))
             return tracker_phase_stream(y, cfg)
         monkeypatch.setattr(optimize, "tracker_phase_stream", counted)
         evaluate = make_pipeline_evaluator(corpus, "pv", GateConfig())
         grid_search_cv(corpus, grid, evaluate, k=3, seed=0)
-        assert sorted(made) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        # recording-major: each recording builds the same settings, once each
+        assert len(set(made[:settings])) == settings
+        assert made == made[:settings] * len(corpus)
+
+    @pytest.mark.parametrize("algorithm", ["at", "pll", "pv"])
+    def test_every_field_outside_the_scan_keys_the_kernel(self, corpus, monkeypatch,
+                                                          algorithm):
+        # a field left out of the cache key would let two settings share one
+        # kernel; algorithm and sample_rate_hz are fixed for a whole search
+        other = {"k_pll": 1e-3, "k_pv": 1.0, "maf_span": 50, "pv_trigger_on_nco": True}
+        names = [f.name for f in dataclasses.fields(TrackerConfig)
+                 if f.name not in SCAN_FIELDS + ("algorithm", "sample_rate_hz")]
+        assert sorted(names) == sorted(other)   # a new field needs a value here
+        made = []
+        band = AmplitudeThresholdTracker.band
+
+        def counted_band(tracker, y):
+            made.append(tracker.config)
+            return band(tracker, y)
+
+        def counted_stream(y, cfg):
+            made.append(cfg)
+            return tracker_phase_stream(y, cfg)
+        monkeypatch.setattr(AmplitudeThresholdTracker, "band", counted_band)
+        monkeypatch.setattr(optimize, "tracker_phase_stream", counted_stream)
+        rec = corpus[0]
+        evaluate = make_pipeline_evaluator([rec], algorithm, GateConfig())
+        evaluate({}, rec)
+        for name in names:
+            evaluate({name: other[name]}, rec)
+            evaluate({}, rec)
+        assert made[0] == TrackerConfig(algorithm=algorithm, sample_rate_hz=rec.fs)
+        assert len(made) == 1 + len(names)
+        for name, cfg in zip(names, made[1:]):
+            assert getattr(cfg, name) == other[name]

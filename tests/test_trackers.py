@@ -171,6 +171,15 @@ class TestAmplitudeThreshold:
             t.step(v)
         assert t.step(math.inf) is None
         assert t._prev == 0.0 and iso_state(t) == [[0.0, 0.0]]
+        # band() is the step loop's isolated signal, with gaps and without
+        for xs in (x, sinusoid(1.0, 40.0, 20.0)):
+            stepped_tracker, band_tracker = make_tracker(cfg), make_tracker(cfg)
+            isolated = []
+            for v in xs.tolist():
+                stepped_tracker.step(v)
+                isolated.append(stepped_tracker._prev)
+            assert band_tracker.band(xs).tolist() == isolated
+            assert iso_state(band_tracker) == iso_state(stepped_tracker)
 
 
 class TestPll:
