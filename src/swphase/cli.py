@@ -226,8 +226,8 @@ def cmd_optimize(args) -> int:
                  "fold_val_ed": r.fold_val_ed, "fold_opt_ed": r.fold_opt_ed}
                 for r in outcome.results]
         _write_json(args.json, {"algorithm": args.algorithm, "k": args.k,
-                                "seed": args.seed, "best": rows and
-                                {"combo": best.combo, "ed_error": best.ed_error},
+                                "seed": args.seed,
+                                "best": {"combo": best.combo, "ed_error": best.ed_error},
                                 "results": rows}, sort_keys=False)
     return 0
 

@@ -169,18 +169,22 @@ def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
     """Evaluate every combo on every recording once, then score per fold.
 
     evaluate(combo, recording) returns that recording's ObjectiveTally for
-    the combo. The search is recording-major: each recording sees every
-    combo, in declaration order, before the next recording is visited, so
-    an evaluator need hold only one recording's intermediates at a time.
-    Fold sides pool tallies by summation before scoring, so one long
-    recording cannot be outvoted by many short ones trigger-by-trigger.
+    the combo. The search is recording-major, and on each recording the grid
+    names in ``SCAN_FIELDS`` vary fastest, the others slower in declaration
+    order, so an evaluator need hold one recording's intermediates and one
+    tracker kernel at a time; results keep declaration order. Fold sides
+    pool tallies by summation before scoring, so one long recording cannot
+    be outvoted by many short ones trigger-by-trigger.
     """
     combos = expand_grid(grid)
     folds = kfold_split(len(recordings), k, seed)
     tallies = [[None] * len(recordings) for _ in combos]   # [combo][recording]
+    slow = [i for i, name in enumerate(grid) if name not in SCAN_FIELDS]
+    positions = list(itertools.product(*(range(len(v)) for v in grid.values())))
+    visit = sorted(range(len(combos)), key=lambda c: [positions[c][i] for i in slow])
     for j, recording in enumerate(recordings):
-        for row, combo in zip(tallies, combos):
-            row[j] = evaluate(combo, recording)
+        for c in visit:
+            tallies[c][j] = evaluate(combos[c], recording)
 
     results = []
     for combo, row in zip(combos, tallies):
@@ -235,7 +239,7 @@ class _RecordingCache:
         self.track = compute_phase_track(recording.samples, fs)
         self.q_count, _, self.qual = qualifying_windows(
             recording, flags, gate_config, self.track.valid)
-        self.kernels: dict = {}     # non-scan config fields -> band, or (stream, arcs)
+        self.kernel = (None, None)  # (non-scan config fields, band or (stream, arcs))
 
     def delivered_filter(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=int)
@@ -260,12 +264,12 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
     of every config field outside ``SCAN_FIELDS``. The trigger scan then
     reuses those for each target, threshold and refractory period.
 
-    The closure holds one recording's intermediates, kernels included,
-    and builds them when it is first called with that recording. A call
-    with another recording drops them before building the next, so memory
-    follows one recording, not the corpus; ``grid_search_cv`` visits the
-    recordings one at a time. ``recordings`` names the corpus; nothing is
-    built from it up front.
+    The closure holds one recording's intermediates and one kernel. A call
+    with another recording or kernel setting drops the old one before
+    building the next, so memory follows neither the corpus nor the grid.
+    ``grid_search_cv`` visits recordings one at a time, and each one's
+    combos grouped by kernel setting, so no kernel is built twice.
+    ``recordings`` names the corpus; nothing is built from it up front.
     """
     gate_config = gate_config or GateConfig()
     held, cache = None, None    # the recording whose intermediates are held
@@ -279,13 +283,14 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
         cfg = TrackerConfig(**{**combo, "algorithm": algorithm,
                                "sample_rate_hz": cache.fs})
         key = tuple(v for k, v in vars(cfg).items() if k not in SCAN_FIELDS)
-        if key not in cache.kernels:
+        if cache.kernel[0] != key:
+            cache.kernel = (None, None)     # free the old kernel before the new one
             if algorithm == "at":
-                cache.kernels[key] = make_tracker(cfg).band(cache.y)
+                cache.kernel = (key, make_tracker(cfg).band(cache.y))
             else:
                 stream = tracker_phase_stream(cache.y, cfg)
-                cache.kernels[key] = (stream, forward_arcs(stream)[0])
-        kernel = cache.kernels[key]
+                cache.kernel = (key, (stream, forward_arcs(stream)[0]))
+        kernel = cache.kernel[1]
         refr = cfg.refractory_samples()
         if algorithm == "at":
             hits = level_hits(kernel, cfg.at_threshold_uv)

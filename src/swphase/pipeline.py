@@ -144,18 +144,16 @@ def tracker_phase_stream(preprocessed: np.ndarray, cfg: TrackerConfig) -> np.nda
 
 def candidates_from_phase_stream(stream_deg: np.ndarray, target_deg: float,
                                  refractory_samples: int,
-                                 arcs: Optional[np.ndarray] = None) -> np.ndarray:
+                                 arcs: np.ndarray) -> np.ndarray:
     """Trigger sample indices from a phase-estimate stream.
 
     The trackers' own crossing scan: forward arc below 180 deg containing
     the target, then the refractory filter. Sample 0 is judged from 0 deg,
     the trackers' estimate before the first sample. ``arcs`` is
-    ``forward_arcs(stream_deg)[0]``, for callers that scan one stream for
-    many targets. A bare stream carries no input, so no sample is judged
-    non-finite; the preprocessed EEG it comes from is finite.
+    ``forward_arcs(stream_deg)[0]``, computed once by callers that scan one
+    stream for many targets. A bare stream carries no input, so no sample is
+    judged non-finite; the preprocessed EEG it comes from is finite.
     """
-    if arcs is None:
-        arcs, _ = forward_arcs(stream_deg)
     kept, _ = refractory(phase_hits(stream_deg, arcs, target_deg),
                          refractory_samples)
     return np.asarray(kept, dtype=int)

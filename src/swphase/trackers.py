@@ -262,7 +262,9 @@ class AmplitudeThresholdTracker(_TrackerBase):
         v = np.zeros(len(x))
         start = 0
         for stop in bad + [len(x)]:
-            v[start:stop] = self._iso.run(x[start:stop])
+            for a in range(start, stop, BLOCK_SAMPLES):
+                b = min(a + BLOCK_SAMPLES, stop)
+                v[a:b] = self._iso.run(x[a:b])
             if stop < len(x):
                 self._iso.reset()
             start = stop + 1

@@ -112,11 +112,14 @@ def test_at_chunk_starting_above_threshold():
 def test_kernel_block_boundaries(monkeypatch, name):
     monkeypatch.setattr(trackers, "BLOCK_SAMPLES", 257)
     cfg = CONFIGS[name]
-    x = signal(5000, seed=9)
-    blocked = make_tracker(cfg)
-    stepped = make_tracker(cfg)
-    assert blocked.run(x) == step_loop(stepped, x)[0]
-    assert counters(blocked) == counters(stepped)
+    gaps = signal(5000, seed=9)
+    # a run shorter than a block, and one that ends on a block boundary
+    gaps[[3, 518, 519, 1285, 4999]] = np.nan     # 4 + 2 * 257 = 518
+    for x in (signal(5000, seed=9), gaps):
+        blocked = make_tracker(cfg)
+        stepped = make_tracker(cfg)
+        assert blocked.run(x) == step_loop(stepped, x)[0]
+        assert counters(blocked) == counters(stepped)
 
 
 def test_events_carry_python_numbers():

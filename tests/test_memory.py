@@ -4,7 +4,8 @@ plain formulas it replaced.
 ``tracemalloc`` counts numpy's data allocations exactly. A peak is given in
 signal units (8 bytes per sample of the one-cycle night) and includes what
 the call returns. The bounds sit below the earlier formulas' peaks
-(``generate`` 14.6, ``hilbert_phase`` 4.0, ``local_minima`` 4.25 units).
+(``generate`` 14.6, ``hilbert_phase`` 4.0, ``local_minima`` 4.25, AT's
+``run`` 2.0 units).
 """
 import tracemalloc
 
@@ -17,6 +18,7 @@ from swphase.gate import MAX_HISTORY_S, MAX_WINDOW_S, GateConfig, gate_flags_bat
 from swphase.metrics import PLATEAU_MAX_S, local_minima
 from swphase.oracle import hilbert_phase, zero_phase_bandpass
 from swphase.synth import SynthSpec, default_hypnogram, generate
+from swphase.trackers import AmplitudeThresholdTracker, TrackerConfig
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -56,6 +58,14 @@ class TestPeakMemory:
     def test_local_minima_within_one_signal_unit(self, night):
         spec, filtered, unit = night
         assert traced_peak(lambda: local_minima(filtered, spec.fs)) <= unit
+
+    def test_at_run_within_one_and_a_half_signal_units(self, night):
+        # the band is the one signal-length array: the filter writes into
+        # it block by block
+        spec, filtered, unit = night
+        tracker = AmplitudeThresholdTracker(TrackerConfig(algorithm="at",
+                                                          sample_rate_hz=spec.fs))
+        assert traced_peak(lambda: tracker.run(filtered)) <= 1.5 * unit
 
 
 def test_largest_gate_window_at_the_highest_rate_stays_small():

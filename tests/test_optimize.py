@@ -334,13 +334,50 @@ class TestRecordingMajorSearch:
             return tracker_phase_stream(y, cfg)
         monkeypatch.setattr(AmplitudeThresholdTracker, "band", counted_band)
         monkeypatch.setattr(optimize, "tracker_phase_stream", counted_stream)
+        scan = {"phi_target_deg": 90.0, "at_threshold_uv": 50.0, "refractory_s": 0.5}
+        assert sorted(scan) == sorted(SCAN_FIELDS)
         rec = corpus[0]
         evaluate = make_pipeline_evaluator([rec], algorithm, GateConfig())
         evaluate({}, rec)
         for name in names:
             evaluate({name: other[name]}, rec)
+            evaluate({name: other[name], **scan}, rec)   # the scan shares the kernel
             evaluate({}, rec)
-        assert made[0] == TrackerConfig(algorithm=algorithm, sample_rate_hz=rec.fs)
-        assert len(made) == 1 + len(names)
-        for name, cfg in zip(names, made[1:]):
+        # one slot: each change of a non-scan field builds a kernel with its
+        # value, and going back to the defaults builds theirs again
+        default = TrackerConfig(algorithm=algorithm, sample_rate_hz=rec.fs)
+        assert made[0::2] == [default] * (1 + len(names))
+        assert len(made) == 1 + 2 * len(names)
+        for name, cfg in zip(names, made[1::2]):
             assert getattr(cfg, name) == other[name]
+
+    KERNEL_GRIDS = {   # the scan field first, so declaration order would interleave
+        "pv": {"phi_target_deg": [15.0, 45.0], "k_pv": [1.0, 2.0], "maf_span": [25, 50]},
+        "at": {"at_threshold_uv": [30.0, 40.0], "k_pll": [1e-4, 1e-3],
+               "maf_span": [25, 50]},
+    }
+
+    @pytest.mark.parametrize("algorithm", list(KERNEL_GRIDS))
+    def test_no_kernel_is_alive_when_the_next_is_built(self, corpus, monkeypatch,
+                                                       algorithm):
+        refs, alive = [], []
+
+        def watched(build):
+            def wrapper(*args):
+                alive.append(sum(ref() is not None for ref in refs))
+                kernel = build(*args)
+                refs.append(weakref.ref(kernel))
+                return kernel
+            return wrapper
+        if algorithm == "at":
+            monkeypatch.setattr(AmplitudeThresholdTracker, "band",
+                                watched(AmplitudeThresholdTracker.band))
+        else:
+            monkeypatch.setattr(optimize, "tracker_phase_stream",
+                                watched(tracker_phase_stream))
+        evaluate = make_pipeline_evaluator(corpus, algorithm, GateConfig())
+        outcome = grid_search_cv(corpus, self.KERNEL_GRIDS[algorithm], evaluate,
+                                 k=3, seed=0)
+        assert len(outcome.results) == 8
+        # four kernel settings, each built once per recording, none kept
+        assert alive == [0] * (4 * len(corpus))

@@ -16,7 +16,7 @@ from swphase.pipeline import (
     tracker_phase_stream,
 )
 from swphase.recording import EegRecording
-from swphase.trackers import TrackerConfig
+from swphase.trackers import TrackerConfig, forward_arcs
 
 ALGOS = ("at", "pll", "pv")
 
@@ -54,7 +54,8 @@ class TestPhaseStreamFactorization:
         cfg = session.tracker_config
         stream = tracker_phase_stream(preprocessed, cfg)
         refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
-        idx = candidates_from_phase_stream(stream, cfg.target_deg(), refr)
+        idx = candidates_from_phase_stream(stream, cfg.target_deg(), refr,
+                                           forward_arcs(stream)[0])
         np.testing.assert_array_equal(
             idx, [e.sample_index for e in session.log])
 
@@ -65,16 +66,17 @@ class TestPhaseStreamFactorization:
     def test_refractory_filter(self):
         # a stream crossing 45 deg once per 100 samples, refractory 150
         stream = np.tile(np.arange(100) * 3.6, 10)
-        idx = candidates_from_phase_stream(stream, 45.0, 150)
+        idx = candidates_from_phase_stream(stream, 45.0, 150, forward_arcs(stream)[0])
         assert np.all(np.diff(idx) >= 150)
 
     def test_first_sample_never_fires(self):
         stream = np.full(10, 50.0)
         # prev[0] is pinned at 0, so sample 0 sees arc 50 containing 45
-        idx = candidates_from_phase_stream(stream, 45.0, 1)
+        idx = candidates_from_phase_stream(stream, 45.0, 1, forward_arcs(stream)[0])
         assert 0 in idx
         stream2 = np.full(10, 350.0)
-        assert 0 not in candidates_from_phase_stream(stream2, 45.0, 1)
+        assert 0 not in candidates_from_phase_stream(stream2, 45.0, 1,
+                                                     forward_arcs(stream2)[0])
 
 
 class TestDecisionOrder:

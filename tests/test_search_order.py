@@ -1,10 +1,13 @@
 """The recording-major search scores exactly like a combo-major one.
 
 ``grid_search_cv`` visits each recording in turn and evaluates every combo
-on it. ``combo_major_search`` below is the earlier loop order, one combo
-over every recording, with the same fold scoring; any grid, corpus size,
-fold count and seed must give the same results and the same best combo.
+on it, the grid names in ``SCAN_FIELDS`` varying fastest.
+``combo_major_search`` below is the earlier loop order, one combo over
+every recording in declaration order, with the same fold scoring; any grid,
+corpus size, fold count and seed must give the same results and the same
+best combo.
 """
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +17,7 @@ from swphase.metrics import MAX_STIM_PER_WINDOW
 from swphase.optimize import (ComboResult, CvOutcome, ObjectiveTally,
                               distance_from_tally, expand_grid, grid_search_cv,
                               kfold_split, objectives_from_tally)
+from swphase.trackers import SCAN_FIELDS
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -57,9 +61,10 @@ def stub_tally(combo: dict, index: int) -> ObjectiveTally:
 
 @st.composite
 def searches(draw):
-    n_keys = draw(st.integers(1, 3))
-    grid = {f"p{i}": draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
-            for i in range(n_keys)}
+    names = draw(st.lists(st.sampled_from(SCAN_FIELDS + ("p0", "p1", "p2")),
+                          min_size=1, max_size=4, unique=True))
+    grid = {name: draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+            for name in names}
     k = draw(st.integers(2, 4))
     n = draw(st.integers(k, k + 3))
     return grid, n, k, draw(st.integers(0, 2 ** 16))
@@ -89,6 +94,10 @@ def test_recording_major_equals_combo_major(search):
     assert (outcome.k, outcome.seed) == (k, seed)
     assert all(np.array_equal(a, c) and np.array_equal(b, d)
                for (a, b), (c, d) in zip(outcome.folds, reference.folds))
-    # each recording sees every combo, in declaration order, before the next
-    combos = [tuple(c.values()) for c in expand_grid(grid)]
+    # each recording sees every combo before the next: the scan fields vary
+    # fastest, the other names slower, each group in declaration order
+    order = ([name for name in grid if name not in SCAN_FIELDS]
+             + [name for name in grid if name in SCAN_FIELDS])
+    combos = [tuple(dict(zip(order, values))[name] for name in grid)
+              for values in itertools.product(*(grid[name] for name in order))]
     assert visits == [(i, c) for i in range(n) for c in combos]
