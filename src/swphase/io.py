@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, FileFormatError, StreamIntegrityError
+from .errors import ConfigurationError, FileFormatError, StreamIntegrityError, check_finite
 from .gate import REASONS
 from .oracle import PhaseTrack
 from .recording import MAX_STAGE_EPOCHS, EegRecording, STAGES
@@ -282,8 +282,8 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
 
     A negative sample_index is refused, and so is one at or past
     ``n_samples`` when the recording's length is given. The algorithm must
-    be known, the delivered and on_window flags must be 0 or 1, and a row is
-    delivered exactly when its suppression_reason is empty.
+    be known, the delivered and on_window flags must be 0 or 1, the numbers
+    finite, and a row is delivered exactly when its suppression_reason is empty.
     """
     from .pipeline import LoggedTrigger
     provenance = {}
@@ -328,7 +328,8 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
                 suppression_reason=parts[6],
                 on_window=parts[7] == "1",
             ))
-        except ValueError as exc:
+            check_finite(rows[-1])
+        except (ValueError, ConfigurationError) as exc:
             raise FileFormatError(f"{path}:{ln}: {exc}")
         idx = rows[-1].sample_index
         if idx < 0 or (n_samples is not None and idx >= n_samples):

@@ -33,7 +33,7 @@ from .oracle import compute_phase_track, valid_samples
 from .pipeline import (candidates_from_phase_stream, in_pas_window,
                        qualifying_windows, tracker_phase_stream)
 from .recording import EegRecording
-from .trackers import (SCAN_FIELDS, TrackerConfig, forward_arcs, level_hits,
+from .trackers import (KERNEL_FIELDS, TrackerConfig, forward_arcs, level_hits,
                        make_tracker, refractory)
 
 
@@ -115,10 +115,12 @@ def kfold_split(n: int, k: int, seed: int):
     """Deterministic shuffled k-fold partition of range(n).
 
     Returns a list of (optimization_indices, validation_indices) pairs.
-    Refuses fewer recordings than folds.
+    Refuses fewer recordings than folds, and a negative seed.
     """
     if k < 2:
         raise ConfigurationError("k-fold needs k >= 2")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     if n < k:
         raise ConfigurationError(f"cannot split {n} recordings into {k} folds")
     order = np.random.default_rng(seed).permutation(n)
@@ -170,7 +172,7 @@ def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
 
     evaluate(combo, recording) returns that recording's ObjectiveTally for
     the combo. The search is recording-major, and on each recording the grid
-    names in ``SCAN_FIELDS`` vary fastest, the others slower in declaration
+    names in any tracker's ``KERNEL_FIELDS`` vary slowest, in declaration
     order, so an evaluator need hold one recording's intermediates and one
     tracker kernel at a time; results keep declaration order. Fold sides
     pool tallies by summation before scoring, so one long recording cannot
@@ -179,7 +181,8 @@ def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
     combos = expand_grid(grid)
     folds = kfold_split(len(recordings), k, seed)
     tallies = [[None] * len(recordings) for _ in combos]   # [combo][recording]
-    slow = [i for i, name in enumerate(grid) if name not in SCAN_FIELDS]
+    slow = [i for i, name in enumerate(grid)
+            if any(name in fields for fields in KERNEL_FIELDS.values())]
     positions = list(itertools.product(*(range(len(v)) for v in grid.values())))
     visit = sorted(range(len(combos)), key=lambda c: [positions[c][i] for i in slow])
     for j, recording in enumerate(recordings):
@@ -239,7 +242,7 @@ class _RecordingCache:
         self.track = compute_phase_track(recording.samples, fs)
         self.q_count, _, self.qual = qualifying_windows(
             recording, flags, gate_config, self.track.valid)
-        self.kernel = (None, None)  # (non-scan config fields, band or (stream, arcs))
+        self.kernel = (None, None)  # (kernel field values, band or (stream, arcs))
 
     def delivered_filter(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=int)
@@ -261,8 +264,8 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
 
     Preprocessing, gate flags, the oracle track and qualifying-window counts
     are computed once per recording; the tracker's kernel once per setting
-    of every config field outside ``SCAN_FIELDS``. The trigger scan then
-    reuses those for each target, threshold and refractory period.
+    of the fields ``KERNEL_FIELDS`` lists for it. The trigger scan then
+    reuses those for each setting of the other fields.
 
     The closure holds one recording's intermediates and one kernel. A call
     with another recording or kernel setting drops the old one before
@@ -282,7 +285,7 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
             held = recording
         cfg = TrackerConfig(**{**combo, "algorithm": algorithm,
                                "sample_rate_hz": cache.fs})
-        key = tuple(v for k, v in vars(cfg).items() if k not in SCAN_FIELDS)
+        key = tuple(getattr(cfg, n) for n in KERNEL_FIELDS[algorithm])
         if cache.kernel[0] != key:
             cache.kernel = (None, None)     # free the old kernel before the new one
             if algorithm == "at":

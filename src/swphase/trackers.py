@@ -23,9 +23,9 @@ isolation filter (``step`` per sample, ``band`` per block). ``run`` then
 turns each block into triggers with one vectorised scan: ``forward_arcs``
 and ``phase_hits`` (or ``level_hits`` for AT), then ``refractory`` over the
 hits only. State carries across calls, so any chunking gives the same
-events. Only the scan reads the config's ``SCAN_FIELDS``, so the optimizer
-runs a kernel (``band``, or ``pipeline.tracker_phase_stream``) once per
-setting of the other fields and the scan once per combo.
+events. The scan reads the config fields outside ``KERNEL_FIELDS``, so the
+optimizer runs a kernel (``band``, or ``pipeline.tracker_phase_stream``) once
+per setting of its tracker's kernel fields and the scan once per combo.
 """
 from __future__ import annotations
 
@@ -56,8 +56,9 @@ ALGORITHMS = ("at", "pll", "pv")
 # circle from the vocoder's.
 DEFAULT_TARGET_DEG = {"at": 45.0, "pll": 195.0, "pv": 45.0}
 
-# the TrackerConfig fields the trigger scan reads; no kernel reads them
-SCAN_FIELDS = ("phi_target_deg", "at_threshold_uv", "refractory_s")
+# the TrackerConfig fields each tracker's kernel reads; the trigger scan reads the rest
+KERNEL_FIELDS = {"at": ("sample_rate_hz",), "pll": ("k_pll", "sample_rate_hz"),
+                 "pv": ("k_pv", "maf_span", "pv_trigger_on_nco", "sample_rate_hz")}
 
 
 @dataclass

@@ -417,6 +417,7 @@ class TestExitCodes:
         ("simulate", ["--synth-set", "sw_pp_range_uv=20,120,3"]),
         ("simulate", ["--seed", "-1"]),
         ("optimize", ["k_pv = 1, nan"]),
+        ("optimize", ["--seed", "-1"]),
         # keys a command's own options or its input set
         ("track", ["--algorithm", "pv", "--set", "algorithm=at"]),
         ("track", ["--set", "sample_rate_hz=500"]),

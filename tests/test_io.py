@@ -275,8 +275,15 @@ class TestTriggerLog:
         ("1000,4.000000,pv,44.931000,55.200000,1,nrem,1", "disagrees"),
         ("1000,4.000000,pv,44.931000,55.200000,0,,1", "disagrees"),
         ("1000,4.000000,foo,44.931000,55.200000,1,,1", "unknown algorithm 'foo'"),
+        # no tracker fires on a non-finite sample, so no log holds such a number
+        ("1000,nan,pv,44.931000,55.200000,1,,1", "time_s must be finite"),
+        ("1000,inf,pv,44.931000,55.200000,1,,1", "time_s must be finite"),
+        ("1000,1e999,pv,44.931000,55.200000,1,,1", "time_s must be finite"),
+        ("1000,4.000000,pv,44.931000,-inf,1,,1", "amplitude_uv must be finite"),
+        ("1000,4.000000,pv,nan,55.200000,1,,1", "tracker_phase_deg must be finite"),
     ], ids=["delivered_2", "on_window_-1", "delivered_01", "delivered_with_reason",
-            "suppressed_without_reason", "unknown_algorithm"])
+            "suppressed_without_reason", "unknown_algorithm", "time_nan", "time_inf",
+            "time_1e999", "amplitude_-inf", "phase_nan"])
     def test_rejects_rows_the_writer_never_produces(self, tmp_path, row, match):
         path = tmp_path / "trig.csv"
         write_trigger_log(path, sample_log())

@@ -8,6 +8,7 @@ import pytest
 
 import swphase.optimize as optimize
 from swphase import SynthSpec, generate
+from swphase.dsp import PreprocessChain
 from swphase.errors import ConfigurationError
 from swphase.gate import GateConfig
 from swphase.optimize import (
@@ -26,7 +27,8 @@ from swphase.optimize import (
 from swphase.oracle import compute_phase_track
 from swphase.pipeline import (qualifying_windows, run_session,
                               tracker_phase_stream)
-from swphase.trackers import SCAN_FIELDS, AmplitudeThresholdTracker, TrackerConfig
+from swphase.trackers import (KERNEL_FIELDS, AmplitudeThresholdTracker, TrackerConfig,
+                              make_tracker)
 
 
 class TestTally:
@@ -289,39 +291,57 @@ class TestRecordingMajorSearch:
         assert len(live) <= 1    # after the search, the closure holds the last
 
     GRIDS = {
-        "target": (GRID, 2),
-        "dynamics": (dict(reversed(GRID.items())), 2),
-        "maf_span-and-nco": ({"maf_span": [25, 50], "phi_target_deg": [15.0, 45.0],
-                              "pv_trigger_on_nco": [False, True]}, 4),
-        "refractory_s": ({"phi_target_deg": [15.0, 45.0],
-                          "refractory_s": [0.25, 0.5]}, 1),
+        "target": ("pv", GRID, 2),
+        "dynamics": ("pv", dict(reversed(GRID.items())), 2),
+        "maf_span-and-nco": ("pv", {"maf_span": [25, 50], "phi_target_deg": [15.0, 45.0],
+                                    "pv_trigger_on_nco": [False, True]}, 4),
+        "refractory_s": ("pv", {"phi_target_deg": [15.0, 45.0],
+                                "refractory_s": [0.25, 0.5]}, 1),
+        # the PLL reads no vocoder field: one stream per k_pll value
+        "pll-maf_span": ("pll", {"phi_target_deg": [15.0, 195.0], "k_pll": [1e-4, 1e-3],
+                                 "maf_span": [25, 50, 125]}, 2),
     }
 
     @pytest.mark.parametrize("grid_name", list(GRIDS))
     def test_one_stream_per_recording_and_dynamics_setting(self, corpus,
                                                            monkeypatch, grid_name):
-        grid, settings = self.GRIDS[grid_name]
+        algorithm, grid, settings = self.GRIDS[grid_name]
         made = []
 
         def counted(y, cfg):
-            made.append((cfg.k_pv, cfg.maf_span, cfg.pv_trigger_on_nco))
+            made.append((cfg.k_pll, cfg.k_pv, cfg.maf_span, cfg.pv_trigger_on_nco))
             return tracker_phase_stream(y, cfg)
         monkeypatch.setattr(optimize, "tracker_phase_stream", counted)
-        evaluate = make_pipeline_evaluator(corpus, "pv", GateConfig())
+        evaluate = make_pipeline_evaluator(corpus, algorithm, GateConfig())
         grid_search_cv(corpus, grid, evaluate, k=3, seed=0)
         # recording-major: each recording builds the same settings, once each
         assert len(set(made[:settings])) == settings
         assert made == made[:settings] * len(corpus)
 
     @pytest.mark.parametrize("algorithm", ["at", "pll", "pv"])
-    def test_every_field_outside_the_scan_keys_the_kernel(self, corpus, monkeypatch,
-                                                          algorithm):
-        # a field left out of the cache key would let two settings share one
-        # kernel; algorithm and sample_rate_hz are fixed for a whole search
-        other = {"k_pll": 1e-3, "k_pv": 1.0, "maf_span": 50, "pv_trigger_on_nco": True}
-        names = [f.name for f in dataclasses.fields(TrackerConfig)
-                 if f.name not in SCAN_FIELDS + ("algorithm", "sample_rate_hz")]
+    def test_kernel_fields_are_the_fields_the_kernel_reads(self, corpus, monkeypatch,
+                                                           algorithm):
+        # a field the kernel reads but its list lacks would let two settings
+        # share one kernel; a listed field it ignores would build it twice
+        other = {"phi_target_deg": 90.0, "k_pll": 1e-3, "k_pv": 1.0, "maf_span": 50,
+                 "at_threshold_uv": 50.0, "refractory_s": 0.5, "sample_rate_hz": 500.0,
+                 "pv_trigger_on_nco": True}
+        names = [f.name for f in dataclasses.fields(TrackerConfig) if f.name != "algorithm"]
         assert sorted(names) == sorted(other)   # a new field needs a value here
+        listed = KERNEL_FIELDS[algorithm]
+        rec = corpus[0]
+        default = TrackerConfig(algorithm=algorithm, sample_rate_hz=rec.fs)
+        y = PreprocessChain(rec.fs).run(rec.samples)[:15000]
+
+        def kernel(cfg):
+            if algorithm == "at":
+                return make_tracker(cfg).band(y)
+            return tracker_phase_stream(y, cfg)
+        base = kernel(default).tobytes()
+        for name in names:
+            changed = kernel(dataclasses.replace(default, **{name: other[name]}))
+            assert (changed.tobytes() == base) == (name not in listed), name
+
         made = []
         band = AmplitudeThresholdTracker.band
 
@@ -334,27 +354,26 @@ class TestRecordingMajorSearch:
             return tracker_phase_stream(y, cfg)
         monkeypatch.setattr(AmplitudeThresholdTracker, "band", counted_band)
         monkeypatch.setattr(optimize, "tracker_phase_stream", counted_stream)
-        scan = {"phi_target_deg": 90.0, "at_threshold_uv": 50.0, "refractory_s": 0.5}
-        assert sorted(scan) == sorted(SCAN_FIELDS)
-        rec = corpus[0]
         evaluate = make_pipeline_evaluator([rec], algorithm, GateConfig())
         evaluate({}, rec)
+        expected = [default]
         for name in names:
+            if name == "sample_rate_hz":
+                continue    # the evaluator takes the rate from the recording
             evaluate({name: other[name]}, rec)
-            evaluate({name: other[name], **scan}, rec)   # the scan shares the kernel
             evaluate({}, rec)
-        # one slot: each change of a non-scan field builds a kernel with its
-        # value, and going back to the defaults builds theirs again
-        default = TrackerConfig(algorithm=algorithm, sample_rate_hz=rec.fs)
-        assert made[0::2] == [default] * (1 + len(names))
-        assert len(made) == 1 + 2 * len(names)
-        for name, cfg in zip(names, made[1::2]):
-            assert getattr(cfg, name) == other[name]
+            # one slot: a listed field builds a kernel with its value, and going
+            # back to the defaults builds theirs again; any other field builds none
+            if name in listed:
+                expected += [dataclasses.replace(default, **{name: other[name]}), default]
+        assert made == expected
 
     KERNEL_GRIDS = {   # the scan field first, so declaration order would interleave
-        "pv": {"phi_target_deg": [15.0, 45.0], "k_pv": [1.0, 2.0], "maf_span": [25, 50]},
-        "at": {"at_threshold_uv": [30.0, 40.0], "k_pll": [1e-4, 1e-3],
-               "maf_span": [25, 50]},
+        "pv": ({"phi_target_deg": [15.0, 45.0], "k_pv": [1.0, 2.0], "maf_span": [25, 50]},
+               4),
+        # AT reads neither loop field: one band per recording
+        "at": ({"at_threshold_uv": [30.0, 40.0], "k_pll": [1e-4, 1e-3],
+                "maf_span": [25, 50]}, 1),
     }
 
     @pytest.mark.parametrize("algorithm", list(KERNEL_GRIDS))
@@ -375,9 +394,9 @@ class TestRecordingMajorSearch:
         else:
             monkeypatch.setattr(optimize, "tracker_phase_stream",
                                 watched(tracker_phase_stream))
+        grid, settings = self.KERNEL_GRIDS[algorithm]
         evaluate = make_pipeline_evaluator(corpus, algorithm, GateConfig())
-        outcome = grid_search_cv(corpus, self.KERNEL_GRIDS[algorithm], evaluate,
-                                 k=3, seed=0)
+        outcome = grid_search_cv(corpus, grid, evaluate, k=3, seed=0)
         assert len(outcome.results) == 8
-        # four kernel settings, each built once per recording, none kept
-        assert alive == [0] * (4 * len(corpus))
+        # each kernel setting built once per recording, none kept
+        assert alive == [0] * (settings * len(corpus))

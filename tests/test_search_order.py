@@ -1,12 +1,14 @@
 """The recording-major search scores exactly like a combo-major one.
 
 ``grid_search_cv`` visits each recording in turn and evaluates every combo
-on it, the grid names in ``SCAN_FIELDS`` varying fastest.
+on it, the grid names that any tracker's kernel reads (``KERNEL_FIELDS``)
+varying slowest.
 ``combo_major_search`` below is the earlier loop order, one combo over
 every recording in declaration order, with the same fold scoring; any grid,
 corpus size, fold count and seed must give the same results and the same
 best combo.
 """
+import dataclasses
 import itertools
 import math
 
@@ -17,7 +19,7 @@ from swphase.metrics import MAX_STIM_PER_WINDOW
 from swphase.optimize import (ComboResult, CvOutcome, ObjectiveTally,
                               distance_from_tally, expand_grid, grid_search_cv,
                               kfold_split, objectives_from_tally)
-from swphase.trackers import SCAN_FIELDS
+from swphase.trackers import KERNEL_FIELDS, TrackerConfig
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -47,6 +49,11 @@ def combo_major_search(recordings, grid, evaluate, k, seed):
     return CvOutcome(best, results, k, seed, folds)
 
 
+KERNEL_NAMES = tuple(dict.fromkeys(n for fields in KERNEL_FIELDS.values() for n in fields))
+SCAN_NAMES = tuple(f.name for f in dataclasses.fields(TrackerConfig)
+                   if f.name not in KERNEL_NAMES + ("algorithm",))
+
+
 def stub_tally(combo: dict, index: int) -> ObjectiveTally:
     """A valid tally that depends on the combo's values and the recording."""
     h = hash((tuple(combo.values()), index)) % 1_000_003
@@ -61,7 +68,7 @@ def stub_tally(combo: dict, index: int) -> ObjectiveTally:
 
 @st.composite
 def searches(draw):
-    names = draw(st.lists(st.sampled_from(SCAN_FIELDS + ("p0", "p1", "p2")),
+    names = draw(st.lists(st.sampled_from(KERNEL_NAMES + SCAN_NAMES + ("p0", "p1", "p2")),
                           min_size=1, max_size=4, unique=True))
     grid = {name: draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
             for name in names}
@@ -94,10 +101,11 @@ def test_recording_major_equals_combo_major(search):
     assert (outcome.k, outcome.seed) == (k, seed)
     assert all(np.array_equal(a, c) and np.array_equal(b, d)
                for (a, b), (c, d) in zip(outcome.folds, reference.folds))
-    # each recording sees every combo before the next: the scan fields vary
-    # fastest, the other names slower, each group in declaration order
-    order = ([name for name in grid if name not in SCAN_FIELDS]
-             + [name for name in grid if name in SCAN_FIELDS])
+    # each recording sees every combo before the next: the names in any
+    # kernel list vary slowest, the others faster, each group in declaration
+    # order
+    order = ([name for name in grid if name in KERNEL_NAMES]
+             + [name for name in grid if name not in KERNEL_NAMES])
     combos = [tuple(dict(zip(order, values))[name] for name in grid)
               for values in itertools.product(*(grid[name] for name in order))]
     assert visits == [(i, c) for i in range(n) for c in combos]
