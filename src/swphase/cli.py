@@ -14,10 +14,10 @@ from . import __version__
 from .bench import DEFAULT_REPS, OP_COUNTS, measure_pipeline_cost
 from .errors import ConfigurationError, FileFormatError, SwphaseError
 from .gate import GateConfig, calibrate_gate
-from .io import (apply_config, config_echo, hash_file, parse_config_echo,
-                 parse_grid, parse_stage_runs, read_config, read_hypnogram,
-                 read_recording, read_trigger_log, write_hypnogram,
-                 write_phase_track, write_recording, write_trigger_log)
+from .io import (apply_config, config_echo, hash_file, parse_config_echo, parse_grid,
+                 parse_stage_runs, read_config, read_hypnogram, read_recording,
+                 read_trigger_log, split_key_value, write_hypnogram, write_phase_track,
+                 write_recording, write_trigger_log)
 from .metrics import up_phase_pct
 from .optimize import default_grid, grid_search_cv, make_pipeline_evaluator
 from .pipeline import evaluate_session, logged_session, run_session
@@ -31,13 +31,10 @@ _SYNTH_FIXED = ("seed", "hypnogram")
 
 
 def _pairs(values) -> dict:
-    out = {}
     for item in values or []:
         if "=" not in item:
             raise ConfigurationError(f"expected key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        out[key.strip()] = val.strip()
-    return out
+    return dict(map(split_key_value, values or []))
 
 
 def _read_hypnogram_into(recording, path) -> None:

@@ -25,7 +25,9 @@ Hypnograms are ``epoch_index,stage`` CSV, contiguous from epoch 0; that is
 the only form ``read_hypnogram`` reads. The compact run-length form
 "W*10 N1*3 N2*30" (parse_stage_runs) is read only by ``simulate --stages``.
 
-Configuration files are flat ``key = value`` lines with ``#`` comments.
+Grid files (``optimize --grid``) are ``key = v1,v2,...`` lines, no key twice.
+Every text file is read by ``_lines``: lines stripped; blank lines, ``#``
+comments and a leading byte-order mark skipped.
 """
 from __future__ import annotations
 
@@ -45,6 +47,8 @@ from .trackers import ALGORITHMS
 
 MAGIC = b"SWPH"
 FORMAT_VERSION = 1
+_HEAD = struct.Struct("<4sHdH")   # magic, version, fs, label length
+_TAIL = struct.Struct("<Qd")      # sample count, start time
 
 
 def hash_file(path) -> str:
@@ -55,11 +59,26 @@ def hash_file(path) -> str:
     return h.hexdigest()
 
 
-def _lines(path):
-    """Numbered lines of a UTF-8 text file; undecodable bytes raise."""
-    with open(path, "r", encoding="utf-8") as f:
+def split_key_value(text: str) -> tuple:
+    """("key", "value") from "key = value", both sides stripped."""
+    key, _, val = text.partition("=")
+    return key.strip(), val.strip()
+
+
+def _lines(path, header: Optional[dict] = None):
+    """Numbered, stripped lines of a UTF-8 text file (a leading byte-order
+    mark dropped), blank lines and ``#`` comments skipped. Each ``# key=value``
+    comment is stored in ``header`` when one is given; undecodable bytes raise."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
-            yield from enumerate(f, 1)
+            for ln, line in enumerate(f, 1):
+                line = line.strip()
+                if line.startswith("#"):
+                    if header is not None and "=" in line:
+                        key, val = split_key_value(line[1:])
+                        header[key] = val
+                elif line:
+                    yield ln, line
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -75,7 +94,7 @@ def _recording(path, **fields) -> EegRecording:
 def _read_exact(f, n: int, what: str) -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise FileFormatError(f"truncated file: expected {n} bytes for {what}")
+        raise FileFormatError(f"{f.name}: truncated file: expected {n} bytes for {what}")
     return data
 
 
@@ -94,31 +113,24 @@ def write_recording_binary(path, recording: EegRecording) -> None:
     label = recording.label.encode("utf-8")
     samples = _float32_samples(path, recording)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", FORMAT_VERSION))
-        f.write(struct.pack("<d", recording.fs))
-        f.write(struct.pack("<H", len(label)))
+        f.write(_HEAD.pack(MAGIC, FORMAT_VERSION, recording.fs, len(label)))
         f.write(label)
-        f.write(struct.pack("<Q", len(samples)))
-        f.write(struct.pack("<d", recording.start_time))
+        f.write(_TAIL.pack(len(samples), recording.start_time))
         f.write(samples.tobytes())
 
 
 def read_recording_binary(path) -> EegRecording:
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC:
+        magic, version, fs, label_len = _HEAD.unpack(_read_exact(f, _HEAD.size, "header"))
+        if magic != MAGIC:
             raise FileFormatError(f"{path}: not a recording file (bad magic)")
-        (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
         if version != FORMAT_VERSION:
             raise FileFormatError(f"{path}: unsupported format version {version}")
-        (fs,) = struct.unpack("<d", _read_exact(f, 8, "sampling rate"))
-        (label_len,) = struct.unpack("<H", _read_exact(f, 2, "label length"))
         try:
             label = _read_exact(f, label_len, "label").decode("utf-8")
         except UnicodeDecodeError:
             raise FileFormatError(f"{path}: label is not UTF-8") from None
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, "sample count"))
-        (start,) = struct.unpack("<d", _read_exact(f, 8, "start time"))
+        count, start = _TAIL.unpack(_read_exact(f, _TAIL.size, "count and start time"))
         body_bytes = os.fstat(f.fileno()).st_size - f.tell()
         if count > body_bytes // 4:
             raise FileFormatError(f"{path}: truncated file: {count} samples in the header")
@@ -143,16 +155,7 @@ def write_recording_csv(path, recording: EegRecording) -> None:
 def read_recording_csv(path) -> EegRecording:
     header = {}
     values = []
-    for ln, line in _lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                header[key.strip()] = val.strip()
-            continue
+    for ln, line in _lines(path, header):
         try:
             values.append(float(line))
         except ValueError:
@@ -210,9 +213,6 @@ def write_hypnogram(path, stages) -> None:
 def read_hypnogram(path) -> list:
     stages = []
     for ln, line in _lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         if ln == 1 and line.lower().startswith("epoch_index"):
             continue
         parts = line.split(",")
@@ -289,15 +289,7 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
     provenance = {}
     rows = []
     saw_header = False
-    for ln, line in _lines(path):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, val = body.partition("=")
-            provenance[key.strip()] = val.strip()
-            continue
+    for ln, line in _lines(path, provenance):
         if not saw_header:
             if line.split(",") != list(TRIGGER_COLUMNS):
                 raise FileFormatError(f"{path}:{ln}: unexpected column header")
@@ -341,22 +333,18 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
     return provenance, rows
 
 
-def parse_config_text(text: str) -> dict:
-    out = {}
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FileFormatError(f"line {ln}: expected key = value")
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
-    return out
-
-
 def read_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    """{key: value} from a file of ``key = value`` lines; a line without
+    ``=`` or a key given twice is refused."""
+    out = {}
+    for ln, line in _lines(path):
+        if "=" not in line:
+            raise FileFormatError(f"{path}:{ln}: expected key = value")
+        key, val = split_key_value(line)
+        if key in out:
+            raise FileFormatError(f"{path}:{ln}: key {key!r} given twice")
+        out[key] = val
+    return out
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -420,5 +408,4 @@ def parse_config_echo(echo: Optional[str], base):
     itself when there is no echo (None)."""
     if echo is None:
         return base
-    return apply_config(base, dict(item.partition("=")[::2]
-                                   for item in echo.split(";")))
+    return apply_config(base, dict(map(split_key_value, echo.split(";"))))

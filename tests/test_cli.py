@@ -223,6 +223,22 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "ConfigurationError" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("data, message", [
+        (b"at_threshold_uv = 20,30\nat_threshold_uv = 40\n",
+         "g.grid:2: key 'at_threshold_uv' given twice"),
+        (b"at_threshold_uv = 20,\xff30\n", "g.grid: not UTF-8 text"),
+        (b"fast\n", "g.grid:1: expected key = value"),
+    ], ids=["repeated_key", "not_utf8", "bare_word"])
+    def test_bad_grid_file_is_3(self, corpus, tmp_path, capsys, data, message):
+        grid = tmp_path / "g.grid"
+        grid.write_bytes(data)
+        rc = main(["optimize", str(corpus / "r0.swp"), str(corpus / "r1.swp"),
+                   "--algorithm", "at", "-k", "2", "--grid", str(grid)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "FileFormatError" in err and message in err
+
 
 class TestBenchCommand:
     def test_every_figure_comes_from_one_run(self, tmp_path, capsys):

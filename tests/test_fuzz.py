@@ -7,18 +7,22 @@ line would show as a traceback. A parsed config is also used and must hold
 finite numbers only; non-finite spellings are substituted into every key of
 every config text, since byte mutations seldom produce one.
 """
+import inspect
 import math
 from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
 
+import swphase.io
 from swphase.errors import SwphaseError
 from swphase.gate import GateConfig, StimulationGate
-from swphase.io import (apply_config, config_echo, parse_config_echo,
-                        parse_stage_runs, read_hypnogram, read_recording,
-                        read_trigger_log, write_hypnogram, write_recording,
-                        write_trigger_log)
+from swphase.io import (apply_config, config_echo, parse_config_echo, parse_grid,
+                        parse_stage_runs, read_config, read_hypnogram, read_phase_track,
+                        read_recording, read_recording_binary, read_recording_csv,
+                        read_trigger_log, write_hypnogram, write_phase_track,
+                        write_recording, write_recording_csv, write_trigger_log)
+from swphase.oracle import PhaseTrack
 from swphase.pipeline import LoggedTrigger
 from swphase.recording import EegRecording
 from swphase.synth import SynthSpec
@@ -54,10 +58,13 @@ def recording(n=40):
 
 def seed_file(tmp_path, kind) -> bytes:
     path = tmp_path / f"seed.{kind}"
-    if kind == "swp":
+    if kind in ("swp", "binary"):
         write_recording(path, recording())
-    elif kind == "csv":
-        write_recording(path, recording(12))
+    elif kind in ("csv", "text"):
+        write_recording_csv(path, recording(12))
+    elif kind == "phase":
+        phase = np.linspace(0.0, 359.0, 20)
+        write_phase_track(path, PhaseTrack(phase_deg=phase, valid=phase > 30.0, fs=250.0))
     elif kind == "hyp":
         write_hypnogram(path, ["W", "N1", "N2", "N3", "REM", "N2"])
     elif kind == "trig":
@@ -65,6 +72,9 @@ def seed_file(tmp_path, kind) -> bytes:
                LoggedTrigger(400, 1.6, "pv", 47.0, -12.25, False, "swa", False)]
         write_trigger_log(path, log, {"input_sha256": "ab" * 32,
                                       "tracker_config": "algorithm=pv"})
+    elif kind == "grid":
+        path.write_text("# pv search\nphi_target_deg = 30, 45\nk_pv = 1.5,2\n\n"
+                        "pv_trigger_on_nco = true,false\n")
     return path.read_bytes()
 
 
@@ -81,7 +91,25 @@ FILE_READERS = {
     "csv": read_recording,
     "hyp": read_hypnogram,
     "trig": lambda path: read_trigger_log(path, n_samples=500),
+    "grid": lambda path: parse_grid(read_config(path), TrackerConfig(algorithm="pv"),
+                                    ("algorithm", "sample_rate_hz")),
+    "binary": read_recording_binary,
+    "text": read_recording_csv,
+    "phase": read_phase_track,
 }
+
+
+def test_every_public_reader_has_a_fuzz_entry():
+    """An io reader is fuzzed by an entry that is the reader itself or a
+    lambda that calls it by name; a reader reached only through another
+    (read_recording_csv through read_recording) is not."""
+    readers = {name for name, obj in vars(swphase.io).items() if name.startswith("read_")
+               and inspect.isfunction(obj) and obj.__module__ == swphase.io.__name__}
+    fuzzed = set()
+    for reader in FILE_READERS.values():
+        fuzzed.update([reader.__name__] if reader.__module__ == swphase.io.__name__
+                      else reader.__code__.co_names)
+    assert sorted(readers - fuzzed) == []
 
 def used_tracker(cfg):
     make_tracker(cfg)

@@ -14,8 +14,8 @@ from swphase.io import (
     config_echo,
     hash_file,
     parse_config_echo,
-    parse_config_text,
     parse_stage_runs,
+    read_config,
     read_hypnogram,
     read_phase_track,
     read_recording,
@@ -42,6 +42,14 @@ def sample_recording(n=1000, label="EEG Fpz-Cz", start=12.5):
 
 
 class TestRecordingBinary:
+    def test_header_bytes(self, tmp_path):
+        path = tmp_path / "rec.swp"
+        write_recording_binary(path, EegRecording(samples=np.array([1.0]), fs=250.0,
+                                                  label="C3", start_time=2.5))
+        assert path.read_bytes() == bytes.fromhex(
+            "53575048" "0100" "0000000000406f40" "0200" "4333"
+            "0100000000000000" "0000000000000440" "0000803f")
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "rec.swp"
         rec = sample_recording()
@@ -81,6 +89,14 @@ class TestRecordingBinary:
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
         with pytest.raises(FileFormatError, match="truncated"):
+            read_recording_binary(path)
+
+    @pytest.mark.parametrize("size", [3, 17, 25])
+    def test_truncated_header_names_the_file(self, tmp_path, size):
+        path = tmp_path / "rec.swp"
+        write_recording_binary(path, sample_recording(10, label="C3"))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(FileFormatError, match=r"rec\.swp: truncated"):
             read_recording_binary(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -295,15 +311,56 @@ class TestTriggerLog:
             read_trigger_log(path)
 
 
-class TestConfigFiles:
-    def test_parse_key_values(self):
-        text = "# comment\nat_threshold_uv = 40\n\nrefractory_s=0.5\n"
-        assert parse_config_text(text) == {"at_threshold_uv": "40",
-                                           "refractory_s": "0.5"}
+class TestBom:
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet
+    "CSV UTF-8" exports do, reads as the same file without it."""
 
-    def test_rejects_bare_words(self):
-        with pytest.raises(FileFormatError, match="key = value"):
-            parse_config_text("fast\n")
+    def write_both(self, tmp_path, write):
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        write(plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        return plain, bom
+
+    def test_hypnogram(self, tmp_path):
+        plain, bom = self.write_both(tmp_path, lambda p: write_hypnogram(p, ["W", "N2"]))
+        assert read_hypnogram(bom) == read_hypnogram(plain)
+
+    def test_recording_csv(self, tmp_path):
+        plain, bom = self.write_both(
+            tmp_path, lambda p: write_recording_csv(p, sample_recording(20)))
+        a, b = read_recording(plain), read_recording(bom)
+        assert (b.fs, b.label, b.start_time) == (a.fs, a.label, a.start_time)
+        np.testing.assert_array_equal(b.samples, a.samples)
+
+    def test_trigger_log(self, tmp_path):
+        plain, bom = self.write_both(
+            tmp_path, lambda p: write_trigger_log(p, sample_log(), {"input_sha256": "ab"}))
+        assert read_trigger_log(bom) == read_trigger_log(plain)
+
+    def test_grid_file(self, tmp_path):
+        plain, bom = self.write_both(
+            tmp_path, lambda p: p.write_text("at_threshold_uv = 20,30\n"))
+        assert read_config(bom) == read_config(plain) == {"at_threshold_uv": "20,30"}
+
+
+class TestConfigFiles:
+    def test_parse_key_values(self, tmp_path):
+        path = tmp_path / "g.grid"
+        path.write_text("# comment\nat_threshold_uv = 40\n\nrefractory_s=0.5\n")
+        assert read_config(path) == {"at_threshold_uv": "40", "refractory_s": "0.5"}
+
+    def test_rejects_bare_words(self, tmp_path):
+        path = tmp_path / "g.grid"
+        path.write_text("fast\n")
+        with pytest.raises(FileFormatError, match=r"g\.grid:1: expected key = value"):
+            read_config(path)
+
+    def test_rejects_a_key_given_twice(self, tmp_path):
+        path = tmp_path / "g.grid"
+        path.write_text("at_threshold_uv = 20,30\nat_threshold_uv = 40\n")
+        with pytest.raises(FileFormatError,
+                           match=r"g\.grid:2: key 'at_threshold_uv' given twice"):
+            read_config(path)
 
     def test_tracker_overrides_coerced(self):
         cfg = apply_config(TrackerConfig(), {"algorithm": "pll", "k_pll": "2e-4",
