@@ -31,10 +31,15 @@ _SYNTH_FIXED = ("seed", "hypnogram")
 
 
 def _pairs(values) -> dict:
+    out = {}
     for item in values or []:
         if "=" not in item:
             raise ConfigurationError(f"expected key=value, got {item!r}")
-    return dict(map(split_key_value, values or []))
+        key, val = split_key_value(item)
+        if key in out:
+            raise ConfigurationError(f"key {key!r} given twice")
+        out[key] = val
+    return out
 
 
 def _read_hypnogram_into(recording, path) -> None:

@@ -3,7 +3,8 @@
 Every IIR filter is an ``IirFilter``: a cascade of sections of at most
 second order, each with its own state, that all run one recurrence. ``step``
 runs it for one sample and ``run`` is ``lfilter`` per section with carried
-state; the two are bit-identical and refuse non-finite samples.
+state; the two are bit-identical and refuse non-finite samples. ``mod360``
+is the one wrap of an angle array into [0, 360) degrees.
 """
 from __future__ import annotations
 
@@ -137,6 +138,19 @@ class PreprocessChain(IirFilter):
     def run(self, x: np.ndarray) -> np.ndarray:
         """The chain's batch entry point: the cascade's ``run``."""
         return IirFilter.run(self, x)
+
+
+def mod360(v):
+    """``np.mod(v, 360.0)`` in place.
+
+    Phase stream differences and the oracle's shifted angles lie in
+    [-360, 360), where fmod is the identity, so one conditional add gives
+    np.mod's values (up to the sign of a zero, which no comparison sees) at
+    a fraction of its cost. Other inputs take np.mod.
+    """
+    if len(v) and not (v.min() >= -360.0 and v.max() < 360.0):
+        return np.mod(v, 360.0, out=v)
+    return np.add(v, 360.0, out=v, where=v < 0.0)
 
 
 def band_powers(windows, fs: float, bands) -> np.ndarray:

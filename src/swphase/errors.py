@@ -32,8 +32,8 @@ class TimerResolutionError(SwphaseError):
 
 
 def check_finite(config):
-    """Refuse a float field of a dataclass (a config, a trigger log row), or
-    a float member of a tuple field, that is not finite."""
+    """Refuse a float field of a config dataclass, or a float member of a
+    tuple field, that is not finite."""
     for name, value in vars(config).items():
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):

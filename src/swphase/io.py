@@ -27,7 +27,9 @@ the only form ``read_hypnogram`` reads. The compact run-length form
 
 Grid files (``optimize --grid``) are ``key = v1,v2,...`` lines, no key twice.
 Every text file is read by ``_lines``: lines stripped; blank lines, ``#``
-comments and a leading byte-order mark skipped.
+comments and a leading byte-order mark skipped. Where a file carries
+``# key=value`` header lines (CSV recordings, trigger logs), they come
+before the first data line, each key once.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, FileFormatError, StreamIntegrityError, check_finite
+from .errors import ConfigurationError, FileFormatError, StreamIntegrityError
 from .gate import REASONS
 from .oracle import PhaseTrack
 from .recording import MAX_STAGE_EPOCHS, EegRecording, STAGES
@@ -68,7 +70,9 @@ def split_key_value(text: str) -> tuple:
 def _lines(path, header: Optional[dict] = None):
     """Numbered, stripped lines of a UTF-8 text file (a leading byte-order
     mark dropped), blank lines and ``#`` comments skipped. Each ``# key=value``
-    comment is stored in ``header`` when one is given; undecodable bytes raise."""
+    comment is stored in ``header`` when one is given; such a line after the
+    first data line, a key given twice and undecodable bytes raise."""
+    data = False
     with open(path, "r", encoding="utf-8-sig") as f:
         try:
             for ln, line in enumerate(f, 1):
@@ -76,8 +80,12 @@ def _lines(path, header: Optional[dict] = None):
                 if line.startswith("#"):
                     if header is not None and "=" in line:
                         key, val = split_key_value(line[1:])
+                        if data or key in header:
+                            why = "after the data" if data else "given twice"
+                            raise FileFormatError(f"{path}:{ln}: header key {key!r} {why}")
                         header[key] = val
                 elif line:
+                    data = True
                     yield ln, line
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -310,24 +318,22 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
             raise FileFormatError(f"{path}:{ln}: delivered={parts[5]} disagrees with "
                                   f"suppression_reason {parts[6]!r}")
         try:
-            rows.append(LoggedTrigger(
-                sample_index=int(parts[0]),
-                time_s=float(parts[1]),
-                algorithm=parts[2],
-                tracker_phase_deg=float(parts[3]) if parts[3] else None,
-                amplitude_uv=float(parts[4]),
-                delivered=parts[5] == "1",
-                suppression_reason=parts[6],
-                on_window=parts[7] == "1",
-            ))
-            check_finite(rows[-1])
-        except (ValueError, ConfigurationError) as exc:
+            idx = int(parts[0])
+            time_s = float(parts[1])
+            phase = float(parts[3]) if parts[3] else None
+            amplitude = float(parts[4])
+        except ValueError as exc:
             raise FileFormatError(f"{path}:{ln}: {exc}")
-        idx = rows[-1].sample_index
+        for name, v in (("time_s", time_s), ("tracker_phase_deg", phase),
+                        ("amplitude_uv", amplitude)):
+            if v is not None and not math.isfinite(v):
+                raise FileFormatError(f"{path}:{ln}: {name} must be finite, got {v!r}")
         if idx < 0 or (n_samples is not None and idx >= n_samples):
             limit = "" if n_samples is None else f" of {n_samples} samples"
             raise FileFormatError(
                 f"{path}:{ln}: sample_index {idx} outside the recording{limit}")
+        rows.append(LoggedTrigger(idx, time_s, parts[2], phase, amplitude,
+                                  parts[5] == "1", parts[6], parts[7] == "1"))
     if not saw_header:
         raise FileFormatError(f"{path}: missing column header")
     return provenance, rows

@@ -229,7 +229,12 @@ def default_grid(algorithm: str) -> dict:
 
 
 class _RecordingCache:
-    """One recording's intermediates, shared by every combo of the grid."""
+    """One recording's intermediates, shared by every combo of the grid.
+
+    ``end`` is one past the oracle track's last valid sample. ``tally``
+    drops every trigger from there on, and the trackers are causal, so
+    kernels and trigger scans stop there.
+    """
 
     def __init__(self, recording: EegRecording, gate_config: GateConfig):
         fs = recording.fs
@@ -240,6 +245,7 @@ class _RecordingCache:
         self.reasons = window_reasons(flags)
         self.gate_win = gate_config.window_samples(fs)
         self.track = compute_phase_track(recording.samples, fs)
+        self.end = len(self.track) - int(np.argmax(self.track.valid[::-1]))
         self.q_count, _, self.qual = qualifying_windows(
             recording, flags, gate_config, self.track.valid)
         self.kernel = (None, None)  # (kernel field values, band or (stream, arcs))
@@ -264,8 +270,9 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
 
     Preprocessing, gate flags, the oracle track and qualifying-window counts
     are computed once per recording; the tracker's kernel once per setting
-    of the fields ``KERNEL_FIELDS`` lists for it. The trigger scan then
-    reuses those for each setting of the other fields.
+    of the fields ``KERNEL_FIELDS`` lists for it, up to the oracle's last
+    valid sample. The trigger scan then reuses those for each setting of the
+    other fields.
 
     The closure holds one recording's intermediates and one kernel. A call
     with another recording or kernel setting drops the old one before
@@ -288,10 +295,11 @@ def make_pipeline_evaluator(recordings: Sequence[EegRecording],
         key = tuple(getattr(cfg, n) for n in KERNEL_FIELDS[algorithm])
         if cache.kernel[0] != key:
             cache.kernel = (None, None)     # free the old kernel before the new one
+            y = cache.y[:cache.end]
             if algorithm == "at":
-                cache.kernel = (key, make_tracker(cfg).band(cache.y))
+                cache.kernel = (key, make_tracker(cfg).band(y))
             else:
-                stream = tracker_phase_stream(cache.y, cfg)
+                stream = tracker_phase_stream(y, cfg)
                 cache.kernel = (key, (stream, forward_arcs(stream)[0]))
         kernel = cache.kernel[1]
         refr = cfg.refractory_samples()

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import signal
 
+from .dsp import mod360
 from .errors import RecordingTooShortError
 
 SW_BAND_HZ = (0.5, 4.0)
@@ -72,7 +73,7 @@ def hilbert_phase(filtered, fs: float) -> PhaseTrack:
     del spectrum
     np.degrees(phase, out=phase)
     phase += 90.0
-    phase %= 360.0
+    mod360(phase)
     valid = np.zeros(n, dtype=bool)
     crop = int(CROP_S * fs)
     if n > 2 * crop:

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dsp import IirFilter, design_sw_isolation
+from .dsp import IirFilter, design_sw_isolation, mod360
 from .errors import ConfigurationError, check_finite, check_positive
 
 TAU = 2.0 * math.pi
@@ -115,19 +115,6 @@ class TriggerEvent:
     amplitude_uv: float
 
 
-def _mod360(v):
-    """``np.mod(v, 360.0)`` in place.
-
-    Stream differences lie in [-360, 360), where fmod is the identity, so
-    one conditional add gives np.mod's values (up to the sign of a zero,
-    which no comparison sees) at a fraction of its cost. Other inputs take
-    np.mod.
-    """
-    if len(v) and not (v.min() >= -360.0 and v.max() < 360.0):
-        return np.mod(v, 360.0, out=v)
-    return np.add(v, 360.0, out=v, where=v < 0.0)
-
-
 def forward_arcs(stream_deg, prev_deg: float = 0.0, x=None):
     """Forward arc (deg) into each sample of a phase stream, and the slip count.
 
@@ -142,7 +129,7 @@ def forward_arcs(stream_deg, prev_deg: float = 0.0, x=None):
     if len(p):
         arcs[0] = p[0] - prev_deg
         np.subtract(p[1:], p[:-1], out=arcs[1:])
-        _mod360(arcs)
+        mod360(arcs)
     if x is not None:
         arcs[~np.isfinite(x)] = NO_ARC
     slip = arcs >= 180.0
@@ -163,7 +150,7 @@ def phase_hits(stream_deg, arcs, target_deg: float, prev_deg: float = 0.0):
     if len(p):
         d[0] = target_deg - prev_deg
         np.subtract(target_deg, p[:-1], out=d[1:])
-        _mod360(d)
+        mod360(d)
     idx = np.flatnonzero(d <= arcs)
     return idx[d[idx] > 0.0]
 

@@ -339,6 +339,20 @@ class TestExitCodes:
         assert rc == 3
         assert f"flag.trig.csv:{row + 1}: delivered must be 0 or 1" in capsys.readouterr().err
 
+    def test_hash_appended_after_the_rows_is_3(self, corpus, tmp_path, capsys):
+        # read as provenance, it would replace the header's hash
+        text = (corpus / "r0.trig.csv").read_text()
+        bad = tmp_path / "appended.trig.csv"
+        bad.write_text(text + f"# input_sha256={'cd' * 32}\n")
+        rc = main(["evaluate", "--input", str(corpus / "r0.swp"),
+                   "--triggers", str(bad), "--hypnogram", str(corpus / "r0.hyp.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "FileFormatError" in err
+        n = len(text.splitlines())
+        assert f"appended.trig.csv:{n + 1}: header key 'input_sha256' after the data" in err
+        assert "differs" not in err
+
     def test_log_without_input_hash_still_evaluates(self, corpus, tmp_path):
         lines = (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)
         bare = tmp_path / "bare.trig.csv"
@@ -447,6 +461,11 @@ class TestExitCodes:
         # --cycles has no meaning next to --stages
         ("simulate", ["--stages", "N2*40", "--cycles", "2"]),
         ("track", ["--gate-set", "nrem_history_s=86400", "--gate-set", "window_step_s=86400"]),
+        # an override key given twice, as in a grid file
+        ("track", ["--set", "refractory_s=1", "--set", "refractory_s=2"]),
+        ("track", ["--gate-set", "swa_threshold_uv2=40", "--gate-set", "swa_threshold_uv2 = 50"]),
+        ("simulate", ["--synth-set", "spindle_rate_per_min=1",
+                      "--synth-set", "spindle_rate_per_min=2"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_override_is_2(self, corpus, tmp_path, capsys, command, extra):
         key = (extra[-1].partition("=")[0].strip() if "=" in extra[-1]

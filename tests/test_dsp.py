@@ -6,7 +6,7 @@ from scipy import signal
 
 from swphase.dsp import (IirFilter, PreprocessChain, band_powers,
                          design_highpass, design_lowpass, design_notch,
-                         design_sw_isolation)
+                         design_sw_isolation, mod360)
 from swphase.errors import ConfigurationError, StreamIntegrityError
 
 from conftest import FS, sinusoid
@@ -316,3 +316,22 @@ class TestBandPower:
         left = self.power(x, (1.0, 9.99))
         right = self.power(x, (10.0, 20.0))
         assert left + right == pytest.approx(whole, rel=1e-9)
+
+
+class TestMod360:
+    """``mod360`` is ``np.mod(v, 360.0)`` bit for bit; -0.0, where the two
+    differ in the sign of the zero only, is left out."""
+
+    def test_bits_on_the_fast_range(self):
+        rng = np.random.default_rng(5)
+        v = np.concatenate([[-360.0, -1e-300, 0.0, 359.99999999999994, -180.0, 5e-324],
+                            rng.uniform(-360.0, 360.0, 10000)])
+        want = np.mod(v, 360.0)
+        assert mod360(v) is v
+        assert v.tobytes() == want.tobytes()
+        assert v[1] == 360.0      # -1e-300 wraps onto 360, as np.mod puts it
+
+    def test_bits_outside_the_range(self):
+        v = np.array([-725.5, -360.5, 10.0, 360.0, 1e300, 719.25])
+        want = np.mod(v, 360.0)
+        assert mod360(v).tobytes() == want.tobytes()

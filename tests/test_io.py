@@ -166,6 +166,17 @@ class TestRecordingCsv:
         with pytest.raises(FileFormatError, match="rec.csv:3"):
             read_recording_csv(path)
 
+    @pytest.mark.parametrize("text,line,match", [
+        ("# fs=250.0\n1.0\n# fs=500.0\n2.0\n", 3, "header key 'fs' after the data"),
+        ("# fs=250.0\n1.0\n2.0\n# label=late\n", 4, "header key 'label' after the data"),
+        ("# fs=250.0\n# fs=500.0\n1.0\n", 2, "header key 'fs' given twice"),
+    ], ids=["rate_after_samples", "label_at_the_end", "rate_twice"])
+    def test_header_lines_come_first_and_once(self, tmp_path, text, line, match):
+        path = tmp_path / "rec.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=rf"rec\.csv:{line}: {match}"):
+            read_recording_csv(path)
+
     def test_sniffing_dispatch(self, tmp_path):
         rec = sample_recording(50)
         bin_path = tmp_path / "as_binary.dat"
@@ -256,6 +267,26 @@ class TestTriggerLog:
         assert rows[1].suppression_reason == "swa"
         assert rows[2].on_window is False
         assert rows[2].tracker_phase_deg == pytest.approx(46.5)
+
+    def test_provenance_after_the_rows_is_refused(self, tmp_path):
+        # it would otherwise replace the header's hash
+        path = tmp_path / "trig.csv"
+        write_trigger_log(path, sample_log(), {"input_sha256": "ab" * 32})
+        n = len(path.read_text().splitlines())
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(f"# input_sha256={'cd' * 32}\n")
+        with pytest.raises(FileFormatError,
+                           match=rf"trig\.csv:{n + 1}: header key 'input_sha256' after the data"):
+            read_trigger_log(path)
+
+    def test_provenance_key_given_twice_is_refused(self, tmp_path):
+        path = tmp_path / "trig.csv"
+        write_trigger_log(path, sample_log(), {"input_sha256": "ab" * 32})
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + [f"# input_sha256={'cd' * 32}\n"] + lines[2:]))
+        with pytest.raises(FileFormatError,
+                           match=r"trig\.csv:3: header key 'input_sha256' given twice"):
+            read_trigger_log(path)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -24,7 +24,7 @@ from swphase.optimize import (
     objectives_from_tally,
     tally_from_phases,
 )
-from swphase.oracle import compute_phase_track
+from swphase.oracle import CROP_S, compute_phase_track
 from swphase.pipeline import (qualifying_windows, run_session,
                               tracker_phase_stream)
 from swphase.trackers import (KERNEL_FIELDS, AmplitudeThresholdTracker, TrackerConfig,
@@ -236,25 +236,60 @@ class TestPipelineEvaluator:
         ("at", {"refractory_s": 0.301}),
     ])
     def test_fast_path_matches_full_session(self, short_synth, algorithm, combo):
+        assert_fast_path_matches_full_session(short_synth.recording, algorithm, combo)
+
+    @pytest.mark.parametrize("algorithm", ["at", "pll", "pv"])
+    def test_fast_path_matches_full_session_at_the_cut(self, corpus, algorithm):
+        # N3 to the end: the full session delivers triggers on both sides of
+        # the oracle's last valid sample, where the kernels stop
+        rec = corpus[0]
+        delivered = assert_fast_path_matches_full_session(rec, algorithm, {})
+        end = len(rec.samples) - int(CROP_S * rec.fs)
+        assert (delivered < end).any() and (delivered >= end).any()
+
+    @pytest.mark.parametrize("algorithm", ["at", "pll", "pv"])
+    def test_kernels_stop_at_the_oracle_last_valid_sample(self, short_synth, short_track,
+                                                          monkeypatch, algorithm):
+        lengths = []
+        band = AmplitudeThresholdTracker.band
+
+        def counted_band(tracker, y):
+            lengths.append(len(y))
+            return band(tracker, y)
+
+        def counted_stream(y, cfg):
+            lengths.append(len(y))
+            return tracker_phase_stream(y, cfg)
+        monkeypatch.setattr(AmplitudeThresholdTracker, "band", counted_band)
+        monkeypatch.setattr(optimize, "tracker_phase_stream", counted_stream)
         rec = short_synth.recording
-        gate_config = GateConfig().validate()
-        evaluate = make_pipeline_evaluator([rec], algorithm, gate_config)
-        fast = evaluate(combo, rec)
+        make_pipeline_evaluator([rec], algorithm, GateConfig())({}, rec)
+        assert lengths == [np.flatnonzero(short_track.valid)[-1] + 1]
+        assert lengths[0] < len(rec.samples)
 
-        cfg = TrackerConfig(**{**TrackerConfig(algorithm=algorithm).__dict__,
-                               **combo, "sample_rate_hz": rec.fs})
-        session = run_session(rec, cfg, gate_config)
-        track = compute_phase_track(rec.samples, rec.fs)
-        q_count, _, qual = qualifying_windows(rec, session.window_flags,
-                                              gate_config, track.valid)
-        idx = np.asarray([e.sample_index for e in session.delivered()], dtype=int)
-        valid = idx[track.valid[idx]]
-        phases = track.phase_deg[valid]
-        win = int(round(2.0 * rec.fs))
-        inw = [w < len(qual) and bool(qual[w]) for w in valid // win]
-        slow = tally_from_phases(phases, inw, q_count)
 
-        assert fast == slow
+def assert_fast_path_matches_full_session(rec, algorithm, combo):
+    """The evaluator's tally equals one built from a full ``run_session``;
+    returns the session's delivered sample indices."""
+    gate_config = GateConfig().validate()
+    evaluate = make_pipeline_evaluator([rec], algorithm, gate_config)
+    fast = evaluate(combo, rec)
+
+    cfg = TrackerConfig(**{**TrackerConfig(algorithm=algorithm).__dict__,
+                           **combo, "sample_rate_hz": rec.fs})
+    session = run_session(rec, cfg, gate_config)
+    track = compute_phase_track(rec.samples, rec.fs)
+    q_count, _, qual = qualifying_windows(rec, session.window_flags,
+                                          gate_config, track.valid)
+    idx = np.asarray([e.sample_index for e in session.delivered()], dtype=int)
+    valid = idx[track.valid[idx]]
+    phases = track.phase_deg[valid]
+    win = int(round(2.0 * rec.fs))
+    inw = [w < len(qual) and bool(qual[w]) for w in valid // win]
+    slow = tally_from_phases(phases, inw, q_count)
+
+    assert fast == slow
+    return idx
 
 
 @pytest.fixture(scope="module")
