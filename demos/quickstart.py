@@ -32,7 +32,7 @@ def main():
         print(f"{algo:>5} {r.n_delivered:>9} {t.up_phase_pct:>7.1f}% "
               f"{r.circular_mean_deg:>6.1f}d {r.cmae45_deg:>6.2f}d "
               f"{r.pas_report.pas_in_up:>6.2f}% {t.low_capacity_pct:>6.1f}% "
-              f"{t.high_capacity_pct:>7.1f}% {r.intervals.median_s:>7.3f}s")
+              f"{t.high_capacity_pct:>7.1f}% {r.median_interval_s:>7.3f}s")
 
     print("\nper-sample cost (phase vocoder, the most expensive tracker):")
     rep = measure_pipeline_cost()

@@ -8,9 +8,9 @@ from .errors import (ConfigurationError, FileFormatError,
                      SwphaseError, TimerResolutionError,
                      UndefinedStatisticError)
 from .gate import GateConfig, GateFlags, StimulationGate, calibrate_gate
-from .metrics import (CircularSummary, IntervalReport, PasReport, SlowWave,
-                      TargetingReport, circular_mean_sd, cmae45, detect_waves,
-                      pas, targeting_capacity, trigger_intervals)
+from .metrics import (CircularSummary, PasReport, SlowWave, TargetingReport,
+                      circular_mean_sd, cmae45, detect_waves, pas,
+                      targeting_capacity, trigger_intervals)
 from .oracle import (PhaseTrack, compute_phase_track, hilbert_phase,
                      phase_at_triggers, zero_phase_bandpass)
 from .optimize import (CvOutcome, ObjectiveTally, euclidean_distance,
@@ -26,7 +26,7 @@ from .trackers import (AmplitudeThresholdTracker, PllTracker, PvTracker,
 __all__ = [
     "AmplitudeThresholdTracker", "CircularSummary", "ConfigurationError",
     "CvOutcome", "EegRecording", "FileFormatError", "GateConfig", "GateFlags",
-    "IirFilter", "IntervalReport", "LoggedTrigger", "MetricsReport",
+    "IirFilter", "LoggedTrigger", "MetricsReport",
     "ObjectiveTally", "PasReport", "PhaseTrack", "PllTracker",
     "PreprocessChain", "PvTracker", "RecordingTooShortError", "SessionResult",
     "SlowWave", "StimulationGate", "StreamIntegrityError", "SwphaseError",

@@ -72,8 +72,6 @@ class CostReport:
     total, rcr and efficiency, the PV/PLL ratio and the vocoder's cost vs
     fs derive from these."""
     fs: float
-    reps: int
-    timer_resolution_s: float
     stage_ns: dict           # preprocess, gate, each tracker, "pv@<rate>"
 
     @property
@@ -184,7 +182,7 @@ def measure_pipeline_cost(fs: float = 250.0, reps: int = DEFAULT_REPS) -> CostRe
     each stage keeps its fastest slices."""
     if not 3 <= reps <= MAX_REPS:
         raise ConfigurationError(f"need 3 to {MAX_REPS} repetitions, got {reps}")
-    res = check_timer()
+    check_timer()
     w = WARMUP_SAMPLES
     raw = _test_signal(fs, w + CHUNK_SAMPLES)
     clean = PreprocessChain(fs).run(raw).tolist()
@@ -208,4 +206,4 @@ def measure_pipeline_cost(fs: float = 250.0, reps: int = DEFAULT_REPS) -> CostRe
                 for name, ns in _interleaved_ns(streams, reps).items()}
     if stage_ns["pll"] <= 0:
         raise TimerResolutionError("PLL tracker stage timed at zero cost")
-    return CostReport(fs, reps, res, stage_ns)
+    return CostReport(fs, stage_ns)

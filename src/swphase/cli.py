@@ -178,9 +178,9 @@ def cmd_evaluate(args) -> int:
         payload.update(low_capacity_pct=t.low_capacity_pct,
                        high_capacity_pct=t.high_capacity_pct,
                        n_low_waves=t.n_low, n_high_waves=t.n_high)
-    if report.intervals is not None:
-        lines.append(f"median interval      {report.intervals.median_s:.3f} s")
-        payload.update(median_interval_s=report.intervals.median_s)
+    if report.median_interval_s is not None:
+        lines.append(f"median interval      {report.median_interval_s:.3f} s")
+        payload.update(median_interval_s=report.median_interval_s)
     lines.append(f"suppressed           {report.suppression_counts}")
     print("\n".join(lines))
     if args.json:

@@ -220,8 +220,8 @@ def write_hypnogram(path, stages) -> None:
 
 def read_hypnogram(path) -> list:
     stages = []
-    for ln, line in _lines(path):
-        if ln == 1 and line.lower().startswith("epoch_index"):
+    for row, (ln, line) in enumerate(_lines(path)):
+        if row == 0 and line.lower().startswith("epoch_index"):
             continue
         parts = line.split(",")
         if len(parts) != 2:

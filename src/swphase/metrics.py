@@ -1,6 +1,6 @@
 """Evaluation quantities: circular statistics, phase-target error, active
-stimulation percentages, slow-wave inventory, targeting capacity, and
-trigger-interval statistics.
+stimulation percentages, slow-wave inventory, targeting capacity, and the
+median trigger interval.
 
 Phase arguments are degrees; the up-phase class is (0, 90] under the
 convention 0 deg = upward zero crossing, 90 deg = positive peak.
@@ -25,16 +25,11 @@ MIN_WAVE_AMP_UV = 20.0        # below this a wave is uncounted ("sub20")
 RESULTANT_EPS = 1e-9
 PLATEAU_MAX_S = 0.05          # flat-run tolerance in minima detection
 
-INTERVAL_HIST_RANGE_S = (0.25, 3.0)
-INTERVAL_HIST_BIN_S = 0.05
-
 
 @dataclass(frozen=True)
 class CircularSummary:
     mean_deg: float
     sd_deg: float
-    resultant: float
-    n: int
 
 
 def circular_mean_sd(phases_deg) -> CircularSummary:
@@ -52,7 +47,7 @@ def circular_mean_sd(phases_deg) -> CircularSummary:
         raise UndefinedStatisticError(f"resultant {r:.2e} below {RESULTANT_EPS}; mean undefined")
     mean = math.degrees(math.atan2(vec.imag, vec.real)) % 360.0
     sd = math.degrees(math.sqrt(max(0.0, -2.0 * math.log(r))))
-    return CircularSummary(mean, sd, r, int(p.size))
+    return CircularSummary(mean, sd)
 
 
 def circular_distance_deg(a: float, b: float) -> float:
@@ -98,19 +93,14 @@ class PasReport:
     pas_in_up: float
     pas_not_up: float
     qualifying_windows: int
-    scored_nrem_windows: int
-    n_triggers: int
-    n_in_up: int
 
 
-def pas(trigger_phases_deg, qualifying_windows: int,
-        scored_nrem_windows: Optional[int] = None) -> PasReport:
+def pas(trigger_phases_deg, qualifying_windows: int) -> PasReport:
     """Active-stimulation percentages against the window budget.
 
     qualifying_windows counts 2 s windows that are both hypnogram NREM and
-    device NREM+SWA; scored_nrem_windows (optional) is the hypnogram-only
-    count, carried through for reporting. pas_all is computed as the sum of
-    its up and not-up parts, so the identity holds exactly in floating point.
+    device NREM+SWA. pas_all is computed as the sum of its up and not-up
+    parts, so the identity holds exactly in floating point.
     """
     if qualifying_windows < 1:
         raise UndefinedStatisticError("no qualifying windows; PAS undefined")
@@ -121,9 +111,7 @@ def pas(trigger_phases_deg, qualifying_windows: int,
     pas_in = 100.0 * n_up / budget
     pas_not = 100.0 * (n_all - n_up) / budget
     pas_all = pas_in + pas_not
-    return PasReport(pas_all, pas_in, pas_not, qualifying_windows,
-                     scored_nrem_windows if scored_nrem_windows is not None
-                     else qualifying_windows, n_all, n_up)
+    return PasReport(pas_all, pas_in, pas_not, qualifying_windows)
 
 
 @dataclass(frozen=True)
@@ -197,7 +185,6 @@ class TargetingReport:
     up_phase_pct: float          # share of triggers inside (0, 90]
     n_low: int
     n_high: int
-    n_triggers: int
 
 
 def targeting_capacity(waves, trigger_indices, trigger_phases_deg) -> TargetingReport:
@@ -220,29 +207,13 @@ def targeting_capacity(waves, trigger_indices, trigger_phases_deg) -> TargetingR
 
     (low_pct, n_low), (high_pct, n_high) = capacity("low"), capacity("high")
     return TargetingReport(low_pct, high_pct, up_phase_pct(trigger_phases_deg),
-                           n_low, n_high, len(idx))
+                           n_low, n_high)
 
 
-@dataclass(frozen=True)
-class IntervalReport:
-    median_s: float
-    sd_s: float
-    n_intervals: int
-    hist_edges_s: np.ndarray
-    hist_counts: np.ndarray
-
-
-def trigger_intervals(trigger_times_s) -> Optional[IntervalReport]:
-    """Successive-difference statistics; None with fewer than two triggers.
-
-    Histogram: 0.05 s bins over [0.25, 3] s.
-    """
+def trigger_intervals(trigger_times_s) -> Optional[float]:
+    """Median successive difference in seconds; None with fewer than two
+    triggers."""
     t = np.sort(np.asarray(trigger_times_s, dtype=float))
     if t.size < 2:
         return None
-    iv = np.diff(t)
-    lo, hi = INTERVAL_HIST_RANGE_S
-    edges = np.arange(lo, hi + INTERVAL_HIST_BIN_S / 2, INTERVAL_HIST_BIN_S)
-    counts, _ = np.histogram(iv, bins=edges)
-    return IntervalReport(float(np.median(iv)), float(np.std(iv)), len(iv),
-                          edges, counts)
+    return float(np.median(np.diff(t)))

@@ -18,10 +18,9 @@ from .errors import ConfigurationError, UndefinedStatisticError
 from .gate import (DELIVERED, REASONS, SUPPRESSION_ORDER, GateConfig,
                    StimulationGate, candidate_reasons, gate_flags_batch,
                    in_window, on_window_at, staged_nrem, window_reasons)
-from .metrics import (IntervalReport, PasReport, TargetingReport,
-                      circular_mean_sd, cmae45, detect_waves, pas,
-                      pas_window_samples, targeting_capacity,
-                      trigger_intervals)
+from .metrics import (PasReport, TargetingReport, circular_mean_sd, cmae45,
+                      detect_waves, pas, pas_window_samples,
+                      targeting_capacity, trigger_intervals)
 from .oracle import (hilbert_phase, phase_at_triggers, trigger_samples,
                      valid_samples, zero_phase_bandpass)
 from .recording import EegRecording
@@ -47,7 +46,6 @@ class SessionResult:
     window_flags: list
     tracker_config: TrackerConfig
     gate_config: GateConfig
-    fs: float
     slip_count: int = 0
 
     def delivered(self):
@@ -89,7 +87,7 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
                          ev.tracker_phase_deg, ev.amplitude_uv,
                          code == DELIVERED, REASONS[code], on_window)
            for ev, code, on_window in zip(events, codes, on)]
-    return SessionResult(log, window_flags, cfg, gate_config, fs,
+    return SessionResult(log, window_flags, cfg, gate_config,
                          slip_count=tracker.slip_count)
 
 
@@ -99,7 +97,7 @@ def logged_session(recording: EegRecording, log: list, tracker_config: TrackerCo
     rebuilt under gate_config. The preprocessed copy is freed on return."""
     fs = recording.fs
     flags = gate_flags_batch(PreprocessChain(fs).run(recording.samples), fs, gate_config)
-    return SessionResult(log, flags, tracker_config, gate_config, fs)
+    return SessionResult(log, flags, tracker_config, gate_config)
 
 
 def _run_streaming(recording, cfg, gate_config):
@@ -121,7 +119,7 @@ def _run_streaming(recording, cfg, gate_config):
                                      ok, reason,
                                      on_window_at(ev.time_s, gate_config)))
         gate_step(y)
-    return SessionResult(log, list(gate.window_log), cfg, gate_config, fs,
+    return SessionResult(log, list(gate.window_log), cfg, gate_config,
                          slip_count=tracker.slip_count)
 
 
@@ -194,14 +192,13 @@ class MetricsReport:
     n_candidates: int
     n_delivered: int
     n_oracle_dropped: int
-    mean_undefined: bool
     circular_mean_deg: Optional[float]
     circular_sd_deg: Optional[float]
     cmae45_norm: Optional[float]
     cmae45_deg: Optional[float]
     pas_report: Optional[PasReport]
     targeting: Optional[TargetingReport]
-    intervals: Optional[IntervalReport]
+    median_interval_s: Optional[float]
     suppression_counts: dict
     trigger_phases_deg: np.ndarray
 
@@ -217,7 +214,6 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
     phases, dropped = phase_at_triggers(track, delivered)
     valid_idx = valid_samples(track, trigger_samples(delivered))
 
-    mean_undefined = False
     cmean = csd = cnorm = cdeg = None
     if len(phases):
         try:
@@ -225,14 +221,13 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
             cmean, csd = summary.mean_deg, summary.sd_deg
             cnorm, cdeg = cmae45(phases)
         except UndefinedStatisticError:
-            mean_undefined = True
+            pass   # an undefined mean leaves the four circular fields None
 
-    q_count, scored_count, qual = qualifying_windows(
+    q_count, _, qual = qualifying_windows(
         recording, session.window_flags, session.gate_config, track.valid)
     pas_report = None
     if q_count >= 1:
-        pas_report = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count,
-                         scored_count)
+        pas_report = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count)
 
     n = len(recording.samples)
     gate_win = session.gate_config.window_samples(fs)
@@ -243,19 +238,16 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
     waves = detect_waves(filtered, fs, wave_mask)
     targeting = targeting_capacity(waves, valid_idx, phases) if len(waves) else None
 
-    intervals = trigger_intervals([e.time_s for e in delivered])
-
     return MetricsReport(
         algorithm=session.tracker_config.algorithm,
         n_candidates=len(session.log),
         n_delivered=len(delivered),
         n_oracle_dropped=dropped,
-        mean_undefined=mean_undefined,
         circular_mean_deg=cmean, circular_sd_deg=csd,
         cmae45_norm=cnorm, cmae45_deg=cdeg,
         pas_report=pas_report,
         targeting=targeting,
-        intervals=intervals,
+        median_interval_s=trigger_intervals([e.time_s for e in delivered]),
         suppression_counts=session.suppression_counts(),
         trigger_phases_deg=phases,
     )

@@ -25,15 +25,23 @@ from .recording import (EPOCH_S, MAX_STAGE_EPOCHS, NREM_STAGES, STAGES,
                         EegRecording, epoch_samples)
 
 ENVELOPE_STEP_HZ = 10.0   # update rate of the frequency and amplitude walks
+SW_PP_SIGMA_UV = 2.4      # amplitude-walk step (per 0.1 s)
+SW_FREQ_SIGMA_HZ = 0.02   # frequency-walk step (per 0.1 s)
 RAMP_S = 2.0              # raised-cosine on/off ramp at stage transitions
+PINK_NOISE_RMS_UV = 10.0
+NREM_DELTA_NOISE_RMS_UV = 4.0   # 1-4 Hz floor, NREM only
+SPINDLE_RATE_PER_MIN = 3.0      # N2 only
+SPINDLE_AMP_UV = 8.0
 SPINDLE_FREQ_HZ = 12.5
 SPINDLE_DURATION_S = 1.0
+WAKE_ALPHA_RMS_UV = 8.0
 ALPHA_FREQ_HZ = 10.0
+WAKE_BETA_RMS_UV = 8.0
 BETA_FREQ_HZ = 20.0
+REM_THETA_RMS_UV = 4.0
 THETA_FREQ_HZ = 5.0
 MIN_DURATION_S = 2 * 210.0 + 300.0  # leaves the oracle's valid window non-empty
 MAX_SAMPLES = 1 << 25     # about 37 h at 250 Hz; generate holds ~5 copies
-MAX_SPINDLE_RATE_PER_MIN = 60.0 / SPINDLE_DURATION_S   # back to back
 
 SW_FREQ_BOUNDS_HZ = (0.5, 4.0)
 
@@ -54,16 +62,7 @@ class SynthSpec:
     hypnogram: list = field(default_factory=default_hypnogram)
     fs: float = 250.0
     sw_pp_range_uv: tuple = (20.0, 120.0)     # peak-to-peak amplitude bounds
-    sw_pp_sigma_uv: float = 2.4               # amplitude-walk step (per 0.1 s)
     sw_freq_range_hz: tuple = (0.9, 1.4)      # frequency-walk bounds
-    sw_freq_sigma_hz: float = 0.02            # frequency-walk step (per 0.1 s)
-    pink_noise_rms_uv: float = 10.0
-    nrem_delta_noise_rms_uv: float = 4.0      # 1-4 Hz floor, NREM only
-    spindle_rate_per_min: float = 3.0         # N2 only
-    spindle_amp_uv: float = 8.0
-    wake_alpha_rms_uv: float = 8.0
-    wake_beta_rms_uv: float = 8.0
-    rem_theta_rms_uv: float = 4.0
     seed: int = 0
 
     def __post_init__(self):
@@ -92,15 +91,6 @@ class SynthSpec:
         if not (SW_FREQ_BOUNDS_HZ[0] <= flo <= fhi <= SW_FREQ_BOUNDS_HZ[1]):
             raise ConfigurationError(
                 f"sw_freq_range_hz must lie inside {SW_FREQ_BOUNDS_HZ}")
-        for name in ("sw_pp_sigma_uv", "sw_freq_sigma_hz", "pink_noise_rms_uv",
-                     "nrem_delta_noise_rms_uv", "spindle_rate_per_min",
-                     "spindle_amp_uv", "wake_alpha_rms_uv", "wake_beta_rms_uv",
-                     "rem_theta_rms_uv"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.spindle_rate_per_min > MAX_SPINDLE_RATE_PER_MIN:
-            raise ConfigurationError(f"spindle_rate_per_min must be <= "
-                                     f"{MAX_SPINDLE_RATE_PER_MIN:g} (spindles back to back)")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         return self
@@ -161,14 +151,14 @@ def generate(spec: SynthSpec) -> SynthOutput:
     # per-step increment and half amplitude are taken before repeating.
     flo, fhi = spec.sw_freq_range_hz
     freq_walk = _reflected_walk(rng, n_steps, (flo + fhi) / 2.0, flo, fhi,
-                                spec.sw_freq_sigma_hz)
+                                SW_FREQ_SIGMA_HZ)
     true_phase_rad = _per_sample(2.0 * np.pi * freq_walk * dt, n, samples_per_step)
     np.cumsum(true_phase_rad, out=true_phase_rad)
     true_phase_rad -= true_phase_rad[0]
 
     plo, phi = spec.sw_pp_range_uv
     pp_walk = _reflected_walk(rng, n_steps, (plo + phi) / 2.0, plo, phi,
-                              spec.sw_pp_sigma_uv)
+                              SW_PP_SIGMA_UV)
 
     stage_per_epoch = np.asarray(spec.hypnogram)
     gain = _stage_gain(np.repeat(np.isin(stage_per_epoch, NREM_STAGES), epoch_n), fs)
@@ -178,66 +168,60 @@ def generate(spec: SynthSpec) -> SynthOutput:
     x *= np.sin(true_phase_rad)
 
     # pink background, whole recording
-    if spec.pink_noise_rms_uv > 0:
-        spectrum = np.fft.rfft(rng.normal(0.0, 1.0, n))
-        freqs = np.fft.rfftfreq(n, dt)
-        spectrum[1:] /= np.sqrt(freqs[1:])
-        spectrum[0] = 0.0
-        del freqs
-        pink = np.fft.irfft(spectrum, n)
-        del spectrum
-        pink *= spec.pink_noise_rms_uv / pink.std()
-        x += pink
-        del pink
+    spectrum = np.fft.rfft(rng.normal(0.0, 1.0, n))
+    freqs = np.fft.rfftfreq(n, dt)
+    spectrum[1:] /= np.sqrt(freqs[1:])
+    spectrum[0] = 0.0
+    del freqs
+    pink = np.fft.irfft(spectrum, n)
+    del spectrum
+    pink *= PINK_NOISE_RMS_UV / pink.std()
+    x += pink
+    del pink
 
     # NREM 1-4 Hz noise floor (rides the same gate as the oscillator)
-    if spec.nrem_delta_noise_rms_uv > 0:
-        sos = signal.butter(2, (1.0, 4.0), btype="bandpass", fs=fs, output="sos")
-        delta = signal.sosfilt(sos, rng.normal(0.0, 1.0, n))
-        scale = spec.nrem_delta_noise_rms_uv / delta.std()
-        delta *= gain
-        delta *= scale
-        x += delta
-        del delta
+    sos = signal.butter(2, (1.0, 4.0), btype="bandpass", fs=fs, output="sos")
+    delta = signal.sosfilt(sos, rng.normal(0.0, 1.0, n))
+    scale = NREM_DELTA_NOISE_RMS_UV / delta.std()
+    delta *= gain
+    delta *= scale
+    x += delta
+    del delta
 
     # sigma spindles in N2
-    if spec.spindle_amp_uv > 0 and spec.spindle_rate_per_min > 0:
-        spindle_n = int(SPINDLE_DURATION_S * fs)
-        burst = np.hanning(spindle_n)
-        expected = spec.spindle_rate_per_min * (EPOCH_S / 60.0)
-        for e, st in enumerate(spec.hypnogram):
-            if st != "N2":
-                continue
-            for _ in range(rng.poisson(expected)):
-                start = e * epoch_n + rng.integers(0, epoch_n - spindle_n)
-                seg = np.arange(start, start + spindle_n) * dt
-                x[start:start + spindle_n] += (
-                    spec.spindle_amp_uv * burst
-                    * np.sin(2 * np.pi * SPINDLE_FREQ_HZ * seg))
+    spindle_n = int(SPINDLE_DURATION_S * fs)
+    burst = np.hanning(spindle_n)
+    expected = SPINDLE_RATE_PER_MIN * (EPOCH_S / 60.0)
+    for e, st in enumerate(spec.hypnogram):
+        if st != "N2":
+            continue
+        for _ in range(rng.poisson(expected)):
+            start = e * epoch_n + rng.integers(0, epoch_n - spindle_n)
+            seg = np.arange(start, start + spindle_n) * dt
+            x[start:start + spindle_n] += (
+                SPINDLE_AMP_UV * burst * np.sin(2 * np.pi * SPINDLE_FREQ_HZ * seg))
 
     # wake: steady alpha plus beta bursts
     wake = np.repeat(stage_per_epoch == "W", epoch_n)
     if np.any(wake):
-        if spec.wake_alpha_rms_uv > 0:
-            x[wake] += (spec.wake_alpha_rms_uv * math.sqrt(2.0)
-                        * np.sin(2 * np.pi * ALPHA_FREQ_HZ * (np.flatnonzero(wake) * dt)))
-        if spec.wake_beta_rms_uv > 0:
-            # bursts of ~2 s with jittered 5 s spacing
-            burst_mask = np.zeros(n, dtype=bool)
-            pos = 0
-            burst_len = int(2.0 * fs)
-            while pos < n:
-                if wake[pos]:
-                    burst_mask[pos:pos + burst_len] = True
-                pos += int(fs * (5.0 + rng.uniform(-1.0, 1.0)))
-            burst_mask &= wake
-            x[burst_mask] += (spec.wake_beta_rms_uv * math.sqrt(2.0)
-                              * np.sin(2 * np.pi * BETA_FREQ_HZ
-                                     * (np.flatnonzero(burst_mask) * dt)))
+        x[wake] += (WAKE_ALPHA_RMS_UV * math.sqrt(2.0)
+                    * np.sin(2 * np.pi * ALPHA_FREQ_HZ * (np.flatnonzero(wake) * dt)))
+        # bursts of ~2 s with jittered 5 s spacing
+        burst_mask = np.zeros(n, dtype=bool)
+        pos = 0
+        burst_len = int(2.0 * fs)
+        while pos < n:
+            if wake[pos]:
+                burst_mask[pos:pos + burst_len] = True
+            pos += int(fs * (5.0 + rng.uniform(-1.0, 1.0)))
+        burst_mask &= wake
+        x[burst_mask] += (WAKE_BETA_RMS_UV * math.sqrt(2.0)
+                          * np.sin(2 * np.pi * BETA_FREQ_HZ
+                                   * (np.flatnonzero(burst_mask) * dt)))
 
     rem = np.repeat(stage_per_epoch == "REM", epoch_n)
-    if np.any(rem) and spec.rem_theta_rms_uv > 0:
-        x[rem] += (spec.rem_theta_rms_uv * math.sqrt(2.0)
+    if np.any(rem):
+        x[rem] += (REM_THETA_RMS_UV * math.sqrt(2.0)
                    * np.sin(2 * np.pi * THETA_FREQ_HZ * (np.flatnonzero(rem) * dt)))
 
     phase_deg = np.degrees(true_phase_rad, out=true_phase_rad)

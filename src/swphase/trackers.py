@@ -30,6 +30,7 @@ per setting of its tracker's kernel fields and the scan once per combo.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import atan2, cos, fmod, hypot, isfinite, pi, sin
 from typing import Optional
@@ -101,7 +102,10 @@ class TrackerConfig:
             raise ConfigurationError("phi_target_deg must be in [0, 360)")
         check_positive(self, "k_pll", "k_pv", "at_threshold_uv", "refractory_s",
                        "sample_rate_hz")
-        if not 1 <= int(self.maf_span) <= MAX_MAF_SPAN:
+        span = self.maf_span
+        if isinstance(span, bool) or not isinstance(span, numbers.Integral):
+            raise ConfigurationError(f"maf_span must be an integer, got {span!r}")
+        if not 1 <= span <= MAX_MAF_SPAN:
             raise ConfigurationError(f"maf_span must be 1 to {MAX_MAF_SPAN} samples")
         return self
 

@@ -277,7 +277,6 @@ class TestEvaluateStatistics:
             raise UndefinedStatisticError("zero resultant")
         monkeypatch.setattr(pipeline, "circular_mean_sd", undefined)
         report = evaluate_session(deep_sleep, session)
-        assert report.mean_undefined
         assert report.circular_mean_deg is None
 
     def test_other_errors_propagate(self, deep_sleep, monkeypatch):

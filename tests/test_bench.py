@@ -42,7 +42,6 @@ def report():
 
 def test_report_shape(report):
     r = report
-    assert r.reps == 3
     assert set(r.stage_ns) == {"preprocess", "gate", "at", "pll", "pv",
                                "pv@125", "pv@500"}
     assert all(ns >= 0.0 for ns in r.stage_ns.values())

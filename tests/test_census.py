@@ -1,10 +1,20 @@
-"""Every public top-level name of ``src/swphase`` is used by the program.
+"""Every public top-level name of ``src/swphase`` is used by the program,
+and every field of its report types is read.
 
 A public function, class or constant must be read somewhere besides its own
 definition: in a module of ``src/swphase`` (the ``__init__`` re-exports do
 not count), in a demo or in the benchmark. A name that only the tests use
 is test code, and belongs in the tests. Modules are parsed with ``ast``, so
 a mention in a docstring or comment is no use.
+
+The same goes for the fields of the types that carry results out of a run
+(``REPORTS``): a field that the program fills but never reads is work that
+no output shows. This check works by name, not by type: a field counts as
+read when any program line reads a name or attribute spelled like it. So it
+misses a field whose name is read elsewhere for another purpose: unread
+fields named ``fs``, ``n``, ``reps``, ``mean_undefined`` or
+``scored_nrem_windows`` pass, since those names are read as parameters,
+locals or other types' attributes.
 """
 import ast
 from pathlib import Path
@@ -16,6 +26,16 @@ SRC = ROOT / "src" / "swphase"
 ALLOWED = {
     "read_phase_track": "the only reader of the sidecar `simulate --phase-out` writes",
     "BETA": "a reason code, unpacked with the other four from range(len(REASONS))",
+}
+
+# the types that carry results out of a run, and the fields of theirs that
+# no program line reads, each kept for its reason
+REPORTS = ("SessionResult", "MetricsReport", "CircularSummary", "PasReport",
+           "TargetingReport", "SlowWave", "CostReport")
+ALLOWED_FIELDS = {
+    "frequency_hz": "each wave's frequency, which the paper's frequency axis "
+                    "(ROADMAP item 4) reports",
+    "p2p_uv": "the amplitude each wave's class is cut from, pinned by tests",
 }
 
 
@@ -53,6 +73,30 @@ def unused_public_names(modules: dict, users) -> list:
                   for name in public_definitions(tree) if name not in used)
 
 
+def unread_fields(modules: dict, classes, users) -> list:
+    """"Class.field" of each annotated field of a class named in ``classes``
+    and defined in ``modules`` ({module: source}) whose name neither those
+    modules nor the ``users`` sources read."""
+    trees = [ast.parse(source) for source in modules.values()]
+    used = set()
+    for tree in [*trees, *map(ast.parse, users)]:
+        used.update(used_names(tree))
+    return sorted(f"{node.name}.{stmt.target.id}" for tree in trees for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name in classes
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in used)
+
+
+def program_sources():
+    """({module: source} of ``src/swphase`` without ``__init__``, [demo and
+    benchmark sources])."""
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    users = [p.read_text(encoding="utf-8")
+             for folder in ("demos", "benchmark") for p in sorted((ROOT / folder).rglob("*.py"))]
+    return modules, users
+
+
 def test_the_census_sees_an_unused_public_name():
     modules = {"a": "LIMIT = 3\nLO, HI = 1, 2\n\ndef used():\n    return LIMIT + HI\n\n"
                     "def unused():\n    return 1\n\nclass _Private:\n    pass\n",
@@ -62,11 +106,24 @@ def test_the_census_sees_an_unused_public_name():
 
 
 def test_every_public_name_is_used_by_the_program():
-    modules = {p.stem: p.read_text(encoding="utf-8")
-               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    users = [p.read_text(encoding="utf-8")
-             for folder in ("demos", "benchmark") for p in sorted((ROOT / folder).rglob("*.py"))]
+    modules, users = program_sources()
     unused = unused_public_names(modules, users)
     assert [name for name in unused if name.partition(".")[2] not in ALLOWED] == []
     # an allowed name that the program has come to use leaves the list
     assert sorted(name.partition(".")[2] for name in unused) == sorted(ALLOWED)
+
+
+def test_the_census_sees_an_unread_field():
+    modules = {"a": "@dataclass\nclass Report:\n    shown: int\n    logged: int\n"
+                    "    unread: int = 0\n\n    def total(self):\n        return self.shown\n\n"
+                    "class Other:\n    ignored: int\n",
+               "b": "def f(report):\n    return report.shown\n"}
+    assert unread_fields(modules, ("Report",), ["print(r.logged)\n"]) == ["Report.unread"]
+
+
+def test_every_report_field_is_read_by_the_program():
+    modules, users = program_sources()
+    unread = unread_fields(modules, REPORTS, users)
+    assert [name for name in unread if name.partition(".")[2] not in ALLOWED_FIELDS] == []
+    # an allowed field that the program has come to read leaves the list
+    assert sorted(name.partition(".")[2] for name in unread) == sorted(ALLOWED_FIELDS)

@@ -440,11 +440,12 @@ class TestExitCodes:
         ("track", ["--gate-set", "window_step_s=0.4"]),
         ("track", ["--streaming", "--gate-set", "window_step_s=0.4"]),
         ("optimize", ["--gate-set", "window_step_s=0.4"]),
-        ("simulate", ["--synth-set", "spindle_rate_per_min=inf"]),
-        ("simulate", ["--synth-set", "spindle_rate_per_min=1e300"]),
-        ("simulate", ["--synth-set", "pink_noise_rms_uv=nan"]),
+        ("simulate", ["--synth-set", "sw_freq_range_hz=0.9,inf"]),
+        ("simulate", ["--synth-set", "sw_pp_range_uv=nan,120"]),
         ("simulate", ["--synth-set", "fs=1e300"]),
         ("simulate", ["--synth-set", "sw_pp_range_uv=20,120,3"]),
+        # the generator's texture levels are constants, not settings
+        ("simulate", ["--synth-set", "pink_noise_rms_uv=5"]),
         ("simulate", ["--seed", "-1"]),
         ("optimize", ["k_pv = 1, nan"]),
         ("optimize", ["--seed", "-1"]),
@@ -464,8 +465,8 @@ class TestExitCodes:
         # an override key given twice, as in a grid file
         ("track", ["--set", "refractory_s=1", "--set", "refractory_s=2"]),
         ("track", ["--gate-set", "swa_threshold_uv2=40", "--gate-set", "swa_threshold_uv2 = 50"]),
-        ("simulate", ["--synth-set", "spindle_rate_per_min=1",
-                      "--synth-set", "spindle_rate_per_min=2"]),
+        ("simulate", ["--synth-set", "sw_freq_range_hz=0.9,1.4",
+                      "--synth-set", "sw_freq_range_hz=1.0,1.2"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_override_is_2(self, corpus, tmp_path, capsys, command, extra):
         key = (extra[-1].partition("=")[0].strip() if "=" in extra[-1]
@@ -557,7 +558,7 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["simulate", "--stages", "N2*40", "--out", str(out),
-                       "--synth-set", "pink_noise_rms_uv=1e300"])
+                       "--synth-set", "sw_pp_range_uv=1e300,1e300"])
         assert rc == 4
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1

@@ -133,8 +133,7 @@ TEXT_PARSERS = {
                     lambda text: used_gate(apply_config(GateConfig(), overrides(text)))),
     "tracker_echo": (config_echo(TrackerConfig(algorithm="pv", phi_target_deg=45.0)),
                      lambda text: used_tracker(parse_config_echo(text, TrackerConfig()))),
-    "synth_spec": ("fs=250\nsw_pp_range_uv=20,120\nspindle_rate_per_min=3\n"
-                   "pink_noise_rms_uv=10\nseed=0",
+    "synth_spec": ("fs=250\nsw_pp_range_uv=20,120\nsw_freq_range_hz=0.9,1.4\nseed=0",
                    lambda text: apply_config(SynthSpec(), overrides(text))),
 }
 

@@ -234,6 +234,18 @@ class TestHypnogram:
         with pytest.raises(FileFormatError, match="empty"):
             read_hypnogram(path)
 
+    @pytest.mark.parametrize("lead", ["# scored by hand\n", "\n"], ids=["comment", "blank"])
+    def test_header_is_the_first_data_line(self, tmp_path, lead):
+        path = tmp_path / "h.csv"
+        path.write_text(lead + "epoch_index,stage\n0,W\n1,N2\n")
+        assert read_hypnogram(path) == ["W", "N2"]
+
+    def test_header_after_a_row_is_refused(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("0,W\nepoch_index,stage\n1,N2\n")
+        with pytest.raises(FileFormatError, match=":2: bad epoch index"):
+            read_hypnogram(path)
+
 
 class TestStageRuns:
     def test_expansion(self):

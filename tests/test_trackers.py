@@ -65,10 +65,18 @@ class TestConfig:
         dict(refractory_s=0.0),
         dict(sample_rate_hz=-250.0),
         dict(maf_span=MAX_MAF_SPAN + 1),
+        # a span that is not a whole number would be echoed into a trigger
+        # log that cannot be read back
+        dict(maf_span=125.5),
+        dict(maf_span=125.0),
+        dict(maf_span=True),
     ])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             TrackerConfig(**bad).validate()
+
+    def test_maf_span_takes_any_integer_type(self):
+        assert TrackerConfig(maf_span=np.int64(125)).maf_span == 125
 
     def test_make_tracker_dispatch(self):
         assert isinstance(make_tracker(TrackerConfig(algorithm="at")),
