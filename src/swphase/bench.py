@@ -45,12 +45,15 @@ SPAN_S = 0.5                 # vocoder moving-average span; 125 samples at 250 H
 # step, by kind. They follow from the recurrences and do not depend on the
 # sampling rate or, for the vocoder, on the moving-average span (running
 # sums make the span free). Preprocess counts nonzero coefficients, not the
-# zero padding of first-order sections. PLL and PV: a step outside a hold,
-# estimate trigger mode; fmod counts every modulo, `%` included.
+# zero padding of first-order sections. PLL and PV: a step outside a hold
+# that judges a crossing, refractory compare included; mul and add count
+# float arithmetic only (divisions as mul, subtractions as add, hypot as
+# neither), cmp every comparison and isfinite test, fmod every modulo, `%`
+# included.
 OP_COUNTS = {
     "preprocess": {"mul": 11, "add": 8, "trig": 0, "atan2": 0, "fmod": 0, "cmp": 3},
     "at":         {"mul": 5,  "add": 4, "trig": 0, "atan2": 0, "fmod": 0, "cmp": 4},
-    "pll":        {"mul": 4,  "add": 4, "trig": 1, "atan2": 0, "fmod": 3, "cmp": 7},
+    "pll":        {"mul": 4,  "add": 5, "trig": 1, "atan2": 0, "fmod": 3, "cmp": 7},
     "pv":         {"mul": 9,  "add": 12, "trig": 2, "atan2": 1, "fmod": 5, "cmp": 10},
 }
 

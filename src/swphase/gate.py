@@ -19,20 +19,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .dsp import PreprocessChain, band_bins, band_powers, check_fs
+from .dsp import PreprocessChain, band_powers, check_fs
 from .errors import ConfigurationError, check_finite, check_positive
 from .recording import EegRecording
-
-GATE_WINDOW_S = 4.0
-NREM_HISTORY_S = 80.0
-ONOFF_PERIOD_S = 6.0
-MAX_WINDOW_S = 60.0           # window buffers and transforms grow with it
-MAX_HISTORY_S = 24 * 3600.0   # a day: longer than any night
 
 NREM_LOW_BAND_HZ = (0.5, 2.0)
 NREM_MID_BAND_HZ = (2.0, 4.0)
@@ -58,15 +52,21 @@ DEFAULT_BETA_UV2 = 4.8
 
 @dataclass
 class GateConfig:
+    """The five thresholds ``calibrate_gate`` sets, and whether the ON-OFF
+    protocol runs. The protocol's timings are constants: every window of
+    ``window_step_s`` holds a bin of each gate band at any rate
+    ``check_fs`` admits."""
     nrem_low_threshold_uv2: float = DEFAULT_NREM_LOW_UV2
     nrem_mid_threshold_uv2: float = DEFAULT_NREM_MID_UV2
     nrem_beta_threshold_uv2: float = DEFAULT_NREM_BETA_UV2
     swa_threshold_uv2: float = DEFAULT_SWA_UV2
     beta_threshold_uv2: float = DEFAULT_BETA_UV2
-    window_step_s: float = GATE_WINDOW_S
-    nrem_history_s: float = NREM_HISTORY_S
-    onoff_period_s: float = ONOFF_PERIOD_S
     onoff_enabled: bool = False
+
+    window_step_s: ClassVar[float] = 4.0
+    nrem_history_s: ClassVar[float] = 80.0   # NREM vote over the last 20 windows
+    onoff_period_s: ClassVar[float] = 6.0    # each ON and each OFF half
+    history_windows: ClassVar[int] = round(nrem_history_s / window_step_s)
 
     def __post_init__(self):
         self.validate()
@@ -75,29 +75,17 @@ class GateConfig:
         check_finite(self)
         check_positive(self, "nrem_low_threshold_uv2", "nrem_mid_threshold_uv2",
                        "nrem_beta_threshold_uv2", "swa_threshold_uv2",
-                       "beta_threshold_uv2", "window_step_s", "onoff_period_s")
-        if self.window_step_s > MAX_WINDOW_S:
-            raise ConfigurationError(f"window_step_s must be <= {MAX_WINDOW_S:g} s")
-        if self.nrem_history_s > MAX_HISTORY_S:
-            raise ConfigurationError(f"nrem_history_s must be <= {MAX_HISTORY_S:g} s")
-        ratio = self.nrem_history_s / self.window_step_s
-        if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-            raise ConfigurationError("nrem_history_s must be a positive multiple of window_step_s")
+                       "beta_threshold_uv2")
+        if not isinstance(self.onoff_enabled, bool):
+            raise ConfigurationError(
+                f"onoff_enabled must be a bool, got {self.onoff_enabled!r}")
         return self
 
-    @property
-    def history_windows(self) -> int:
-        return int(round(self.nrem_history_s / self.window_step_s))
-
-    def window_samples(self, fs: float) -> int:
-        """Samples per window at fs, refused if a gate band gets no frequency bin."""
+    @classmethod
+    def window_samples(cls, fs: float) -> int:
+        """Samples per window at fs."""
         check_fs(fs)
-        n = int(round(self.window_step_s * fs))
-        for (lo, hi), bins in zip(GATE_BANDS_HZ, band_bins(max(n, 1), fs, GATE_BANDS_HZ)):
-            if bins.start == bins.stop:   # its power would read 0 in every window
-                raise ConfigurationError(f"window_step_s {self.window_step_s!r} at {fs:g} Hz: "
-                                         f"no frequency bin in the {lo:g}-{hi:g} Hz band")
-        return n
+        return int(round(cls.window_step_s * fs))
 
 
 class GateFlags(NamedTuple):
@@ -229,12 +217,11 @@ def gate_flags_batch(preprocessed: np.ndarray, fs: float, config: GateConfig):
     return list(map(GateFlags._make, window_rule(powers, config).tolist()))
 
 
-def calibrate_gate(recording, base: GateConfig = None) -> GateConfig:
+def calibrate_gate(recording) -> GateConfig:
     """Derive thresholds from a recording with a hypnogram.
 
-    Band statistics are collected per gate window (``base.window_step_s``,
-    4 s by default) separately for N3 and Wake
-    epochs of the PREPROCESSED signal; each threshold is the geometric
+    Band statistics are collected per 4 s gate window separately for N3
+    and Wake epochs of the PREPROCESSED signal; each threshold is the geometric
     midpoint of the two medians (NREM bands: N3 above, wake below; beta
     bands the other way around). The SWA threshold comes from the same
     scheme on the 0.5-4 Hz band.
@@ -244,9 +231,8 @@ def calibrate_gate(recording, base: GateConfig = None) -> GateConfig:
     if not recording.hypnogram:
         raise ConfigurationError("recording has no hypnogram to calibrate against")
     fs = recording.fs
-    base = base or GateConfig()
     y = PreprocessChain(fs).run(recording.samples)
-    window_n = base.window_samples(fs)
+    window_n = GateConfig.window_samples(fs)
     powers = window_powers(y, fs, window_n)
 
     def whole_windows(stages):
@@ -260,6 +246,6 @@ def calibrate_gate(recording, base: GateConfig = None) -> GateConfig:
     low, mid, high_beta, swa, beta = (
         math.sqrt(a * b) for a, b in zip(np.median(powers[n3], axis=0).tolist(),
                                          np.median(powers[wake], axis=0).tolist()))
-    return replace(base, nrem_low_threshold_uv2=low, nrem_mid_threshold_uv2=mid,
-                   nrem_beta_threshold_uv2=high_beta, swa_threshold_uv2=swa,
-                   beta_threshold_uv2=beta)
+    return GateConfig(nrem_low_threshold_uv2=low, nrem_mid_threshold_uv2=mid,
+                      nrem_beta_threshold_uv2=high_beta, swa_threshold_uv2=swa,
+                      beta_threshold_uv2=beta)

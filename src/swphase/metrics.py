@@ -14,10 +14,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import UndefinedStatisticError
+from .trackers import REFRACTORY_S
 
 TARGET_PHASE_DEG = 45.0
-MAX_STIM_PER_WINDOW = 8       # 2 s window at the 4 Hz refractory ceiling
 PAS_WINDOW_S = 2.0
+MAX_STIM_PER_WINDOW = round(PAS_WINDOW_S / REFRACTORY_S)   # 8 at the 4 Hz ceiling
 UP_PHASE_DEG = (0.0, 90.0)    # half-open: (0, 90]
 LOW_AMP_UV = (20.0, 60.0)     # peak-to-peak class bounds
 MIN_WAVE_AMP_UV = 20.0        # below this a wave is uncounted ("sub20")

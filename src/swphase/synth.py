@@ -20,7 +20,7 @@ from scipy import signal
 
 from .dsp import check_fs
 from .errors import ConfigurationError, check_finite
-from .oracle import PhaseTrack
+from .oracle import CROP_S, PhaseTrack
 from .recording import (EPOCH_S, MAX_STAGE_EPOCHS, NREM_STAGES, STAGES,
                         EegRecording, epoch_samples)
 
@@ -40,7 +40,7 @@ WAKE_BETA_RMS_UV = 8.0
 BETA_FREQ_HZ = 20.0
 REM_THETA_RMS_UV = 4.0
 THETA_FREQ_HZ = 5.0
-MIN_DURATION_S = 2 * 210.0 + 300.0  # leaves the oracle's valid window non-empty
+MIN_DURATION_S = 2 * CROP_S + 300.0  # leaves the oracle's valid window non-empty
 MAX_SAMPLES = 1 << 25     # about 37 h at 250 Hz; generate holds ~5 copies
 
 SW_FREQ_BOUNDS_HZ = (0.5, 4.0)
@@ -122,8 +122,6 @@ def _stage_gain(active_mask: np.ndarray, fs: float) -> np.ndarray:
     """Smooth 0..1 gate: raised-cosine ramps inside each active run."""
     gain = active_mask.astype(float)
     ramp_n = int(RAMP_S * fs)
-    if ramp_n < 2:
-        return gain
     up = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, ramp_n))
     edges = np.flatnonzero(np.diff(active_mask.astype(np.int8)))
     n = len(gain)

@@ -8,7 +8,7 @@ Three algorithms over the common preprocessed stream:
 - phase vocoder (PV): quadrature demodulation with moving-average smoothing,
   tracking instantaneous frequency and phase.
 
-All trackers enforce the same refractory spacing between triggers and are
+All trackers keep triggers at least REFRACTORY_S apart and are
 strictly causal: ``step`` consumes one sample and never looks ahead. A
 sample whose input is not finite (a dropout the device could not measure)
 is never a slip and never a trigger; each tracker then restarts the state
@@ -44,7 +44,7 @@ TAU = 2.0 * math.pi
 NCO_CENTER_HZ = 1.0          # free-running rate of the PLL oscillator
 PV_FREQ_RANGE_HZ = (0.5, 4.0)  # clamp on the vocoder's tracked frequency
 PV_EPSILON_UV = 0.1          # below this demodulated magnitude the angle is noise
-DEFAULT_REFRACTORY_S = 0.25  # 4 Hz stimulation ceiling
+REFRACTORY_S = 0.25          # minimum trigger spacing: 4 Hz stimulation ceiling
 MAX_MAF_SPAN = 1 << 20       # length of each of the vocoder's two ring buffers
 BLOCK_SAMPLES = 1 << 16      # samples per kernel block held as Python floats
 NEVER = -(1 << 60)           # last-trigger index before the first trigger
@@ -59,7 +59,7 @@ DEFAULT_TARGET_DEG = {"at": 45.0, "pll": 195.0, "pv": 45.0}
 
 # the TrackerConfig fields each tracker's kernel reads; the trigger scan reads the rest
 KERNEL_FIELDS = {"at": ("sample_rate_hz",), "pll": ("k_pll", "sample_rate_hz"),
-                 "pv": ("k_pv", "maf_span", "pv_trigger_on_nco", "sample_rate_hz")}
+                 "pv": ("k_pv", "maf_span", "sample_rate_hz")}
 
 
 @dataclass
@@ -69,7 +69,8 @@ class TrackerConfig:
     phi_target_deg is the tracker phase at which a trigger is emitted (AT
     ignores it); None picks the per-algorithm default. k_pll and k_pv are
     the loop gains; maf_span is the vocoder's moving-average length in
-    samples; at_threshold_uv the AT level.
+    samples; at_threshold_uv the AT level. Triggers of every tracker lie
+    at least REFRACTORY_S apart.
     """
     algorithm: str = "pv"
     phi_target_deg: Optional[float] = None
@@ -77,9 +78,7 @@ class TrackerConfig:
     k_pv: float = 2.0
     maf_span: int = 125
     at_threshold_uv: float = 30.0
-    refractory_s: float = DEFAULT_REFRACTORY_S
     sample_rate_hz: float = 250.0
-    pv_trigger_on_nco: bool = False
 
     def target_deg(self) -> float:
         if self.phi_target_deg is None:
@@ -87,9 +86,9 @@ class TrackerConfig:
         return self.phi_target_deg
 
     def refractory_samples(self) -> int:
-        """Minimum spacing between triggers, refractory_s rounded up to
+        """Minimum spacing between triggers, REFRACTORY_S rounded up to
         whole samples, never below one."""
-        return max(1, math.ceil(self.refractory_s * self.sample_rate_hz))
+        return max(1, math.ceil(REFRACTORY_S * self.sample_rate_hz))
 
     def __post_init__(self):
         self.validate()
@@ -100,8 +99,7 @@ class TrackerConfig:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
         if self.phi_target_deg is not None and not 0.0 <= self.phi_target_deg < 360.0:
             raise ConfigurationError("phi_target_deg must be in [0, 360)")
-        check_positive(self, "k_pll", "k_pv", "at_threshold_uv", "refractory_s",
-                       "sample_rate_hz")
+        check_positive(self, "k_pll", "k_pv", "at_threshold_uv", "sample_rate_hz")
         span = self.maf_span
         if isinstance(span, bool) or not isinstance(span, numbers.Integral):
             raise ConfigurationError(f"maf_span must be an integer, got {span!r}")
@@ -385,8 +383,7 @@ class PvTracker(_PhaseTracker):
     pair is the phase error; its sample-to-sample change, scaled by the gain,
     steers the tracked frequency, clamped to 0.5-4 Hz. The phase estimate is
     oscillator argument plus phase error, which is also what triggers are
-    matched against unless pv_trigger_on_nco asks for the bare oscillator
-    argument.
+    matched against.
 
     When the averaged vector is shorter than PV_EPSILON_UV the angle is
     meaningless: the previous phase error is held and the frequency stays
@@ -409,11 +406,10 @@ class PvTracker(_PhaseTracker):
         self._sum_q = 0.0
         self._idx = 0
         self._params = (config.k_pv, span, 1.0 / config.sample_rate_hz,
-                        config.pv_trigger_on_nco, TAU * PV_FREQ_RANGE_HZ[0],
-                        TAU * PV_FREQ_RANGE_HZ[1])
+                        TAU * PV_FREQ_RANGE_HZ[0], TAU * PV_FREQ_RANGE_HZ[1])
 
     def _advance(self, xs):
-        k, span, dt, on_nco, omega_lo, omega_hi = self._params
+        k, span, dt, omega_lo, omega_hi = self._params
         buf_i = self._buf_i
         buf_q = self._buf_q
         sum_i = self._sum_i
@@ -449,7 +445,7 @@ class PvTracker(_PhaseTracker):
             else:
                 self.hold_count += 1
             theta = (theta + omega * dt) % TAU
-            ests.append(theta if on_nco else (theta + phi_e) % TAU)
+            ests.append((theta + phi_e) % TAU)
         self._sum_i = sum_i
         self._sum_q = sum_q
         self._idx = idx

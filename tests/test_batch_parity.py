@@ -2,9 +2,9 @@
 
 ``run`` is a kernel (``phase_stream``, or the AT isolation filter) plus one
 vectorised scan. These tests hold it equal to a ``step`` loop, counters
-included, over uneven chunks, kernel block boundaries, PLL reset samples
-and the vocoder's oscillator-trigger mode; and they hold the optimizer's
-phase streams equal to streams built with ``step``.
+included, over uneven chunks, kernel block boundaries and PLL reset
+samples; and they hold the optimizer's phase streams equal to streams
+built with ``step``.
 """
 import copy
 import math
@@ -17,11 +17,7 @@ import swphase.trackers as trackers
 from swphase import SynthSpec, generate
 from swphase.dsp import IirFilter, design_sw_isolation
 from swphase.errors import UndefinedStatisticError
-from swphase.gate import GateConfig
-from swphase.optimize import make_pipeline_evaluator, tally_from_phases
-from swphase.oracle import compute_phase_track
-from swphase.pipeline import (evaluate_session, qualifying_windows,
-                              run_session, tracker_phase_stream)
+from swphase.pipeline import evaluate_session, run_session, tracker_phase_stream
 from swphase.trackers import (TrackerConfig, forward_arcs, make_tracker,
                               phase_hits)
 
@@ -31,7 +27,6 @@ CONFIGS = {
     "at": TrackerConfig(algorithm="at"),
     "pll": TrackerConfig(algorithm="pll"),
     "pv": TrackerConfig(algorithm="pv"),
-    "pv_nco": TrackerConfig(algorithm="pv", pv_trigger_on_nco=True),
 }
 
 
@@ -69,11 +64,11 @@ def chunked(tracker, x, bounds):
 
 @pytest.mark.parametrize("refractory_s", [0.25, 2.0])
 @pytest.mark.parametrize("name", CONFIGS)
-def test_uneven_chunks_equal_one_run_and_step_loop(name, refractory_s):
+def test_uneven_chunks_equal_one_run_and_step_loop(monkeypatch, name, refractory_s):
     # at 2 s the refractory interval spans about two input cycles, so
     # crossings fall inside it on both sides of the chunk boundary
-    cfg = TrackerConfig(**{**CONFIGS[name].__dict__,
-                           "refractory_s": refractory_s})
+    monkeypatch.setattr(trackers, "REFRACTORY_S", refractory_s)
+    cfg = CONFIGS[name]
     x = signal(12000)
     whole_tracker = make_tracker(cfg)
     whole = whole_tracker.run(x)
@@ -95,7 +90,7 @@ def test_uneven_chunks_equal_one_run_and_step_loop(name, refractory_s):
 def test_at_chunk_starting_above_threshold():
     # a chunk that opens above the level must not fire: the carried
     # previous value, not 0, decides the first sample's crossing
-    cfg = TrackerConfig(algorithm="at", refractory_s=0.05)
+    cfg = TrackerConfig(algorithm="at")
     x = signal(12000)
     v = IirFilter(design_sw_isolation(FS)).run(x)
     whole = make_tracker(cfg).run(x)
@@ -180,7 +175,7 @@ def test_pll_infinite_samples_reset_like_nan(bad_value):
     assert stepped == ref_events
 
 
-@pytest.mark.parametrize("name", ["pv", "pv_nco"])
+@pytest.mark.parametrize("name", ["pv"])
 @pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
 def test_pv_nonfinite_sample_restarts_the_moving_averages(name, bad_value):
     cfg = CONFIGS[name]
@@ -246,29 +241,6 @@ def deep_sleep():
     return generate(SynthSpec(hypnogram=["N2"] * 12 + ["N3"] * 24, seed=4)).recording
 
 
-def test_optimizer_keeps_one_stream_per_nco_mode(deep_sleep):
-    rec = deep_sleep
-    gate_config = GateConfig().validate()
-    evaluate = make_pipeline_evaluator([rec], "pv", gate_config)
-    track = compute_phase_track(rec.samples, rec.fs)
-    tallies = []
-    for on_nco in (False, True, False):
-        combo = {"phi_target_deg": 45.0, "pv_trigger_on_nco": on_nco}
-        fast = evaluate(combo, rec)
-        cfg = TrackerConfig(algorithm="pv", sample_rate_hz=rec.fs, **combo)
-        session = run_session(rec, cfg, gate_config)
-        q_count, _, qual = qualifying_windows(rec, session.window_flags,
-                                              gate_config, track.valid)
-        idx = np.asarray([e.sample_index for e in session.delivered()], dtype=int)
-        valid = idx[track.valid[idx]]
-        win = int(round(2.0 * rec.fs))
-        inw = [w < len(qual) and bool(qual[w]) for w in valid // win]
-        assert fast == tally_from_phases(track.phase_deg[valid], inw, q_count)
-        tallies.append(fast)
-    assert tallies[0] != tallies[1]
-    assert tallies[0] == tallies[2]
-
-
 class TestEvaluateStatistics:
     def test_undefined_mean_is_reported(self, deep_sleep, monkeypatch):
         session = run_session(deep_sleep, TrackerConfig(algorithm="pv"))
@@ -289,8 +261,7 @@ class TestEvaluateStatistics:
             evaluate_session(deep_sleep, session)
 
 
-STATE = {"pll": ("theta", "phi_p"), "pv": ("theta", "omega", "phi_e"),
-         "pv_nco": ("theta", "omega", "phi_e")}
+STATE = {"pll": ("theta", "phi_p"), "pv": ("theta", "omega", "phi_e")}
 
 
 @pytest.mark.parametrize("name", STATE)

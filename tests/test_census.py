@@ -1,5 +1,6 @@
 """Every public top-level name of ``src/swphase`` is used by the program,
-and every field of its report types is read.
+every field of its report types is read, and every field of its config
+types is set.
 
 A public function, class or constant must be read somewhere besides its own
 definition: in a module of ``src/swphase`` (the ``__init__`` re-exports do
@@ -15,6 +16,13 @@ misses a field whose name is read elsewhere for another purpose: unread
 fields named ``fs``, ``n``, ``reps``, ``mean_undefined`` or
 ``scored_nrem_windows`` pass, since those names are read as parameters,
 locals or other types' attributes.
+
+A field of a config type (``CONFIGS``) is a setting only if some command,
+grid, demo, benchmark or calibration sets it; one that nothing sets is a
+constant that takes a keyword. It counts as set when a program line names
+it as a keyword argument or as a string dict key (a grid such as
+``default_grid``). This works by name too: ``fs`` passes as a keyword of
+many calls. A ``ClassVar`` is a constant, not a field.
 """
 import ast
 from pathlib import Path
@@ -36,6 +44,17 @@ ALLOWED_FIELDS = {
     "frequency_hz": "each wave's frequency, which the paper's frequency axis "
                     "(ROADMAP item 4) reports",
     "p2p_uv": "the amplitude each wave's class is cut from, pinned by tests",
+}
+
+
+# the config types, and the fields of theirs that no program line sets by
+# name, each kept for its reason
+CONFIGS = ("TrackerConfig", "GateConfig", "SynthSpec")
+ALLOWED_UNSET = {
+    "sw_pp_range_uv": "the oscillator's amplitude bounds, which `simulate --synth-set` "
+                      "varies to make nights of low-amplitude waves",
+    "sw_freq_range_hz": "the oscillator's frequency bounds, which `simulate --synth-set` "
+                        "varies for the capacity-by-frequency table (ROADMAP)",
 }
 
 
@@ -87,6 +106,36 @@ def unread_fields(modules: dict, classes, users) -> list:
                   if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in used)
 
 
+def set_names(tree):
+    """Names a module sets: keyword arguments and string dict keys."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Dict):
+            yield from (k.value for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+
+
+def is_class_var(stmt) -> bool:
+    ann = stmt.annotation
+    return isinstance(ann, ast.Subscript) and getattr(ann.value, "id", None) == "ClassVar"
+
+
+def unset_fields(modules: dict, classes, users) -> list:
+    """"Class.field" of each field of a class named in ``classes`` and
+    defined in ``modules`` ({module: source}) that neither those modules
+    nor the ``users`` sources set by name."""
+    trees = [ast.parse(source) for source in modules.values()]
+    names = set()
+    for tree in [*trees, *map(ast.parse, users)]:
+        names.update(set_names(tree))
+    return sorted(f"{node.name}.{stmt.target.id}" for tree in trees for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name in classes
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and not is_class_var(stmt)
+                  and stmt.target.id not in names)
+
+
 def program_sources():
     """({module: source} of ``src/swphase`` without ``__init__``, [demo and
     benchmark sources])."""
@@ -127,3 +176,20 @@ def test_every_report_field_is_read_by_the_program():
     assert [name for name in unread if name.partition(".")[2] not in ALLOWED_FIELDS] == []
     # an allowed field that the program has come to read leaves the list
     assert sorted(name.partition(".")[2] for name in unread) == sorted(ALLOWED_FIELDS)
+
+
+def test_the_census_sees_an_unset_field():
+    modules = {"a": "@dataclass\nclass Config:\n    by_keyword: int = 0\n"
+                    "    in_a_grid: int = 0\n    unset: int = 0\n"
+                    "    FIXED: ClassVar[int] = 4\n\n"
+                    "def grid():\n    return {\"in_a_grid\": [1, 2]}\n",
+               "b": "def f(config):\n    return config.unset + config.FIXED\n"}
+    assert unset_fields(modules, ("Config",), ["Config(by_keyword=3)\n"]) == ["Config.unset"]
+
+
+def test_every_config_field_is_set_by_the_program():
+    modules, users = program_sources()
+    unset = unset_fields(modules, CONFIGS, users)
+    assert [name for name in unset if name.partition(".")[2] not in ALLOWED_UNSET] == []
+    # an allowed field that the program has come to set leaves the list
+    assert sorted(name.partition(".")[2] for name in unset) == sorted(ALLOWED_UNSET)

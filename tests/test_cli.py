@@ -195,22 +195,11 @@ class TestOptimize:
         # the tuned target must beat the quadrature one
         assert payload["best"]["combo"]["phi_target_deg"] == 45.0
 
-    def test_boolean_grid_values(self, corpus, tmp_path):
-        grid = tmp_path / "grid.txt"
-        grid.write_text("phi_target_deg = 45\npv_trigger_on_nco = true,false\n")
-        out = tmp_path / "cv.json"
-        rc = main(["optimize", str(corpus / "r0.swp"), str(corpus / "r1.swp"),
-                   "--algorithm", "pv", "-k", "2", "--grid", str(grid),
-                   "--json", str(out)])
-        assert rc == 0
-        combos = [r["combo"] for r in json.loads(out.read_text())["results"]]
-        assert combos == [{"phi_target_deg": 45.0, "pv_trigger_on_nco": True},
-                          {"phi_target_deg": 45.0, "pv_trigger_on_nco": False}]
-
     @pytest.mark.parametrize("line", [
         "no_such_knob = 1,2",
         "algorithm = pv",
         "maf_span = 2.5",
+        # the vocoder always triggers on its estimate: the old mode key is unknown
         "pv_trigger_on_nco = maybe",
     ])
     def test_bad_grid_is_a_configuration_error(self, corpus, tmp_path, capsys,
@@ -427,16 +416,16 @@ class TestExitCodes:
         assert "FileFormatError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,extra", [
-        ("track", ["--set", "refractory_s=nan"]),
-        ("track", ["--set", "refractory_s=inf"]),
         ("track", ["--set", "k_pll=nan"]),
         ("track", ["--set", "at_threshold_uv=nan"]),
+        ("track", ["--gate-set", "swa_threshold_uv2=nan"]),
+        # the refractory and the gate's timings are constants, not settings
+        ("track", ["--set", "refractory_s=nan"]),
+        ("track", ["--set", "refractory_s=inf"]),
         ("track", ["--gate-set", "window_step_s=nan"]),
         ("track", ["--gate-set", "window_step_s=1e-300"]),
         ("track", ["--gate-set", "nrem_history_s=inf"]),
-        ("track", ["--gate-set", "swa_threshold_uv2=nan"]),
         ("track", ["--streaming", "--gate-set", "nrem_history_s=1e300"]),
-        # a window in which the 0.5-2 Hz gate band holds no frequency bin
         ("track", ["--gate-set", "window_step_s=0.4"]),
         ("track", ["--streaming", "--gate-set", "window_step_s=0.4"]),
         ("optimize", ["--gate-set", "window_step_s=0.4"]),
@@ -461,7 +450,6 @@ class TestExitCodes:
         ("simulate", ["--cycles", "1000000000000"]),
         # --cycles has no meaning next to --stages
         ("simulate", ["--stages", "N2*40", "--cycles", "2"]),
-        ("track", ["--gate-set", "nrem_history_s=86400", "--gate-set", "window_step_s=86400"]),
         # an override key given twice, as in a grid file
         ("track", ["--set", "refractory_s=1", "--set", "refractory_s=2"]),
         ("track", ["--gate-set", "swa_threshold_uv2=40", "--gate-set", "swa_threshold_uv2 = 50"]),
@@ -522,18 +510,40 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "sample_rate_hz 500 is not the recording's 250 Hz" in err
 
-    def test_echoed_gate_window_without_a_band_bin_is_3(self, corpus, tmp_path, capsys):
+    def test_echoed_constant_gate_timing_is_3(self, corpus, tmp_path, capsys):
+        # logs tracked when the gate window was a setting echo it; they are
+        # refused until tracked again
+        text = (corpus / "r0.trig.csv").read_text()
+        assert "window_step_s" not in text
         bad = tmp_path / "window.trig.csv"
-        bad.write_text((corpus / "r0.trig.csv").read_text().replace(
-            "window_step_s=4.0", "window_step_s=0.4"))
+        bad.write_text(text.replace("swa_threshold_uv2=115.0",
+                                    "swa_threshold_uv2=115.0;window_step_s=4.0"))
         report = tmp_path / "report.json"
         assert main(["evaluate", "--input", str(corpus / "r0.swp"), "--triggers",
                      str(bad), "--hypnogram", str(corpus / "r0.hyp.csv"),
                      "--json", str(report)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "window_step_s 0.4 at 250 Hz: no frequency bin in the 0.5-2 Hz band" in err
+        assert "unreadable provenance: unknown configuration key 'window_step_s'" in err
         assert not report.exists()
+
+    def test_recording_at_a_refused_rate_is_2_naming_the_rate(self, corpus, tmp_path,
+                                                              capsys):
+        # as track refuses it: the rate, not the log's provenance, is at fault
+        slow = tmp_path / "slow.swp"
+        rec = read_recording(corpus / "r0.swp")
+        write_recording(slow, EegRecording(samples=rec.samples, fs=90.0))
+        trig = tmp_path / "slow.trig.csv"
+        trig.write_text("".join(
+            line.replace("sample_rate_hz=250.0", "sample_rate_hz=90.0")
+            for line in (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)
+            if "input_sha256" not in line))
+        argv = ["--input", str(slow), "--hypnogram", str(corpus / "r0.hyp.csv")]
+        assert main(["track", "--out", str(tmp_path / "t.csv")] + argv[:2]) == 2
+        assert main(["evaluate", "--triggers", str(trig)] + argv) == 2
+        track_err, evaluate_err = capsys.readouterr().err.splitlines()
+        assert "ConfigurationError: sampling rate 90.0 Hz" in evaluate_err
+        assert evaluate_err == track_err
 
     def test_echoed_algorithm_other_than_the_rows_is_3(self, corpus, tmp_path, capsys):
         bad = tmp_path / "algo.trig.csv"

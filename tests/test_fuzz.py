@@ -74,7 +74,7 @@ def seed_file(tmp_path, kind) -> bytes:
                                       "tracker_config": "algorithm=pv"})
     elif kind == "grid":
         path.write_text("# pv search\nphi_target_deg = 30, 45\nk_pv = 1.5,2\n\n"
-                        "pv_trigger_on_nco = true,false\n")
+                        "maf_span = 25, 125\n")
     return path.read_bytes()
 
 
@@ -125,11 +125,11 @@ def used_gate(cfg):
 TEXT_PARSERS = {
     "stage_runs": ("W*10 N1*3 N2*30 N3*5 REM*2", parse_stage_runs),
     "tracker_config": ("algorithm=pll\nk_pll=4e-4\nmaf_span=125\n"
-                       "phi_target_deg=45\npv_trigger_on_nco=true",
+                       "phi_target_deg=45\nat_threshold_uv=30",
                        lambda text: used_tracker(apply_config(TrackerConfig(),
                                                               overrides(text)))),
     "gate_config": ("swa_threshold_uv2=115\nonoff_enabled=false\n"
-                    "nrem_history_s=80",
+                    "beta_threshold_uv2=4.8",
                     lambda text: used_gate(apply_config(GateConfig(), overrides(text)))),
     "tracker_echo": (config_echo(TrackerConfig(algorithm="pv", phi_target_deg=45.0)),
                      lambda text: used_tracker(parse_config_echo(text, TrackerConfig()))),

@@ -135,14 +135,20 @@ class TestConfigValidation:
         {"nrem_beta_threshold_uv2": 0.0},
         {"swa_threshold_uv2": -5.0},
         {"beta_threshold_uv2": 0.0},
-        {"window_step_s": 0.0},
-        {"onoff_period_s": -6.0},
-        {"nrem_history_s": 81.0},   # not a multiple of the window step
-        {"nrem_history_s": 2.0},    # less than one window
+        {"onoff_enabled": "no"},    # truthy: it would turn the protocol on
+        {"onoff_enabled": 1},
+        {"onoff_enabled": None},
+        {"onoff_enabled": 0.0},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigurationError):
             GateConfig(**kw).validate()
+
+    def test_timings_are_constants(self):
+        assert (GateConfig.window_step_s, GateConfig.nrem_history_s,
+                GateConfig.onoff_period_s) == (4.0, 80.0, 6.0)
+        with pytest.raises(TypeError):
+            GateConfig(window_step_s=2.0)
 
     def test_default_history_is_twenty_windows(self):
         assert GateConfig().validate().history_windows == 20
@@ -299,14 +305,13 @@ class TestCalibration:
             ratio = getattr(cfg, name) / getattr(base, name)
             assert 0.5 <= ratio <= 2.0, name
 
-    def test_window_length_follows_base_config(self, short_synth):
+    def test_thresholds_are_midpoints_over_gate_windows(self, short_synth):
         # thresholds are geometric midpoints of the N3 and wake medians of
-        # the base config's windows, here 2 s, never a fixed 4 s
+        # the gate's 4 s windows
         rec = short_synth.recording
-        base = GateConfig(window_step_s=2.0)
-        cfg = calibrate_gate(rec, base=base)
+        cfg = calibrate_gate(rec)
         y = PreprocessChain(FS).run(rec.samples)
-        n = int(2.0 * FS)
+        n = WINDOW_N
         per_epoch = int(20.0 * FS) // n
         n_windows = min(len(y) // n, len(rec.hypnogram) * per_epoch)
         stages = [rec.hypnogram[k // per_epoch] for k in range(n_windows)]
@@ -320,9 +325,6 @@ class TestCalibration:
                cfg.nrem_beta_threshold_uv2, cfg.swa_threshold_uv2,
                cfg.beta_threshold_uv2]
         np.testing.assert_allclose(got, expect, rtol=1e-12)
-        assert cfg.window_step_s == 2.0
-        four_s = calibrate_gate(rec)
-        assert cfg.nrem_low_threshold_uv2 != four_s.nrem_low_threshold_uv2
 
     def test_requires_hypnogram(self, short_synth):
         rec = short_synth.recording

@@ -389,8 +389,8 @@ class TestBom:
 class TestConfigFiles:
     def test_parse_key_values(self, tmp_path):
         path = tmp_path / "g.grid"
-        path.write_text("# comment\nat_threshold_uv = 40\n\nrefractory_s=0.5\n")
-        assert read_config(path) == {"at_threshold_uv": "40", "refractory_s": "0.5"}
+        path.write_text("# comment\nat_threshold_uv = 40\n\nmaf_span=50\n")
+        assert read_config(path) == {"at_threshold_uv": "40", "maf_span": "50"}
 
     def test_rejects_bare_words(self, tmp_path):
         path = tmp_path / "g.grid"

@@ -14,7 +14,7 @@ import pytest
 from scipy import signal
 
 from swphase.dsp import MAX_FS
-from swphase.gate import MAX_HISTORY_S, MAX_WINDOW_S, GateConfig, gate_flags_batch
+from swphase.gate import GateConfig, gate_flags_batch
 from swphase.metrics import PLATEAU_MAX_S, local_minima
 from swphase.oracle import hilbert_phase, zero_phase_bandpass
 from swphase.synth import SynthSpec, default_hypnogram, generate
@@ -71,9 +71,10 @@ class TestPeakMemory:
 def test_largest_gate_window_at_the_highest_rate_stays_small():
     # the window's taper and bin frequencies are sized by the window, not by
     # the input: on one second of input they are all that is allocated
-    config = GateConfig(window_step_s=MAX_WINDOW_S, nrem_history_s=MAX_HISTORY_S)
+    window_bytes = 8 * GateConfig.window_samples(MAX_FS)
     one_second = np.zeros(int(MAX_FS))
-    assert traced_peak(lambda: gate_flags_batch(one_second, MAX_FS, config)) < 64 << 20
+    peak = traced_peak(lambda: gate_flags_batch(one_second, MAX_FS, GateConfig()))
+    assert peak < 4 * window_bytes
 
 
 @pytest.mark.parametrize("trim", [0, 1], ids=["even", "odd"])

@@ -230,10 +230,10 @@ class TestPipelineEvaluator:
         ("pv", {"phi_target_deg": 90.0, "k_pv": 2.0, "maf_span": 50}),
         ("at", {"at_threshold_uv": 40.0}),
         ("pll", {"phi_target_deg": 180.0, "k_pll": 6e-4}),
-        # 75.25 samples at 250 Hz: both paths round the spacing up to 76
-        ("pll", {"refractory_s": 0.301}),
-        ("pv", {"refractory_s": 0.301}),
-        ("at", {"refractory_s": 0.301}),
+        # the refractory is 62.5 samples at 250 Hz: both paths round it up to 63
+        ("pll", {}),
+        ("pv", {}),
+        ("at", {}),
     ])
     def test_fast_path_matches_full_session(self, short_synth, algorithm, combo):
         assert_fast_path_matches_full_session(short_synth.recording, algorithm, combo)
@@ -328,10 +328,10 @@ class TestRecordingMajorSearch:
     GRIDS = {
         "target": ("pv", GRID, 2),
         "dynamics": ("pv", dict(reversed(GRID.items())), 2),
-        "maf_span-and-nco": ("pv", {"maf_span": [25, 50], "phi_target_deg": [15.0, 45.0],
-                                    "pv_trigger_on_nco": [False, True]}, 4),
-        "refractory_s": ("pv", {"phi_target_deg": [15.0, 45.0],
-                                "refractory_s": [0.25, 0.5]}, 1),
+        "maf_span": ("pv", {"maf_span": [25, 50], "phi_target_deg": [15.0, 45.0]}, 2),
+        # the vocoder reads no AT field: one stream for the whole grid
+        "at_threshold_uv": ("pv", {"phi_target_deg": [15.0, 45.0],
+                                   "at_threshold_uv": [30.0, 50.0]}, 1),
         # the PLL reads no vocoder field: one stream per k_pll value
         "pll-maf_span": ("pll", {"phi_target_deg": [15.0, 195.0], "k_pll": [1e-4, 1e-3],
                                  "maf_span": [25, 50, 125]}, 2),
@@ -344,7 +344,7 @@ class TestRecordingMajorSearch:
         made = []
 
         def counted(y, cfg):
-            made.append((cfg.k_pll, cfg.k_pv, cfg.maf_span, cfg.pv_trigger_on_nco))
+            made.append((cfg.k_pll, cfg.k_pv, cfg.maf_span))
             return tracker_phase_stream(y, cfg)
         monkeypatch.setattr(optimize, "tracker_phase_stream", counted)
         evaluate = make_pipeline_evaluator(corpus, algorithm, GateConfig())
@@ -359,8 +359,7 @@ class TestRecordingMajorSearch:
         # a field the kernel reads but its list lacks would let two settings
         # share one kernel; a listed field it ignores would build it twice
         other = {"phi_target_deg": 90.0, "k_pll": 1e-3, "k_pv": 1.0, "maf_span": 50,
-                 "at_threshold_uv": 50.0, "refractory_s": 0.5, "sample_rate_hz": 500.0,
-                 "pv_trigger_on_nco": True}
+                 "at_threshold_uv": 50.0, "sample_rate_hz": 500.0}
         names = [f.name for f in dataclasses.fields(TrackerConfig) if f.name != "algorithm"]
         assert sorted(names) == sorted(other)   # a new field needs a value here
         listed = KERNEL_FIELDS[algorithm]

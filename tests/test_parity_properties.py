@@ -6,20 +6,19 @@ sections, input and chunking, a ``step`` loop, a chunked ``run`` and one
 state.
 
 Chunking invariance: for any tracker, sampling rate, moving-average span,
-refractory interval, chunking and placement of non-finite samples, ``run``
+chunking and placement of non-finite samples, ``run``
 over the chunks gives the events of one ``run`` over the whole stream and
 of a ``step`` loop, and leaves the same state behind: the health counters
 (slip, vocoder hold and PLL reset counts) and everything else the next
 sample would read. No event lies on a non-finite sample. The trackers are
 fed directly, because ``PreprocessChain`` refuses non-finite samples.
 
-Streaming == batch: for any tracker, sampling rate, gate window, history,
-thresholds and ON/OFF protocol, ``run_session`` per sample and in batch
+Streaming == batch: for any tracker, sampling rate, gate thresholds and
+ON/OFF protocol, ``run_session`` per sample and in batch
 log the same candidates with the same gate decisions, and agree in the
 window flags and the slip count.
 
-Optimizer == pipeline: for any tracker, target, refractory interval, loop
-dynamics, gate thresholds and ON/OFF protocol, the search's cached
+Optimizer == pipeline: for any tracker, target, loop dynamics, gate thresholds and ON/OFF protocol, the search's cached
 evaluator tallies a night as the pipeline does: ``run_session``, its
 delivered triggers, and the oracle's phases and qualifying windows.
 """
@@ -106,9 +105,7 @@ def chunked_streams(draw):
     cfg = TrackerConfig(
         algorithm=draw(st.sampled_from(ALGORITHMS)),
         sample_rate_hz=draw(st.floats(100.0, 600.0, exclude_min=True)),
-        maf_span=draw(st.integers(1, 400)),
-        refractory_s=draw(st.floats(0.01, 2.0)),
-        pv_trigger_on_nco=draw(st.booleans()))
+        maf_span=draw(st.integers(1, 400)))
     n = draw(st.integers(0, 2500))
     t = np.arange(n) / cfg.sample_rate_hz
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -166,25 +163,16 @@ def accepted(check, *args):
     return True
 
 
-def accepted_window(window_s, fs):
-    gate = GateConfig(window_step_s=window_s, nrem_history_s=window_s)
-    return accepted(gate.window_samples, fs)
-
-
 @st.composite
 def gated_sessions(draw):
     fs = draw(st.floats(100.0, 400.0, exclude_min=True)
               .filter(lambda fs: accepted(check_fs, fs)))
-    # a window in which a gate band holds no frequency bin is refused
-    window_s = draw(st.floats(0.5, 4.0).filter(lambda w: accepted_window(w, fs)))
-    history = draw(st.integers(1, 4))
     cfg = TrackerConfig(
         algorithm=draw(st.sampled_from(ALGORITHMS)),
         sample_rate_hz=fs,
-        maf_span=draw(st.integers(1, 200)),
-        refractory_s=draw(st.floats(0.05, 1.0)),
-        pv_trigger_on_nco=draw(st.booleans()))
-    n = (int((history + draw(st.integers(1, 3))) * window_s * fs)
+        maf_span=draw(st.integers(1, 200)))
+    n = (int((GateConfig.history_windows + draw(st.integers(1, 3)))
+             * GateConfig.window_step_s * fs)
          + draw(st.integers(0, 50)))
     t = np.arange(n) / fs
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -192,7 +180,7 @@ def gated_sessions(draw):
          + draw(st.floats(1.0, 20.0)) * rng.standard_normal(n))
     # thresholds drawn around the signal's own median window powers, so
     # that windows pass and fail each condition
-    powers = window_powers(PreprocessChain(fs).run(x), fs, int(round(window_s * fs)))
+    powers = window_powers(PreprocessChain(fs).run(x), fs, GateConfig.window_samples(fs))
     low, mid, high_beta, swa, beta = np.maximum(np.median(powers, axis=0), 1e-3)
     above, below = st.floats(0.05, 1.0), st.floats(1.0, 8.0)
     gate = GateConfig(
@@ -201,10 +189,7 @@ def gated_sessions(draw):
         nrem_beta_threshold_uv2=high_beta * draw(below),
         swa_threshold_uv2=swa * draw(above),
         beta_threshold_uv2=beta * draw(below),
-        window_step_s=window_s,
-        nrem_history_s=history * window_s,
-        onoff_enabled=draw(st.booleans()),
-        onoff_period_s=draw(st.floats(0.5, 10.0)))
+        onoff_enabled=draw(st.booleans()))
     return EegRecording(samples=x, fs=fs), cfg, gate
 
 
@@ -234,7 +219,7 @@ def short_night():
 @st.composite
 def searched_combos(draw):
     algorithm = draw(st.sampled_from(ALGORITHMS))
-    combo = {"refractory_s": draw(st.floats(0.05, 1.0))}
+    combo = {}
     if algorithm == "at":
         combo["at_threshold_uv"] = draw(st.floats(5.0, 80.0))
     else:
@@ -242,8 +227,7 @@ def searched_combos(draw):
     if algorithm == "pll":
         combo["k_pll"] = draw(st.floats(1e-5, 1e-2))
     if algorithm == "pv":
-        combo.update(k_pv=draw(st.floats(0.5, 4.0)), maf_span=draw(st.integers(1, 60)),
-                     pv_trigger_on_nco=draw(st.booleans()))
+        combo.update(k_pv=draw(st.floats(0.5, 4.0)), maf_span=draw(st.integers(1, 60)))
     # thresholds drawn around the night's median window powers
     low, mid, high_beta, swa, beta = short_night()[2]
     above, below = st.floats(0.05, 1.0), st.floats(1.0, 8.0)
@@ -253,8 +237,7 @@ def searched_combos(draw):
         nrem_beta_threshold_uv2=high_beta * draw(below),
         swa_threshold_uv2=swa * draw(above),
         beta_threshold_uv2=beta * draw(below),
-        onoff_enabled=draw(st.booleans()),
-        onoff_period_s=draw(st.floats(0.5, 10.0)))
+        onoff_enabled=draw(st.booleans()))
     return algorithm, combo, gate
 
 

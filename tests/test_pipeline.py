@@ -16,7 +16,7 @@ from swphase.pipeline import (
     tracker_phase_stream,
 )
 from swphase.recording import EegRecording
-from swphase.trackers import TrackerConfig, forward_arcs
+from swphase.trackers import REFRACTORY_S, TrackerConfig, forward_arcs
 
 ALGOS = ("at", "pll", "pv")
 
@@ -53,7 +53,7 @@ class TestPhaseStreamFactorization:
         session = batch_sessions[algo]
         cfg = session.tracker_config
         stream = tracker_phase_stream(preprocessed, cfg)
-        refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
+        refr = max(1, math.ceil(REFRACTORY_S * cfg.sample_rate_hz))
         idx = candidates_from_phase_stream(stream, cfg.target_deg(), refr,
                                            forward_arcs(stream)[0])
         np.testing.assert_array_equal(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swphase.errors import ConfigurationError
-from swphase.trackers import (MAX_MAF_SPAN, AmplitudeThresholdTracker,
+from swphase.trackers import (MAX_MAF_SPAN, REFRACTORY_S, AmplitudeThresholdTracker,
                               PllTracker, PvTracker, TrackerConfig, make_tracker)
 
 from conftest import FS, phase_crossed, sinusoid
@@ -62,7 +62,7 @@ class TestConfig:
         dict(k_pv=-1.0),
         dict(maf_span=0),
         dict(at_threshold_uv=0.0),
-        dict(refractory_s=0.0),
+        dict(sample_rate_hz=0.0),
         dict(sample_rate_hz=-250.0),
         dict(maf_span=MAX_MAF_SPAN + 1),
         # a span that is not a whole number would be echoed into a trigger
@@ -130,7 +130,7 @@ class TestAmplitudeThreshold:
         x = 300.0 * rng.standard_normal(10000)
         cfg = TrackerConfig(algorithm="at")
         events = make_tracker(cfg).run(x)
-        refr = max(1, math.ceil(cfg.refractory_s * cfg.sample_rate_hz))
+        refr = max(1, math.ceil(REFRACTORY_S * cfg.sample_rate_hz))
         assert events
         assert np.diff([e.sample_index for e in events]).min() >= refr
 
@@ -164,7 +164,7 @@ class TestAmplitudeThreshold:
         x = sinusoid(1.0, 40.0, 20.0)
         bad = [0, 100, 101, 7 * 300, len(x) - 1]
         x[bad] = [math.nan, math.inf, -math.inf, math.nan, math.inf]
-        cfg = TrackerConfig(algorithm="at", refractory_s=0.05)
+        cfg = TrackerConfig(algorithm="at")
         stepped_tracker = make_tracker(cfg)
         stepped = run_stepwise(stepped_tracker, x)
         assert len(stepped) >= 15
@@ -302,18 +302,10 @@ class TestPv:
         cfg = TrackerConfig(algorithm="pv")
         assert make_tracker(cfg).run(x) == make_tracker(cfg).run(x)
 
-    def test_nco_trigger_mode_changes_events(self):
-        x = sinusoid(1.3, 75.0, 60.0)
-        corrected = make_tracker(TrackerConfig(algorithm="pv")).run(x)
-        raw = make_tracker(TrackerConfig(algorithm="pv",
-                                         pv_trigger_on_nco=True)).run(x)
-        assert [e.sample_index for e in corrected] != [e.sample_index for e in raw]
-
-    @pytest.mark.parametrize("on_nco", [False, True])
-    def test_nonfinite_sample_never_triggers(self, on_nco):
-        # sample 4281 triggers on the clean tone in both modes; as a dropout
-        # the oscillator still turns through the target there
-        cfg = TrackerConfig(algorithm="pv", pv_trigger_on_nco=on_nco)
+    def test_nonfinite_sample_never_triggers(self):
+        # sample 4281 triggers on the clean tone; as a dropout the estimate
+        # still turns through the target there
+        cfg = TrackerConfig(algorithm="pv")
         x = sinusoid(1.0, 50.0, 20.0)
         assert 4281 in [e.sample_index for e in make_tracker(cfg).run(x)]
         x[4281] = math.nan
