@@ -57,9 +57,9 @@ def _write_json(path, payload, sort_keys=True) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.stages and args.cycles is not None:
+    if args.stages is not None and args.cycles is not None:
         raise ConfigurationError("--cycles cannot be combined with --stages")
-    if args.stages:
+    if args.stages is not None:
         hyp = parse_stage_runs(args.stages)
     else:
         hyp = default_hypnogram(4 if args.cycles is None else args.cycles)
@@ -83,7 +83,7 @@ def cmd_track(args) -> int:
     cfg = apply_config(TrackerConfig(algorithm=args.algorithm), _pairs(args.set),
                        _TRACKER_FIXED)
     gate_cfg = apply_config(GateConfig(), _pairs(args.gate_set))
-    session = run_session(recording, cfg, gate_cfg, streaming=args.streaming)
+    session = run_session(recording, cfg, gate_cfg)
     provenance = {
         "input_sha256": hash_file(args.input),
         "tracker_config": config_echo(session.tracker_config),
@@ -101,7 +101,7 @@ def _logged_configs(path, provenance, log, fs):
     back from its provenance; a log without a tracker_config line takes its
     algorithm from its rows."""
     if not log and "tracker_config" not in provenance:
-        raise ConfigurationError(f"{path}: trigger log is empty and names no algorithm")
+        raise FileFormatError(f"{path}: trigger log is empty and names no algorithm")
     base = TrackerConfig(algorithm=log[0].algorithm if log else "pv", sample_rate_hz=fs)
     try:
         cfg = parse_config_echo(provenance.get("tracker_config"), base)
@@ -287,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--algorithm", choices=ALGORITHMS, default="pv")
     trk.add_argument("--set", action="append", metavar="KEY=VALUE")
     trk.add_argument("--gate-set", action="append", metavar="KEY=VALUE")
-    trk.add_argument("--streaming", action="store_true",
-                     help="per-sample reference path (slower, same output)")
     trk.set_defaults(func=cmd_track)
 
     ev = sub.add_parser("evaluate", help="judge a trigger log against the oracle")

@@ -15,8 +15,6 @@ from scipy import signal
 
 from .errors import ConfigurationError, StreamIntegrityError
 
-REFERENCE_FS = 250.0
-
 NOTCH_HZ = 50.0
 NOTCH_Q = 30.0
 HIGHPASS_HZ = 0.1
@@ -44,22 +42,22 @@ def check_fs(fs: float):
                                  f"and at most {MAX_FS:g} Hz")
 
 
-def design_notch(fs: float = REFERENCE_FS):
+def design_notch(fs: float):
     """Second-order 50 Hz notch (quality factor 30), (b, a) arrays."""
     return signal.iirnotch(NOTCH_HZ, NOTCH_Q, fs=fs)
 
 
-def design_highpass(fs: float = REFERENCE_FS):
+def design_highpass(fs: float):
     """First-order 0.1 Hz high-pass, bilinear transform."""
     return signal.butter(1, HIGHPASS_HZ, btype="highpass", fs=fs)
 
 
-def design_lowpass(fs: float = REFERENCE_FS):
+def design_lowpass(fs: float):
     """First-order 30 Hz low-pass, bilinear transform."""
     return signal.butter(1, LOWPASS_HZ, btype="lowpass", fs=fs)
 
 
-def design_sw_isolation(fs: float = REFERENCE_FS):
+def design_sw_isolation(fs: float):
     """First-order 0.5-2 Hz band-pass isolating slow waves ahead of the
     amplitude-threshold detector."""
     return signal.butter(1, SW_ISOLATION_BAND, btype="bandpass", fs=fs)
@@ -130,7 +128,7 @@ class PreprocessChain(IirFilter):
     refuses non-finite input rather than poisoning downstream state.
     """
 
-    def __init__(self, fs: float = REFERENCE_FS):
+    def __init__(self, fs: float):
         check_fs(fs)
         super().__init__(design_notch(fs), design_highpass(fs), design_lowpass(fs))
         self.fs = fs

@@ -358,10 +358,11 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 
 
 def _coerce(value: str, like) -> object:
+    """value as the type of like; ValueError when it is not one."""
     if isinstance(like, bool):
         v = _BOOL.get(value.lower())
         if v is None:
-            raise ConfigurationError(f"expected a boolean, got {value!r}")
+            raise ValueError(value)
         return v
     if isinstance(like, int):
         return int(value)
@@ -393,7 +394,7 @@ def apply_config(base, overrides: dict, fixed=()):
     return type(base)(**fields)
 
 
-def parse_grid(raw: dict, base, fixed=()) -> dict:
+def parse_grid(raw: dict, base, fixed) -> dict:
     """{key: [values]} from {key: "v1,v2,..."}, each value coerced and
     refused as ``apply_config`` does for an override of ``base``."""
     grid = {}

@@ -156,8 +156,7 @@ def local_minima(x: np.ndarray, fs: float) -> np.ndarray:
     return start[x[end + 1] > level]
 
 
-def detect_waves(filtered: np.ndarray, fs: float,
-                 mask: Optional[np.ndarray] = None) -> list:
+def detect_waves(filtered: np.ndarray, fs: float, mask: np.ndarray) -> list:
     """Slow-wave inventory of a 0.5-4 Hz filtered signal.
 
     Each adjacent pair of minima with both ends inside the mask yields one
@@ -168,10 +167,9 @@ def detect_waves(filtered: np.ndarray, fs: float,
     mins = local_minima(filtered, fs)
     a, b = mins[:-1], mins[1:]
     peak = np.maximum.reduceat(filtered, mins)[:-1]   # max over [a, b)
-    if mask is not None:
-        inside = np.asarray(mask, dtype=bool)
-        keep = inside[a] & inside[b]
-        a, b, peak = a[keep], b[keep], peak[keep]
+    inside = np.asarray(mask, dtype=bool)
+    keep = inside[a] & inside[b]
+    a, b, peak = a[keep], b[keep], peak[keep]
     p2p = peak - filtered[a]
     amp_class = np.where(p2p < MIN_WAVE_AMP_UV, "sub20",
                          np.where(p2p <= LOW_AMP_UV[1], "low", "high"))

@@ -167,7 +167,7 @@ class CvOutcome:
 
 def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
                    evaluate: Callable[[dict, EegRecording], ObjectiveTally],
-                   k: int = 5, seed: int = 0) -> CvOutcome:
+                   k: int, seed: int) -> CvOutcome:
     """Evaluate every combo on every recording once, then score per fold.
 
     evaluate(combo, recording) returns that recording's ObjectiveTally for

@@ -34,8 +34,7 @@ class PhaseTrack:
         return len(self.phase_deg)
 
 
-def design_oracle_bandpass(fs: float, order: int = FILTER_ORDER,
-                           stopband_db: float = STOPBAND_DB):
+def design_oracle_bandpass(fs: float, order: int, stopband_db: float):
     return signal.cheby2(order, stopband_db, SW_BAND_HZ, btype="bandpass",
                          fs=fs, output="sos")
 

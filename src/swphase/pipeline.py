@@ -164,9 +164,9 @@ def scored_nrem_window_mask(recording: EegRecording, n_windows: int,
 
 
 def qualifying_windows(recording: EegRecording, window_flags,
-                       gate_config: GateConfig, valid_mask=None):
+                       gate_config: GateConfig, valid_mask):
     """Count PAS windows: 2 s, hypnogram NREM, device nrem+swa, fully
-    inside the oracle-valid region when a mask is given.
+    inside valid_mask (the oracle-valid samples).
 
     Returns (qualifying_count, scored_count, per_window_bool).
     """
@@ -176,8 +176,7 @@ def qualifying_windows(recording: EegRecording, window_flags,
     scored = scored_nrem_window_mask(recording, len(starts), fs)
     qual = scored & in_window(staged_nrem(window_reasons(window_flags)), starts,
                               gate_config.window_samples(fs))
-    if valid_mask is not None:
-        qual &= valid_mask[starts] & valid_mask[starts + win - 1]
+    qual &= valid_mask[starts] & valid_mask[starts + win - 1]
     return int(qual.sum()), int(scored.sum()), qual
 
 

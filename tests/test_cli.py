@@ -86,13 +86,6 @@ class TestTrack:
         # same input, same flags: byte-identical log
         assert out.read_bytes() == (corpus / "r0.trig.csv").read_bytes()
 
-    def test_streaming_path_writes_identical_log(self, corpus, tmp_path):
-        out = tmp_path / "streamed.csv"
-        rc = main(["track", "--input", str(corpus / "r0.swp"),
-                   "--out", str(out), "--algorithm", "pv", "--streaming"])
-        assert rc == 0
-        assert out.read_bytes() == (corpus / "r0.trig.csv").read_bytes()
-
     def test_truncated_input_yields_prefix_rows(self, corpus, tmp_path):
         _, full_rows = read_trigger_log(corpus / "r0.trig.csv")
         rec = read_recording(corpus / "r0.swp")
@@ -150,14 +143,16 @@ class TestEvaluate:
 
     def test_log_without_rows_or_provenance_is_refused(
             self, corpus, empty_log, tmp_path, capsys):
+        # a malformed log, like every other provenance fault: exit 3
         bare = tmp_path / "bare.trig.csv"
         bare.write_text("".join(ln for ln in empty_log.read_text().splitlines(True)
                                 if not ln.startswith("# tracker_config=")))
         rc = main(["evaluate", "--input", str(corpus / "r0.swp"),
                    "--triggers", str(bare), "--hypnogram", str(corpus / "r0.hyp.csv")])
-        assert rc == 2
+        assert rc == 3
         err = capsys.readouterr().err
-        assert "trigger log is empty" in err and len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1
+        assert "FileFormatError" in err and "trigger log is empty" in err
 
 
     def test_log_is_scored_under_the_gate_that_made_it(self, tmp_path):
@@ -361,6 +356,15 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "ConfigurationError" in err
         assert not (tmp_path / "x.swp").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--cycles", "1"]], ids=["alone", "with_cycles"])
+    def test_empty_stages_is_2(self, tmp_path, capsys, extra):
+        # an empty --stages names no night; it must not fall back to the default
+        out = tmp_path / "x.swp"
+        assert main(["simulate", "--out", str(out), "--stages", "", *extra]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ConfigurationError" in err
+        assert not out.exists()
+
     def test_rate_at_the_notch_nyquist_is_2(self, tmp_path, capsys):
         # at 100 Hz the 50 Hz notch sits at Nyquist: refuse the night
         # instead of writing one that track cannot filter
@@ -399,7 +403,7 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "FileFormatError" in err and "r.hyp.csv: 41 epochs" in err
+        assert "FileFormatError" in err and "r.hyp.csv: 41 epochs outrun the recording" in err
 
     def test_hypnogram_ending_in_the_last_partial_epoch_is_accepted(
             self, corpus, tmp_path, capsys):
@@ -425,10 +429,12 @@ class TestExitCodes:
         ("track", ["--gate-set", "window_step_s=nan"]),
         ("track", ["--gate-set", "window_step_s=1e-300"]),
         ("track", ["--gate-set", "nrem_history_s=inf"]),
-        ("track", ["--streaming", "--gate-set", "nrem_history_s=1e300"]),
+        ("track", ["--gate-set", "nrem_history_s=1e300"]),
         ("track", ["--gate-set", "window_step_s=0.4"]),
-        ("track", ["--streaming", "--gate-set", "window_step_s=0.4"]),
         ("optimize", ["--gate-set", "window_step_s=0.4"]),
+        # a boolean that is not one is named by its key
+        ("track", ["--gate-set", "onoff_enabled=maybe"]),
+        ("optimize", ["--gate-set", "onoff_enabled=perhaps"]),
         ("simulate", ["--synth-set", "sw_freq_range_hz=0.9,inf"]),
         ("simulate", ["--synth-set", "sw_pp_range_uv=nan,120"]),
         ("simulate", ["--synth-set", "fs=1e300"]),
@@ -483,7 +489,6 @@ class TestExitCodes:
         ["bench", "--fs", "1e12"],
         ["bench", "--reps", str(10 ** 21)],
         ["track"],
-        ["track", "--streaming"],
     ], ids=" ".join)
     def test_rate_or_reps_sized_beyond_the_input_is_2(self, tmp_path, capsys, argv):
         # past 20 kHz, buffers sized by the rate would outgrow memory: a
@@ -526,6 +531,18 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "unreadable provenance: unknown configuration key 'window_step_s'" in err
         assert not report.exists()
+
+    def test_echoed_boolean_that_is_not_one_is_3_naming_its_key(self, corpus, tmp_path,
+                                                                capsys):
+        text = (corpus / "r0.trig.csv").read_text()
+        assert "onoff_enabled=False" in text
+        bad = tmp_path / "onoff.trig.csv"
+        bad.write_text(text.replace("onoff_enabled=False", "onoff_enabled=maybe"))
+        assert main(["evaluate", "--input", str(corpus / "r0.swp"), "--triggers",
+                     str(bad), "--hypnogram", str(corpus / "r0.hyp.csv")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "unreadable provenance: bad value for onoff_enabled: 'maybe'" in err
 
     def test_recording_at_a_refused_rate_is_2_naming_the_rate(self, corpus, tmp_path,
                                                               capsys):

@@ -431,7 +431,8 @@ class TestConfigFiles:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigurationError, match="bad value"):
             apply_config(TrackerConfig(), {"at_threshold_uv": "forty"})
-        with pytest.raises(ConfigurationError, match="boolean"):
+        with pytest.raises(ConfigurationError,
+                           match="bad value for onoff_enabled: 'maybe'"):
             apply_config(GateConfig(), {"onoff_enabled": "maybe"})
 
     def test_echo_is_sorted_and_flat(self):

@@ -153,12 +153,12 @@ def reference_amp_class(p2p):
     return "low" if p2p <= 60.0 else "high"
 
 
-def reference_waves(x, fs, mask=None):
+def reference_waves(x, fs, mask):
     """One wave per adjacent pair of reference minima, judged pair by pair."""
     mins = reference_local_minima(x, fs)
     waves = []
     for a, b in zip(mins[:-1], mins[1:]):
-        if mask is not None and not (mask[a] and mask[b]):
+        if not (mask[a] and mask[b]):
             continue
         p2p = float(x[a:b + 1].max() - x[a])
         waves.append(SlowWave(int(a), int(b), fs / (b - a), p2p,
@@ -226,9 +226,13 @@ class TestDetectWaves:
         t = np.arange(int(3 * self.FS)) / self.FS
         return amp * np.sin(2 * np.pi * 1.0 * t)
 
+    def unmasked(self, x):
+        """Every wave of x: detect_waves under a mask that keeps all samples."""
+        return detect_waves(x, self.FS, np.ones(len(x), dtype=bool))
+
     def test_amplitude_classes(self):
         for amp, cls in [(8.0, "sub20"), (15.0, "low"), (40.0, "high")]:
-            waves = detect_waves(self.two_cycle_sine(amp), self.FS)
+            waves = self.unmasked(self.two_cycle_sine(amp))
             assert len(waves) >= 1
             for w in waves:
                 assert w.amp_class == cls
@@ -237,7 +241,7 @@ class TestDetectWaves:
 
     def test_mask_drops_waves_touching_excluded_samples(self):
         x = self.two_cycle_sine(15.0)
-        full = detect_waves(x, self.FS)
+        full = self.unmasked(x)
         mask = np.ones(len(x), dtype=bool)
         mask[full[0].start] = False
         masked = detect_waves(x, self.FS, mask=mask)
@@ -246,7 +250,7 @@ class TestDetectWaves:
 
     def test_low_class_bounds_are_inclusive(self):
         x = np.array([70.0, 0.0, 60.0, 0.0, 20.0, 0.0, 19.5, 0.0, 60.5, 0.0, 70.0])
-        waves = detect_waves(x, self.FS)
+        waves = self.unmasked(x)
         assert [w.amp_class for w in waves] == ["low", "low", "sub20", "high"]
 
     @pytest.mark.parametrize("fs", [100.0, 250.0])
@@ -258,7 +262,7 @@ class TestDetectWaves:
         x = np.round(x)                    # equal neighbors make plateaus
         x[rng.integers(0, len(x), 5)] = np.nan
         mask = np.repeat(rng.random(len(x) // 100 + 1) < 0.7, 100)[:len(x)]
-        for m in (None, mask):
+        for m in (np.ones(len(x), dtype=bool), mask):
             got = detect_waves(x, fs, m)
             assert all(isinstance(w, SlowWave) for w in got)
             np.testing.assert_equal([astuple(w) for w in got],   # NaN p2p equal
@@ -266,7 +270,7 @@ class TestDetectWaves:
             assert len(got) > 20
 
     def test_wave_bounds_are_adjacent_minima(self):
-        waves = detect_waves(self.two_cycle_sine(15.0), self.FS)
+        waves = self.unmasked(self.two_cycle_sine(15.0))
         for a, b in zip(waves[:-1], waves[1:]):
             assert a.end == b.start
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from swphase.errors import RecordingTooShortError
-from swphase.oracle import (CROP_S, compute_phase_track, design_oracle_bandpass,
-                            hilbert_phase, phase_at_triggers,
-                            zero_phase_bandpass)
+from swphase.oracle import (CROP_S, FILTER_ORDER, STOPBAND_DB, compute_phase_track,
+                            design_oracle_bandpass, hilbert_phase,
+                            phase_at_triggers, zero_phase_bandpass)
 from swphase.trackers import TriggerEvent
 
 from conftest import FS, sinusoid
@@ -34,7 +34,7 @@ class TestBandpassFidelity:
 
     def test_band_edges_attenuated_forty_db_per_pass(self):
         from scipy.signal import sosfreqz
-        sos = design_oracle_bandpass(FS)
+        sos = design_oracle_bandpass(FS, FILTER_ORDER, STOPBAND_DB)
         w = 2 * np.pi * np.array([0.5, 4.0]) / FS
         _, h = sosfreqz(sos, worN=w)
         for hv in h:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swphase.dsp import PreprocessChain
+from swphase.errors import ConfigurationError
 from swphase.gate import (DELIVERED, REASONS, GateConfig, GateFlags,
                           candidate_reasons, window_reasons)
 from swphase.pipeline import (
@@ -42,6 +43,13 @@ class TestStreamingParity:
         assert streamed.log == batch.log
         assert streamed.window_flags == batch.window_flags
         assert streamed.slip_count == batch.slip_count
+
+    def test_streaming_session_refuses_a_rate_beyond_20khz(self):
+        # the per-sample path sizes its filter and gate state by the rate: a
+        # 1,000-sample recording whose header says 1 GHz is refused first
+        rec = EegRecording(samples=np.zeros(1000), fs=1e9)
+        with pytest.raises(ConfigurationError, match="at most 20000 Hz"):
+            run_session(rec, TrackerConfig(algorithm="pv"), streaming=True)
 
 
 class TestPhaseStreamFactorization:
@@ -149,11 +157,12 @@ class TestQualifyingWindows:
 
     def test_device_flags_gate_the_count(self):
         rec = make_recording(["W", "N2", "N3"])
+        valid = np.ones(len(rec.samples), dtype=bool)
         open_flags = [GateFlags(True, True, False)] * 15
-        q, scored, qual = qualifying_windows(rec, open_flags, GateConfig())
+        q, scored, qual = qualifying_windows(rec, open_flags, GateConfig(), valid)
         assert (q, scored) == (20, 20)
         shut = [GateFlags(True, False, False)] * 15
-        q2, scored2, _ = qualifying_windows(rec, shut, GateConfig())
+        q2, scored2, _ = qualifying_windows(rec, shut, GateConfig(), valid)
         assert (q2, scored2) == (0, 20)
 
     def test_valid_mask_excludes_windows(self):
