@@ -1,10 +1,14 @@
-"""Reproduce the shipped tracker defaults with the cross-validated grid
-search.
+"""Run the cross-validated grid search and rank the shipped tracker
+defaults in it.
 
 Builds a five-recording corpus of single sleep cycles, then runs the
-default parameter grid for each algorithm with 5-fold cross-validation.
-The winning combos should match (or sit next to) the package defaults.
-Expect a few minutes of wall time; the vocoder grid is the big one.
+default parameter grid for each algorithm with 5-fold cross-validation, and
+prints each shipped default's rank and its ed_error gap to the winner. The
+search did not produce the shipped AT and PLL defaults: it picks AT 20 uV,
+where the shipped 30 uV ranks 2nd of 6, and PLL (255 deg, 0.01), where the
+shipped (195 deg, 4e-4) ranks 17th of 120. The shipped PV (45 deg, 2.0,
+125) ranks 20th of 384, 0.003 in ed_error behind (45 deg, 1.0, 250).
+Expect about a minute of wall time; the vocoder grid is the big one.
 """
 import argparse
 import time
@@ -56,7 +60,10 @@ def main():
         for r in ranked[:3]:
             print(f"    ed_error={r.ed_error:.4f} val={r.mean_val_ed:.4f} "
                   f"{r.combo}")
-        print(f"  shipped default: {SHIPPED[algo]}")
+        rank = next(i for i, r in enumerate(ranked) if r.combo == SHIPPED[algo])
+        gap = ranked[rank].ed_error - ranked[0].ed_error
+        print(f"  shipped default: {SHIPPED[algo]}, rank {rank + 1} of {len(ranked)}, "
+              f"ed_error {ranked[rank].ed_error:.4f}, {gap:.4f} above the winner")
 
 
 if __name__ == "__main__":

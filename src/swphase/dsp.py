@@ -3,8 +3,9 @@
 Every IIR filter is an ``IirFilter``: a cascade of sections of at most
 second order, each with its own state, that all run one recurrence. ``step``
 runs it for one sample and ``run`` is ``lfilter`` per section with carried
-state; the two are bit-identical and refuse non-finite samples. ``mod360``
-is the one wrap of an angle array into [0, 360) degrees.
+state; the two are bit-identical and refuse non-finite samples, as
+``finite_samples`` does for the trackers. ``mod360`` is the one wrap of an
+angle array into [0, 360) degrees.
 """
 from __future__ import annotations
 
@@ -63,6 +64,15 @@ def design_sw_isolation(fs: float):
     return signal.butter(1, SW_ISOLATION_BAND, btype="bandpass", fs=fs)
 
 
+def finite_samples(x) -> np.ndarray:
+    """x as a float array; a non-finite sample raises StreamIntegrityError."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise StreamIntegrityError(f"non-finite sample at index {finite.argmin()}")
+    return x
+
+
 def _section(b, a):
     """One (b, a) pair normalized to a[0] == 1 and zero-padded to length 3."""
     b, a = (np.array(v, dtype=float, ndmin=1) for v in (b, a))
@@ -95,10 +105,6 @@ class IirFilter:
         self._steps = [((*b.tolist(), *a[1:].tolist()), [0.0, 0.0])
                        for b, a in self.sections]
 
-    def reset(self):
-        for _, z in self._steps:
-            z[:] = 0.0, 0.0
-
     def step(self, x: float) -> float:
         if not isfinite(x):
             raise StreamIntegrityError(f"non-finite sample {x!r}")
@@ -110,9 +116,7 @@ class IirFilter:
         return x
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
-        if not np.isfinite(y).all():
-            raise StreamIntegrityError(f"non-finite sample at index {np.isfinite(y).argmin()}")
+        y = finite_samples(x)
         if not len(y):   # lfilter would return a bogus state for no input
             return y
         for (b, a), (_, z) in zip(self.sections, self._steps):

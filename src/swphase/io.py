@@ -15,7 +15,7 @@ lines followed by one sample per line. Readers sniff the magic, so either
 flavor can be handed to any command.
 
 Phase tracks reuse the binary container with label "phase_deg"; invalid
-samples are NaN.
+samples are NaN, which a recording would refuse.
 
 Trigger logs are CSV with a ``#``-prefixed provenance header (library
 version, SHA-256 of the input file, configuration echo). No timestamps:
@@ -106,28 +106,31 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def _float32_samples(path, recording: EegRecording) -> np.ndarray:
-    """The samples as stored, little-endian float32. NaN and +-inf pass
-    through; a finite sample past the float32 range is refused."""
+def _float32_samples(path, samples) -> np.ndarray:
+    """The samples as stored, little-endian float32; a finite sample past
+    the float32 range is refused. NaN (a phase track's invalid sample) passes."""
     try:
         with np.errstate(over="raise"):
-            return np.asarray(recording.samples, dtype="<f4")
+            return np.asarray(samples, dtype="<f4")
     except FloatingPointError:
         raise StreamIntegrityError(f"{path}: a sample exceeds the float32 range "
                                    f"(|x| > {np.finfo(np.float32).max:.4g} uV)") from None
 
 
-def write_recording_binary(path, recording: EegRecording) -> None:
-    label = recording.label.encode("utf-8")
-    samples = _float32_samples(path, recording)
+def _write_binary(path, samples, fs: float, label: str, start_time: float) -> None:
+    """The binary container, for a recording or a phase track."""
+    label = label.encode("utf-8")
+    samples = _float32_samples(path, samples)
     with open(path, "wb") as f:
-        f.write(_HEAD.pack(MAGIC, FORMAT_VERSION, recording.fs, len(label)))
+        f.write(_HEAD.pack(MAGIC, FORMAT_VERSION, fs, len(label)))
         f.write(label)
-        f.write(_TAIL.pack(len(samples), recording.start_time))
+        f.write(_TAIL.pack(len(samples), start_time))
         f.write(samples.tobytes())
 
 
-def read_recording_binary(path) -> EegRecording:
+def _read_binary(path):
+    """(samples, fs, label, start time) of the binary container, the samples
+    as float64 and unchecked: a recording or a phase track checks its own."""
     with open(path, "rb") as f:
         magic, version, fs, label_len = _HEAD.unpack(_read_exact(f, _HEAD.size, "header"))
         if magic != MAGIC:
@@ -146,12 +149,20 @@ def read_recording_binary(path) -> EegRecording:
         extra = f.read(1)
         if extra:
             raise FileFormatError(f"{path}: trailing bytes after sample data")
-    samples = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    return np.frombuffer(body, dtype="<f4").astype(np.float64), fs, label, start
+
+
+def write_recording_binary(path, recording: EegRecording) -> None:
+    _write_binary(path, recording.samples, recording.fs, recording.label, recording.start_time)
+
+
+def read_recording_binary(path) -> EegRecording:
+    samples, fs, label, start = _read_binary(path)
     return _recording(path, samples=samples, fs=fs, label=label, start_time=start)
 
 
 def write_recording_csv(path, recording: EegRecording) -> None:
-    samples = _float32_samples(path, recording)
+    samples = _float32_samples(path, recording.samples)
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# fs={recording.fs!r}\n")
         f.write(f"# label={recording.label}\n")
@@ -195,20 +206,18 @@ def write_recording(path, recording: EegRecording) -> None:
 
 
 def write_phase_track(path, track: PhaseTrack) -> None:
-    phase = np.asarray(track.phase_deg, dtype=np.float64).copy()
-    phase[~np.asarray(track.valid, dtype=bool)] = math.nan
-    write_recording_binary(path, EegRecording(samples=phase, fs=track.fs,
-                                              label="phase_deg"))
+    phase = np.where(track.valid, track.phase_deg, math.nan)
+    _write_binary(path, phase, track.fs, "phase_deg", 0.0)
 
 
 def read_phase_track(path) -> PhaseTrack:
-    rec = read_recording_binary(path)
-    if rec.label != "phase_deg":
-        raise FileFormatError(f"{path}: not a phase track (label {rec.label!r})")
-    phase = np.asarray(rec.samples, dtype=np.float64)
+    phase, fs, label, _ = _read_binary(path)
+    if label != "phase_deg":
+        raise FileFormatError(f"{path}: not a phase track (label {label!r})")
     valid = np.isfinite(phase)
-    phase = np.where(valid, phase, 0.0)
-    return PhaseTrack(phase_deg=phase, valid=valid, fs=rec.fs)
+    # an invalid sample reads as 0 deg, and the rate passes a recording's check
+    rec = _recording(path, samples=np.where(valid, phase, 0.0), fs=fs)
+    return PhaseTrack(phase_deg=rec.samples, valid=valid, fs=rec.fs)
 
 
 def write_hypnogram(path, stages) -> None:

@@ -215,7 +215,8 @@ PV_TARGET_GRID_DEG = [float(v) for v in range(0, 360, 15)]
 
 
 def default_grid(algorithm: str) -> dict:
-    """Search spaces used to produce the shipped tracker defaults."""
+    """Each tracker's built-in search space. It does not pick the shipped AT
+    and PLL defaults: ``demos/optimize_parameters.py`` ranks them in it."""
     if algorithm == "at":
         return {"at_threshold_uv": [20.0, 30.0, 40.0, 50.0, 60.0, 75.0]}
     if algorithm == "pll":

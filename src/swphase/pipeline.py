@@ -129,14 +129,15 @@ def tracker_phase_stream(preprocessed: np.ndarray, cfg: TrackerConfig) -> np.nda
     Used by the optimizer to factor the parameter grid: the stream depends
     on the loop dynamics but not on the trigger target, so crossings for
     many targets can be derived from one pass. The tracker's kernel makes
-    the stream, and its health counters (slip, hold and reset counts) are
-    set as a step() loop would leave them.
+    the stream, refusing a non-finite sample as ``step`` would, and its
+    health counters (slip, hold and reset counts) are set as a step() loop
+    would leave them.
     """
     if cfg.algorithm not in ("pll", "pv"):
         raise ConfigurationError("phase streams exist for pll and pv only")
     tracker = (PllTracker if cfg.algorithm == "pll" else PvTracker)(cfg)
     stream = tracker.phase_stream(preprocessed)
-    _, tracker.slip_count = forward_arcs(stream, 0.0, preprocessed)
+    _, tracker.slip_count = forward_arcs(stream)
     return stream
 
 
@@ -149,8 +150,7 @@ def candidates_from_phase_stream(stream_deg: np.ndarray, target_deg: float,
     the target, then the refractory filter. Sample 0 is judged from 0 deg,
     the trackers' estimate before the first sample. ``arcs`` is
     ``forward_arcs(stream_deg)[0]``, computed once by callers that scan one
-    stream for many targets. A bare stream carries no input, so no sample is
-    judged non-finite; the preprocessed EEG it comes from is finite.
+    stream for many targets.
     """
     kept, _ = refractory(phase_hits(stream_deg, arcs, target_deg),
                          refractory_samples)

@@ -33,6 +33,9 @@ class EegRecording:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ConfigurationError(f"samples must be 1-D, not {self.samples.shape}")
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            raise ConfigurationError(f"non-finite sample at index {finite.argmin()}")
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ConfigurationError(f"sampling rate {self.fs!r} Hz must be positive, finite")
 

@@ -10,9 +10,9 @@ Three algorithms over the common preprocessed stream:
 
 All trackers keep triggers at least REFRACTORY_S apart and are
 strictly causal: ``step`` consumes one sample and never looks ahead. A
-sample whose input is not finite (a dropout the device could not measure)
-is never a slip and never a trigger; each tracker then restarts the state
-the sample would poison (AT filter, PLL loop, PV moving averages).
+non-finite sample raises StreamIntegrityError and leaves the tracker as it
+was: the recurrences define no recovery from one, and every recording
+refuses one on construction.
 
 ``run`` is the batch path and yields exactly the events of a ``step`` loop.
 The PLL and PV write their recurrence once, as a loop over a sequence of
@@ -37,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dsp import IirFilter, design_sw_isolation, mod360
-from .errors import ConfigurationError, check_finite, check_positive
+from .dsp import IirFilter, design_sw_isolation, finite_samples, mod360
+from .errors import ConfigurationError, StreamIntegrityError, check_finite, check_positive
 
 TAU = 2.0 * math.pi
 NCO_CENTER_HZ = 1.0          # free-running rate of the PLL oscillator
@@ -48,7 +48,7 @@ REFRACTORY_S = 0.25          # minimum trigger spacing: 4 Hz stimulation ceiling
 MAX_MAF_SPAN = 1 << 20       # length of each of the vocoder's two ring buffers
 BLOCK_SAMPLES = 1 << 16      # samples per kernel block held as Python floats
 NEVER = -(1 << 60)           # last-trigger index before the first trigger
-NO_ARC = -1.0                # arc of a slip or non-finite sample: no target hits it
+NO_ARC = -1.0                # arc of a slip: no target hits it
 
 ALGORITHMS = ("at", "pll", "pv")
 
@@ -117,14 +117,12 @@ class TriggerEvent:
     amplitude_uv: float
 
 
-def forward_arcs(stream_deg, prev_deg: float = 0.0, x=None):
+def forward_arcs(stream_deg, prev_deg: float = 0.0):
     """Forward arc (deg) into each sample of a phase stream, and the slip count.
 
     The arc into sample i runs from the previous estimate (``prev_deg`` for
-    i = 0) to sample i, modulo 360. An arc of 180 deg or more is a slip.
-    ``x`` is the input that made the stream: a sample whose input is not
-    finite is never a slip. Slips and non-finite samples come back as
-    NO_ARC, which no target can hit.
+    i = 0) to sample i, modulo 360. An arc of 180 deg or more is a slip, and
+    comes back as NO_ARC, which no target can hit.
     """
     p = np.asarray(stream_deg, dtype=float)
     arcs = np.empty_like(p)
@@ -132,8 +130,6 @@ def forward_arcs(stream_deg, prev_deg: float = 0.0, x=None):
         arcs[0] = p[0] - prev_deg
         np.subtract(p[1:], p[:-1], out=arcs[1:])
         mod360(arcs)
-    if x is not None:
-        arcs[~np.isfinite(x)] = NO_ARC
     slip = arcs >= 180.0
     arcs[slip] = NO_ARC
     return arcs, int(np.count_nonzero(slip))
@@ -223,9 +219,7 @@ class AmplitudeThresholdTracker(_TrackerBase):
 
     Input is the common preprocessed stream; a first-order 0.5-2 Hz band-pass
     inside the tracker isolates slow waves before thresholding. No phase is
-    estimated. ``IirFilter`` refuses a non-finite sample, so the tracker
-    restarts the band-pass from zero state instead of passing one in, and
-    reads it as an isolated 0.0, which never reaches the (positive) level.
+    estimated.
     """
 
     def __init__(self, config: TrackerConfig):
@@ -234,11 +228,7 @@ class AmplitudeThresholdTracker(_TrackerBase):
         self._prev = 0.0
 
     def step(self, x: float) -> Optional[TriggerEvent]:
-        if isfinite(x):
-            v = self._iso.step(x)
-        else:
-            self._iso.reset()
-            v = 0.0
+        v = self._iso.step(x)
         event = None
         if self._prev < self.config.at_threshold_uv <= v:
             event = self._emit(None, x)
@@ -248,16 +238,10 @@ class AmplitudeThresholdTracker(_TrackerBase):
 
     def band(self, x) -> np.ndarray:
         """The kernel: x through the band-pass, as ``step`` isolates it."""
-        bad = np.flatnonzero(~np.isfinite(x)).tolist()
-        v = np.zeros(len(x))
-        start = 0
-        for stop in bad + [len(x)]:
-            for a in range(start, stop, BLOCK_SAMPLES):
-                b = min(a + BLOCK_SAMPLES, stop)
-                v[a:b] = self._iso.run(x[a:b])
-            if stop < len(x):
-                self._iso.reset()
-            start = stop + 1
+        x = finite_samples(x)
+        v = np.empty(len(x))
+        for a in range(0, len(x), BLOCK_SAMPLES):
+            v[a:a + BLOCK_SAMPLES] = self._iso.run(x[a:a + BLOCK_SAMPLES])
         return v
 
     def run(self, x) -> list:
@@ -280,8 +264,8 @@ class _PhaseTracker(_TrackerBase):
     radians. ``step`` feeds it one sample and applies the crossing test to
     the result; ``phase_stream`` feeds it blocks of ``BLOCK_SAMPLES``, and
     ``run`` scans each block with ``forward_arcs`` and ``phase_hits`` from
-    the estimate before the block. A sample whose input is not finite is
-    never a slip and never a crossing, whatever the recurrence made of it.
+    the estimate before the block. ``step``, ``phase_stream`` and ``run``
+    refuse a non-finite sample before the recurrence sees any of the input.
     """
 
     _reports_freq = False   # step also returns the tracked frequency (PV)
@@ -293,15 +277,16 @@ class _PhaseTracker(_TrackerBase):
     def step(self, x: float):
         """Advance one sample; returns (phase_estimate_deg, event or None),
         and for the vocoder (phase_estimate_deg, freq_hz, event or None)."""
+        if not isfinite(x):
+            raise StreamIntegrityError(f"non-finite sample {x!r}")
         est = math.degrees(self._advance((x,))[0])
         prev = self._prev_est
         self._prev_est = est
         event = None
         arc = (est - prev) % 360.0
         if arc >= 180.0:
-            if isfinite(x):
-                self.slip_count += 1
-        elif 0.0 < (self._target - prev) % 360.0 <= arc and isfinite(x):
+            self.slip_count += 1
+        elif 0.0 < (self._target - prev) % 360.0 <= arc:
             event = self._emit(est, x)
         self._n += 1
         if self._reports_freq:
@@ -311,7 +296,7 @@ class _PhaseTracker(_TrackerBase):
     def phase_stream(self, x):
         """Advance the tracker over x without trigger logic; returns the
         per-sample phase estimate in degrees, as ``step`` reports it."""
-        x = np.asarray(x, dtype=float)
+        x = finite_samples(x)
         out = np.empty(len(x))
         for a in range(0, len(x), BLOCK_SAMPLES):
             out[a:a + BLOCK_SAMPLES] = self._advance(x[a:a + BLOCK_SAMPLES].tolist())
@@ -321,13 +306,13 @@ class _PhaseTracker(_TrackerBase):
         return out
 
     def _run_blocks(self, x) -> list:
-        x = np.asarray(x, dtype=float)
+        x = finite_samples(x)
         events = []
         for a in range(0, len(x), BLOCK_SAMPLES):
             xb = x[a:a + BLOCK_SAMPLES]
             prev = self._prev_est
             stream = self.phase_stream(xb)
-            arcs, slips = forward_arcs(stream, prev, xb)
+            arcs, slips = forward_arcs(stream, prev)
             self.slip_count += slips
             hits = phase_hits(stream, arcs, self._target, prev)
             events += self._events(hits, xb, stream)
@@ -341,9 +326,9 @@ class PllTracker(_PhaseTracker):
     opposite the error, and theta advances by the free-run increment plus the
     same correction. Triggers fire when wrapped theta crosses the target
     phase. The error has no extra low-pass; ripple at twice the input
-    frequency is inherent and the loop gain bounds it. A non-finite state
-    (from a NaN or infinite sample, or from overflow) sets theta and the
-    correction back to 0. A reset on a finite sample is judged like any other.
+    frequency is inherent and the loop gain bounds it. A non-finite state,
+    which a huge gain times a huge sample can make by overflow, sets theta and
+    the correction back to 0; that sample is judged like any other.
     """
 
     def __init__(self, config: TrackerConfig):
@@ -387,8 +372,7 @@ class PvTracker(_PhaseTracker):
 
     When the averaged vector is shorter than PV_EPSILON_UV the angle is
     meaningless: the previous phase error is held and the frequency stays
-    untouched for that sample. A non-finite sample would leave the running
-    sums non-finite for good, so it starts the moving averages over.
+    untouched for that sample.
     """
 
     _reports_freq = True
@@ -420,12 +404,8 @@ class PvTracker(_PhaseTracker):
         phi_e = self.phi_e
         ests = []
         for xi in xs:
-            if isfinite(xi):
-                i_new = xi * sin(theta)
-                q_new = xi * cos(theta)
-            else:   # the running sums would stay non-finite: start them over
-                buf_i[:] = buf_q[:] = [0.0] * span
-                sum_i = sum_q = i_new = q_new = 0.0
+            i_new = xi * sin(theta)
+            q_new = xi * cos(theta)
             sum_i += i_new - buf_i[idx]
             sum_q += q_new - buf_q[idx]
             buf_i[idx] = i_new

@@ -3,11 +3,13 @@
 ``run`` is a kernel (``phase_stream``, or the AT isolation filter) plus one
 vectorised scan. These tests hold it equal to a ``step`` loop, counters
 included, over uneven chunks, kernel block boundaries and PLL reset
-samples; and they hold the optimizer's phase streams equal to streams
-built with ``step``.
+samples; they hold the optimizer's phase streams equal to streams built
+with ``step``; and they hold every entry point's refusal of a non-finite
+sample.
 """
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import swphase.pipeline as pipeline
 import swphase.trackers as trackers
 from swphase import SynthSpec, generate
 from swphase.dsp import IirFilter, design_sw_isolation
-from swphase.errors import UndefinedStatisticError
+from swphase.errors import StreamIntegrityError, UndefinedStatisticError
 from swphase.pipeline import evaluate_session, run_session, tracker_phase_stream
 from swphase.trackers import (TrackerConfig, forward_arcs, make_tracker,
                               phase_hits)
@@ -107,10 +109,11 @@ def test_at_chunk_starting_above_threshold():
 def test_kernel_block_boundaries(monkeypatch, name):
     monkeypatch.setattr(trackers, "BLOCK_SAMPLES", 257)
     cfg = CONFIGS[name]
-    gaps = signal(5000, seed=9)
-    # a run shorter than a block, and one that ends on a block boundary
-    gaps[[3, 518, 519, 1285, 4999]] = np.nan     # 4 + 2 * 257 = 518
-    for x in (signal(5000, seed=9), gaps):
+    spikes = signal(5000, seed=9)
+    # spikes in the first block, just past the boundary at 514, on the one
+    # at 1285 and on the last sample
+    spikes[[3, 518, 519, 1285, 4999]] = 400.0
+    for x in (signal(5000, seed=9), spikes):
         blocked = make_tracker(cfg)
         stepped = make_tracker(cfg)
         assert blocked.run(x) == step_loop(stepped, x)[0]
@@ -126,76 +129,44 @@ def test_events_carry_python_numbers():
             assert e.tracker_phase_deg is None or type(e.tracker_phase_deg) is float
 
 
-def test_pll_reset_samples_match_step_loop():
+# a loop gain at which k_pll * x overflows on a huge sample: the PLL's reset
+# is reached from finite input
+OVERFLOW_PLL = TrackerConfig(algorithm="pll", k_pll=1e300)
+HUGE_UV = 1e20
+
+
+def test_pll_reset_samples_match_step_loop(monkeypatch):
+    monkeypatch.setattr(trackers, "BLOCK_SAMPLES", 4096)
     x = signal(20000, seed=3)
-    ref = make_tracker(CONFIGS["pll"])
-    _, est = step_loop(ref, x)
-    target = ref._target
-    # a reset seen from the previous estimate: a jump to 0 deg from below
-    # 180 deg would look like a slip, a jump across the target like a hit
-    slip_like = np.flatnonzero((est[:-1] > 10.0) & (est[:-1] < 170.0))[::400] + 1
-    hit_like = np.flatnonzero((est[:-1] > target - 10.0)
-                              & (est[:-1] < target))[::150] + 1
-    bad = np.union1d(slip_like, hit_like)
-    assert len(slip_like) >= 3 and len(hit_like) >= 3
-    x[bad] = np.nan
-
-    stepped_tracker = make_tracker(CONFIGS["pll"])
-    stepped, est_nan = step_loop(stepped_tracker, x)
-    batch_tracker = make_tracker(CONFIGS["pll"])
-    batch = batch_tracker.run(x)
-    assert batch == stepped
-    assert batch_tracker.reset_count == stepped_tracker.reset_count == len(bad)
-    assert batch_tracker.slip_count == stepped_tracker.slip_count
-    assert not set(bad.tolist()) & {e.sample_index for e in batch}
-
-    # the same stream judged without its input would differ
-    _, naive_slips = forward_arcs(est_nan)
-    assert naive_slips > batch_tracker.slip_count
-    naive_hits = set(phase_hits(est_nan, forward_arcs(est_nan)[0], target).tolist())
-    assert naive_hits & set(bad.tolist())
-
-
-@pytest.mark.parametrize("bad_value", [np.inf, -np.inf])
-def test_pll_infinite_samples_reset_like_nan(bad_value):
-    x = signal(6000, seed=3)
-    bad = [500, 2500, 2501, 4000]
-    with_nan, with_inf = x.copy(), x.copy()
-    with_nan[bad] = np.nan
-    with_inf[bad] = bad_value
-    ref = make_tracker(CONFIGS["pll"])
-    ref_events, ref_est = step_loop(ref, with_nan)
-    stepped_tracker = make_tracker(CONFIGS["pll"])
-    stepped, est = step_loop(stepped_tracker, with_inf)
-    batch_tracker = make_tracker(CONFIGS["pll"])
-    assert batch_tracker.run(with_inf) == stepped
-    assert counters(batch_tracker) == counters(stepped_tracker) == counters(ref)
-    assert stepped_tracker.reset_count == len(bad)
-    assert est.tobytes() == ref_est.tobytes()
-    assert stepped == ref_events
-
-
-@pytest.mark.parametrize("name", ["pv"])
-@pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
-def test_pv_nonfinite_sample_restarts_the_moving_averages(name, bad_value):
-    cfg = CONFIGS[name]
-    x = 50.0 * np.sin(2 * np.pi * np.arange(5000) / FS)
-    clean = make_tracker(cfg)
-    clean.run(x)
-    x[[10, 3000]] = bad_value
-    stepped_tracker = make_tracker(cfg)
+    # resets first, last, adjacent, on both sides of a block boundary and
+    # spread over the stream, from samples of both signs
+    bad = np.array([0, 1, 2, 3001, 4095, 4096, 7777, 12000, 15555, 19999])
+    x[bad] = HUGE_UV * np.where(bad % 2, 1.0, -1.0)
+    stepped_tracker = make_tracker(OVERFLOW_PLL)
     stepped, est = step_loop(stepped_tracker, x)
-    batch_tracker = make_tracker(cfg)
-    batch = batch_tracker.run(x)
-
-    def key(events):
-        return [(e.sample_index, e.tracker_phase_deg) for e in events]
-    assert key(batch) == key(stepped)
+    batch_tracker = make_tracker(OVERFLOW_PLL)
+    assert batch_tracker.run(x) == stepped
     assert counters(batch_tracker) == counters(stepped_tracker)
-    assert np.isfinite(est).all()
-    # each bad sample costs at most one moving-average span of holds
-    assert stepped_tracker.hold_count <= clean.hold_count + 2 * cfg.maf_span
-    assert len(stepped) > 0.9 * 5000 / FS
+    assert stepped_tracker.reset_count == len(bad)
+    assert (est[bad] == 0.0).all()
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_sample_is_refused_and_leaves_the_state(monkeypatch, name, bad):
+    # the bad sample lies in the input's second kernel block, so a tracker
+    # that refused it block by block would already have moved
+    monkeypatch.setattr(trackers, "BLOCK_SAMPLES", 257)
+    tracker = make_tracker(CONFIGS[name])
+    tracker.run(signal(1000))
+    x = signal(600, seed=2)
+    x[400] = bad
+    before = pickle.dumps(tracker)
+    kernel = tracker.band if name == "at" else tracker.phase_stream
+    for call in (tracker.run, kernel, lambda x: tracker.step(x[400])):
+        with pytest.raises(StreamIntegrityError, match="non-finite sample"):
+            call(x)
+        assert pickle.dumps(tracker) == before
 
 
 def test_scan_equals_scalar_crossing_test():
@@ -266,11 +237,10 @@ STATE = {"pll": ("theta", "phi_p"), "pv": ("theta", "omega", "phi_e")}
 
 @pytest.mark.parametrize("name", STATE)
 def test_state_after_run_equals_step_loop(name):
-    # uneven chunks, with NaN samples inside chunks: a PLL reset, and a
-    # restart of the vocoder's moving averages
+    # uneven chunks, with spikes inside chunks
     cfg = CONFIGS[name]
     x = signal(9000, seed=6)
-    x[[1234, 5000]] = np.nan
+    x[[1234, 5000]] = 400.0
     bounds = [1, 333, 4100, 4101, 7777]
     ran = make_tracker(cfg)
     chunked(ran, x, bounds)
@@ -280,10 +250,8 @@ def test_state_after_run_equals_step_loop(name):
         assert getattr(ran, attr) == getattr(stepped, attr), attr
     assert counters(ran) == counters(stepped)
     if name == "pll":
-        assert ran.reset_count == 2
-        # theta is the free-run phase plus the correction accumulated in
-        # phi_p since the last reset (sample 5000)
-        free_run = (len(x) - 5001) * trackers.TAU * trackers.NCO_CENTER_HZ / FS
+        # theta is the free-run phase plus the correction accumulated in phi_p
+        free_run = len(x) * trackers.TAU * trackers.NCO_CENTER_HZ / FS
         drift = (ran.theta - free_run - ran.phi_p) % trackers.TAU
         assert min(drift, trackers.TAU - drift) < 1e-9
 

@@ -578,6 +578,34 @@ class TestExitCodes:
         assert rc == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("suffix", [".swp", ".csv"])
+    @pytest.mark.parametrize("command", ["track", "evaluate", "calibrate", "optimize"])
+    def test_non_finite_sample_is_3_and_names_the_file(self, corpus, tmp_path, capsys,
+                                                       monkeypatch, command, suffix, bad):
+        path = tmp_path / ("bad" + suffix)
+        write_recording(path, EegRecording(samples=np.zeros(8), fs=250.0))
+        if suffix == ".csv":   # three header lines, then the samples
+            lines = path.read_text().splitlines()
+            lines[3 + 5] = bad
+            path.write_text("\n".join(lines) + "\n")
+        else:                  # the body is the last 8 float32 values
+            data = bytearray(path.read_bytes())
+            data[-12:-8] = np.float32(bad).tobytes()
+            path.write_bytes(bytes(data))
+        hyp = str(corpus / "r0.hyp.csv")
+        argv = {"track": ["--input", str(path), "--out", str(tmp_path / "x.trig.csv")],
+                "evaluate": ["--input", str(path), "--triggers", str(corpus / "r0.trig.csv"),
+                             "--hypnogram", hyp],
+                "calibrate": ["--input", str(path), "--hypnogram", hyp],
+                # the bad file second: refused before any tracker runs
+                "optimize": [str(corpus / "r0.swp"), str(path), "--algorithm", "at"]}
+        monkeypatch.setattr(cli, "make_pipeline_evaluator",
+                            lambda *args: pytest.fail("a tracker ran"))
+        assert main([command, *argv[command]]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: FileFormatError: {path}: non-finite sample at index 5\n"
+
     @pytest.mark.parametrize("suffix", [".swp", ".csv"])
     def test_sample_past_the_float32_range_is_4(self, tmp_path, capsys, suffix):
         # each component is finite, but the sum overflows float32

@@ -180,14 +180,6 @@ class TestIirFilter:
         with pytest.raises(ConfigurationError, match="unstable"):
             IirFilter(design_notch(FS), ([1.0], [1.0, -2.0, 1.0]))
 
-    def test_reset_restores_initial_output(self):
-        b, a = design_lowpass(FS)
-        f = IirFilter((b, a))
-        first = f.step(1.0)
-        f.step(0.5)
-        f.reset()
-        assert f.step(1.0) == first
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_sample_refused_before_it_touches_the_state(self, bad):
         # a bare cascade, not the preprocessing chain

@@ -3,9 +3,11 @@
 Each valid seed input is mutated a few bytes at a time (bit flips, byte
 changes, insertions, deletions, truncation). Every mutant must either parse
 or raise a SwphaseError subclass; any other exception is a crash the command
-line would show as a traceback. A parsed config is also used and must hold
-finite numbers only; non-finite spellings are substituted into every key of
-every config text, since byte mutations seldom produce one.
+line would show as a traceback. A parsed dataclass (a config, a recording,
+a phase track) must hold finite numbers only, in its float fields and its
+float arrays; a parsed config is also used. Non-finite spellings are
+substituted into every key of every config text, since byte mutations
+seldom produce one.
 """
 import inspect
 import math
@@ -146,8 +148,12 @@ def check(parse, data, case):
     except Exception as exc:   # any other type is the failure
         pytest.fail(f"mutant {case} raised {type(exc).__name__}: {exc} "
                     f"for input {data!r}")
-    if is_dataclass(parsed):   # a config must hold finite numbers only
+    if is_dataclass(parsed):   # finite numbers only
         for name, value in vars(parsed).items():
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                assert np.isfinite(value).all(), \
+                    f"mutant {case} parsed a non-finite {name} from {data!r}"
+                continue
             for v in value if isinstance(value, tuple) else (value,):
                 assert not isinstance(v, float) or math.isfinite(v), \
                     f"mutant {case} parsed {name}={v!r} from {data!r}"

@@ -133,6 +133,13 @@ class TestRecordingValidation:
         with pytest.raises(ConfigurationError, match="sampling rate"):
             EegRecording(samples=np.zeros(10), fs=fs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        samples = np.zeros(10)
+        samples[7] = bad
+        with pytest.raises(ConfigurationError, match="non-finite sample at index 7"):
+            EegRecording(samples=samples, fs=250.0)
+
     def test_rejects_samples_that_are_not_1d(self):
         with pytest.raises(ConfigurationError, match="1-D"):
             EegRecording(samples=np.zeros((2, 10)), fs=250.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swphase.errors import ConfigurationError
+from swphase.errors import ConfigurationError, StreamIntegrityError
 from swphase.trackers import (MAX_MAF_SPAN, REFRACTORY_S, AmplitudeThresholdTracker,
                               PllTracker, PvTracker, TrackerConfig, make_tracker)
 
@@ -134,60 +134,16 @@ class TestAmplitudeThreshold:
         assert events
         assert np.diff([e.sample_index for e in events]).min() >= refr
 
-    @staticmethod
-    def chunked_run(tracker, x, size):
-        events = []
-        for a in range(0, len(x), size):
-            events += tracker.run(x[a:a + size])
-        return events
-
-    @staticmethod
-    def state(tracker):
-        return iso_state(tracker), tracker._prev, tracker._n, tracker._last_trigger
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_sample_restarts_the_isolation_filter(self, bad):
-        x = sinusoid(1.0, 40.0, 60.0)   # 80 uV peak to peak: 59 events clean
-        x[100] = bad
+    def test_band_is_the_step_loops_isolated_signal(self):
         cfg = TrackerConfig(algorithm="at")
-        stepped_tracker = make_tracker(cfg)
-        stepped = run_stepwise(stepped_tracker, x)
-        assert len(stepped) >= 58
-        assert np.isfinite(iso_state(stepped_tracker)).all()
-        for size in (1, 7, 4096):
-            chunk_tracker = make_tracker(cfg)
-            assert self.chunked_run(chunk_tracker, x, size) == stepped
-            assert self.state(chunk_tracker) == self.state(stepped_tracker)
-
-    def test_nonfinite_samples_read_as_zero_and_never_trigger(self):
-        # bad samples first, last, adjacent and on a 7-sample chunk boundary
         x = sinusoid(1.0, 40.0, 20.0)
-        bad = [0, 100, 101, 7 * 300, len(x) - 1]
-        x[bad] = [math.nan, math.inf, -math.inf, math.nan, math.inf]
-        cfg = TrackerConfig(algorithm="at")
-        stepped_tracker = make_tracker(cfg)
-        stepped = run_stepwise(stepped_tracker, x)
-        assert len(stepped) >= 15
-        assert not {e.sample_index for e in stepped} & set(bad)
-        for size in (1, 7, 4096):
-            chunk_tracker = make_tracker(cfg)
-            assert self.chunked_run(chunk_tracker, x, size) == stepped
-            assert self.state(chunk_tracker) == self.state(stepped_tracker)
-        # each bad sample is an isolated 0.0 and the filter starts over
-        t = make_tracker(cfg)
-        for v in x[:100].tolist():
-            t.step(v)
-        assert t.step(math.inf) is None
-        assert t._prev == 0.0 and iso_state(t) == [[0.0, 0.0]]
-        # band() is the step loop's isolated signal, with gaps and without
-        for xs in (x, sinusoid(1.0, 40.0, 20.0)):
-            stepped_tracker, band_tracker = make_tracker(cfg), make_tracker(cfg)
-            isolated = []
-            for v in xs.tolist():
-                stepped_tracker.step(v)
-                isolated.append(stepped_tracker._prev)
-            assert band_tracker.band(xs).tolist() == isolated
-            assert iso_state(band_tracker) == iso_state(stepped_tracker)
+        stepped_tracker, band_tracker = make_tracker(cfg), make_tracker(cfg)
+        isolated = []
+        for v in x.tolist():
+            stepped_tracker.step(v)
+            isolated.append(stepped_tracker._prev)
+        assert band_tracker.band(x).tolist() == isolated
+        assert iso_state(band_tracker) == iso_state(stepped_tracker)
 
 
 class TestPll:
@@ -225,26 +181,19 @@ class TestPll:
         b = make_tracker(TrackerConfig(algorithm="pll", k_pll=8e-4)).run(x / 2.0)
         assert [e.sample_index for e in a] == [e.sample_index for e in b]
 
-    def test_nonfinite_input_resets_without_trigger(self):
-        t = make_tracker(TrackerConfig(algorithm="pll"))
-        for _ in range(300):
+    @pytest.mark.parametrize("free_run, triggers", [(130, True), (300, False)])
+    def test_overflow_resets_the_loop(self, free_run, triggers):
+        # k_pll * x overflows on a huge sample and the loop starts over at
+        # 0 deg, a jump judged like any other: from 187.2 deg (130 free-run
+        # samples) it crosses the 195 deg target, from 72 deg (300) it slips
+        t = make_tracker(TrackerConfig(algorithm="pll", k_pll=1e300))
+        for _ in range(free_run):
             t.step(0.0)
-        before = t.reset_count
-        _, ev = t.step(float("nan"))
-        assert ev is None
-        assert t.reset_count == before + 1
-        assert t.theta == 0.0 and t.phi_p == 0.0
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
-    def test_infinite_input_resets_like_nan(self, bad):
-        t = make_tracker(TrackerConfig(algorithm="pll"))
-        for _ in range(300):
-            t.step(0.0)
-        before = t.reset_count
-        _, ev = t.step(bad)
-        assert ev is None
-        assert t.reset_count == before + 1
-        assert t.theta == 0.0 and t.phi_p == 0.0
+        est, ev = t.step(1e20)
+        assert (ev is not None) == triggers
+        assert t.slip_count == (not triggers)
+        assert t.reset_count == 1
+        assert est == t.theta == t.phi_p == 0.0
 
     def test_relock_after_phase_jump(self):
         # 90 deg step in the tone; the loop must re-converge
@@ -303,16 +252,15 @@ class TestPv:
         assert make_tracker(cfg).run(x) == make_tracker(cfg).run(x)
 
     def test_nonfinite_sample_never_triggers(self):
-        # sample 4281 triggers on the clean tone; as a dropout the estimate
-        # still turns through the target there
+        # sample 4281 triggers on the clean tone; as NaN it is refused
         cfg = TrackerConfig(algorithm="pv")
         x = sinusoid(1.0, 50.0, 20.0)
         assert 4281 in [e.sample_index for e in make_tracker(cfg).run(x)]
         x[4281] = math.nan
-        batch_tracker, stepped_tracker = make_tracker(cfg), make_tracker(cfg)
-        for events in (batch_tracker.run(x), run_stepwise(stepped_tracker, x)):
-            assert 4281 not in [e.sample_index for e in events]
-        assert batch_tracker.slip_count == stepped_tracker.slip_count
+        with pytest.raises(StreamIntegrityError, match="non-finite sample at index 4281"):
+            make_tracker(cfg).run(x)
+        with pytest.raises(StreamIntegrityError, match="non-finite sample nan"):
+            run_stepwise(make_tracker(cfg), x)
 
 
 class TestMidBandDynamics:
