@@ -181,17 +181,33 @@ class TestPll:
         b = make_tracker(TrackerConfig(algorithm="pll", k_pll=8e-4)).run(x / 2.0)
         assert [e.sample_index for e in a] == [e.sample_index for e in b]
 
-    @pytest.mark.parametrize("free_run, triggers", [(130, True), (300, False)])
-    def test_overflow_resets_the_loop(self, free_run, triggers):
-        # k_pll * x overflows on a huge sample and the loop starts over at
-        # 0 deg, a jump judged like any other: from 187.2 deg (130 free-run
-        # samples) it crosses the 195 deg target, from 72 deg (300) it slips
+    def test_nonfinite_input_resets_without_trigger(self):
+        # a non-finite sample is refused before the loop sees it; the loop's
+        # own input k_pll * x overflows on a huge finite one, and the loop
+        # starts over at 0 deg: from 72 deg (300 free-run samples) that jump
+        # slips past the 195 deg target
         t = make_tracker(TrackerConfig(algorithm="pll", k_pll=1e300))
-        for _ in range(free_run):
+        for _ in range(300):
             t.step(0.0)
         est, ev = t.step(1e20)
-        assert (ev is not None) == triggers
-        assert t.slip_count == (not triggers)
+        assert ev is None
+        assert t.slip_count == 1
+        assert t.reset_count == 1
+        assert est == t.theta == t.phi_p == 0.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_input_resets_like_nan(self, bad):
+        # k_pll * x overflows to either infinity, theta turns NaN and the
+        # reset drops the sign: from 187.2 deg (130 free-run samples) the
+        # jump to 0 deg crosses the 195 deg target for both
+        t = make_tracker(TrackerConfig(algorithm="pll", k_pll=1e300))
+        for _ in range(130):
+            t.step(0.0)
+        x = math.copysign(1e20, bad)
+        assert 1e300 * x * math.cos(t.theta) == -bad
+        est, ev = t.step(x)
+        assert ev is not None
+        assert t.slip_count == 0
         assert t.reset_count == 1
         assert est == t.theta == t.phi_p == 0.0
 
