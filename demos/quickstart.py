@@ -28,11 +28,10 @@ def main():
     for algo in ("at", "pll", "pv"):
         session = run_session(rec, TrackerConfig(algorithm=algo))
         r = evaluate_session(rec, session, filtered=filtered)
-        t = r.targeting
-        print(f"{algo:>5} {r.n_delivered:>9} {t.up_phase_pct:>7.1f}% "
+        print(f"{algo:>5} {r.n_delivered:>9} {r.up_phase_pct:>7.1f}% "
               f"{r.circular_mean_deg:>6.1f}d {r.cmae45_deg:>6.2f}d "
-              f"{r.pas_report.pas_in_up:>6.2f}% {t.low_capacity_pct:>6.1f}% "
-              f"{t.high_capacity_pct:>7.1f}% {r.median_interval_s:>7.3f}s")
+              f"{r.pas_in_up:>6.2f}% {r.low_capacity_pct:>6.1f}% "
+              f"{r.high_capacity_pct:>7.1f}% {r.median_interval_s:>7.3f}s")
 
     print("\nper-sample cost (phase vocoder, the most expensive tracker):")
     rep = measure_pipeline_cost()

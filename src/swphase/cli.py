@@ -18,7 +18,6 @@ from .io import (apply_config, config_echo, hash_file, parse_config_echo, parse_
                  parse_stage_runs, read_config, read_hypnogram, read_recording,
                  read_trigger_log, split_key_value, write_hypnogram, write_phase_track,
                  write_recording, write_trigger_log)
-from .metrics import up_phase_pct
 from .optimize import default_grid, grid_search_cv, make_pipeline_evaluator
 from .pipeline import evaluate_session, logged_session, run_session
 from .recording import epoch_samples
@@ -135,55 +134,33 @@ def cmd_evaluate(args) -> int:
         f"delivered            {report.n_delivered}",
         f"outside oracle mask  {report.n_oracle_dropped}",
     ]
-    payload = {
-        "algorithm": report.algorithm,
-        "n_candidates": report.n_candidates,
-        "n_delivered": report.n_delivered,
-        "n_oracle_dropped": report.n_oracle_dropped,
-        "suppression_counts": report.suppression_counts,
-    }
     if report.circular_mean_deg is not None:
-        up_pct = up_phase_pct(report.trigger_phases_deg)
         lines += [
             f"circular mean        {report.circular_mean_deg:.2f} deg",
             f"circular sd          {report.circular_sd_deg:.2f} deg",
             f"cmae45               {report.cmae45_deg:.2f} deg "
             f"(norm {report.cmae45_norm:.4f})",
-            f"up-phase fraction    {up_pct:.1f} %",
+            f"up-phase fraction    {report.up_phase_pct:.1f} %",
         ]
-        payload.update(circular_mean_deg=report.circular_mean_deg,
-                       circular_sd_deg=report.circular_sd_deg,
-                       cmae45_deg=report.cmae45_deg,
-                       cmae45_norm=report.cmae45_norm,
-                       up_phase_pct=up_pct)
     else:
         lines.append("circular mean        undefined")
-    if report.pas_report is not None:
-        p = report.pas_report
+    if report.pas_all is not None:
         lines += [
-            f"pas (all)            {p.pas_all:.2f} %",
-            f"pas (in up-phase)    {p.pas_in_up:.2f} %",
-            f"pas (not up-phase)   {p.pas_not_up:.2f} %",
-            f"qualifying windows   {p.qualifying_windows}",
+            f"pas (all)            {report.pas_all:.2f} %",
+            f"pas (in up-phase)    {report.pas_in_up:.2f} %",
+            f"pas (not up-phase)   {report.pas_not_up:.2f} %",
+            f"qualifying windows   {report.qualifying_windows}",
         ]
-        payload.update(pas_all=p.pas_all, pas_in_up=p.pas_in_up,
-                       pas_not_up=p.pas_not_up,
-                       qualifying_windows=p.qualifying_windows)
-    if report.targeting is not None:
-        t = report.targeting
-        lines.append(f"wave capacity        low {t.low_capacity_pct:.1f} % "
-                     f"({t.n_low} waves), high {t.high_capacity_pct:.1f} % "
-                     f"({t.n_high} waves)")
-        payload.update(low_capacity_pct=t.low_capacity_pct,
-                       high_capacity_pct=t.high_capacity_pct,
-                       n_low_waves=t.n_low, n_high_waves=t.n_high)
+    if report.n_low_waves is not None:
+        lines.append(f"wave capacity        low {report.low_capacity_pct:.1f} % "
+                     f"({report.n_low_waves} waves), high {report.high_capacity_pct:.1f} % "
+                     f"({report.n_high_waves} waves)")
     if report.median_interval_s is not None:
         lines.append(f"median interval      {report.median_interval_s:.3f} s")
-        payload.update(median_interval_s=report.median_interval_s)
     lines.append(f"suppressed           {report.suppression_counts}")
     print("\n".join(lines))
     if args.json:
-        _write_json(args.json, payload)
+        _write_json(args.json, {k: v for k, v in vars(report).items() if v is not None})
     return 0
 
 

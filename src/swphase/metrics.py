@@ -181,13 +181,12 @@ def detect_waves(filtered: np.ndarray, fs: float, mask: np.ndarray) -> list:
 class TargetingReport:
     low_capacity_pct: float      # share of low-amplitude waves hit
     high_capacity_pct: float
-    up_phase_pct: float          # share of triggers inside (0, 90]
     n_low: int
     n_high: int
 
 
-def targeting_capacity(waves, trigger_indices, trigger_phases_deg) -> TargetingReport:
-    """Wave-hit rates per amplitude class plus the up-phase trigger share.
+def targeting_capacity(waves, trigger_indices) -> TargetingReport:
+    """Wave-hit rates per amplitude class.
 
     A wave is hit iff at least one trigger index falls in [start, end).
     Sub-20 uV waves are excluded from both classes.
@@ -205,8 +204,7 @@ def targeting_capacity(waves, trigger_indices, trigger_phases_deg) -> TargetingR
         return (100.0 * hits / n if n else float("nan")), n
 
     (low_pct, n_low), (high_pct, n_high) = capacity("low"), capacity("high")
-    return TargetingReport(low_pct, high_pct, up_phase_pct(trigger_phases_deg),
-                           n_low, n_high)
+    return TargetingReport(low_pct, high_pct, n_low, n_high)
 
 
 def trigger_intervals(trigger_times_s) -> Optional[float]:

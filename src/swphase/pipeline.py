@@ -18,9 +18,9 @@ from .errors import ConfigurationError, UndefinedStatisticError
 from .gate import (DELIVERED, REASONS, SUPPRESSION_ORDER, GateConfig,
                    StimulationGate, candidate_reasons, gate_flags_batch,
                    in_window, on_window_at, staged_nrem, window_reasons)
-from .metrics import (PasReport, TargetingReport, circular_mean_sd, cmae45,
-                      detect_waves, pas, pas_window_samples,
-                      targeting_capacity, trigger_intervals)
+from .metrics import (circular_mean_sd, cmae45, detect_waves, pas,
+                      pas_window_samples, targeting_capacity, trigger_intervals,
+                      up_phase_pct)
 from .oracle import (hilbert_phase, phase_at_triggers, trigger_samples,
                      valid_samples, zero_phase_bandpass)
 from .recording import EegRecording
@@ -187,19 +187,28 @@ def in_pas_window(qual, sample_index, fs: float) -> np.ndarray:
 
 @dataclass
 class MetricsReport:
+    """What ``evaluate`` reports, one field per key of its ``--json`` file.
+    A field is None where its figure is undefined, and the file leaves it
+    out."""
     algorithm: str
     n_candidates: int
     n_delivered: int
     n_oracle_dropped: int
     circular_mean_deg: Optional[float]
     circular_sd_deg: Optional[float]
-    cmae45_norm: Optional[float]
     cmae45_deg: Optional[float]
-    pas_report: Optional[PasReport]
-    targeting: Optional[TargetingReport]
+    cmae45_norm: Optional[float]
+    up_phase_pct: Optional[float]
+    pas_all: Optional[float]
+    pas_in_up: Optional[float]
+    pas_not_up: Optional[float]
+    qualifying_windows: Optional[int]
+    low_capacity_pct: Optional[float]
+    high_capacity_pct: Optional[float]
+    n_low_waves: Optional[int]
+    n_high_waves: Optional[int]
     median_interval_s: Optional[float]
     suppression_counts: dict
-    trigger_phases_deg: np.ndarray
 
 
 def evaluate_session(recording: EegRecording, session: SessionResult,
@@ -213,20 +222,21 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
     phases, dropped = phase_at_triggers(track, delivered)
     valid_idx = valid_samples(track, trigger_samples(delivered))
 
-    cmean = csd = cnorm = cdeg = None
+    circular = (None,) * 5
     if len(phases):
         try:
             summary = circular_mean_sd(phases)
-            cmean, csd = summary.mean_deg, summary.sd_deg
             cnorm, cdeg = cmae45(phases)
+            circular = (summary.mean_deg, summary.sd_deg, cdeg, cnorm, up_phase_pct(phases))
         except UndefinedStatisticError:
-            pass   # an undefined mean leaves the four circular fields None
+            pass   # an undefined mean leaves the five circular fields None
 
     q_count, _, qual = qualifying_windows(
         recording, session.window_flags, session.gate_config, track.valid)
-    pas_report = None
+    pas_figures = (None,) * 4
     if q_count >= 1:
-        pas_report = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count)
+        p = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count)
+        pas_figures = (p.pas_all, p.pas_in_up, p.pas_not_up, p.qualifying_windows)
 
     n = len(recording.samples)
     gate_win = session.gate_config.window_samples(fs)
@@ -235,18 +245,12 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
     device_mask = np.repeat(staged, gate_win)[:n]
     wave_mask = recording.nrem_mask() & device_mask & track.valid
     waves = detect_waves(filtered, fs, wave_mask)
-    targeting = targeting_capacity(waves, valid_idx, phases) if len(waves) else None
+    capacity = (None,) * 4
+    if len(waves):
+        t = targeting_capacity(waves, valid_idx)
+        capacity = (t.low_capacity_pct, t.high_capacity_pct, t.n_low, t.n_high)
 
-    return MetricsReport(
-        algorithm=session.tracker_config.algorithm,
-        n_candidates=len(session.log),
-        n_delivered=len(delivered),
-        n_oracle_dropped=dropped,
-        circular_mean_deg=cmean, circular_sd_deg=csd,
-        cmae45_norm=cnorm, cmae45_deg=cdeg,
-        pas_report=pas_report,
-        targeting=targeting,
-        median_interval_s=trigger_intervals([e.time_s for e in delivered]),
-        suppression_counts=session.suppression_counts(),
-        trigger_phases_deg=phases,
-    )
+    return MetricsReport(session.tracker_config.algorithm, len(session.log),
+                         len(delivered), dropped, *circular, *pas_figures, *capacity,
+                         trigger_intervals([e.time_s for e in delivered]),
+                         session.suppression_counts())

@@ -65,7 +65,7 @@ def night_reports(default_synth):
 
 def test_criterion_1_up_phase_on_default_night(night_reports):
     reports, elapsed = night_reports
-    shares = {a: r.targeting.up_phase_pct for a, r in reports.items()}
+    shares = {a: r.up_phase_pct for a, r in reports.items()}
     line = " ".join(f"{a}={v:.1f}%" for a, v in shares.items())
     print(f"criterion 1: up-phase {line}, elapsed {elapsed:.0f}s")
     for algo, share in shares.items():
@@ -76,10 +76,10 @@ def test_criterion_1_up_phase_on_default_night(night_reports):
 
 def test_criterion_2_low_amplitude_capacity(night_reports):
     reports, _ = night_reports
-    cap = {a: r.targeting.low_capacity_pct for a, r in reports.items()}
+    cap = {a: r.low_capacity_pct for a, r in reports.items()}
     print("criterion 2: low-amplitude capacity "
           + " ".join(f"{a}={v:.1f}%" for a, v in cap.items()))
-    assert all(reports[a].targeting.n_low > 50 for a in ALGOS)
+    assert all(reports[a].n_low_waves > 50 for a in ALGOS)
     assert cap["pv"] > cap["at"], "vocoder must beat the amplitude threshold"
     assert cap["pv"] >= cap["pll"] - 2.0, "vocoder must stay within 2 pp of PLL"
 

@@ -168,7 +168,7 @@ class TestEvaluate:
         rec.hypnogram = read_hypnogram(hyp)
         windows = {swa: evaluate_session(rec, run_session(
             rec, TrackerConfig(), GateConfig(swa_threshold_uv2=swa))
-        ).pas_report.qualifying_windows for swa in (50.0, GateConfig().swa_threshold_uv2)}
+        ).qualifying_windows for swa in (50.0, GateConfig().swa_threshold_uv2)}
         assert windows[50.0] != windows[GateConfig().swa_threshold_uv2]
         assert json.loads(out.read_text())["qualifying_windows"] == windows[50.0]
 

@@ -284,29 +284,27 @@ class TestTargetingCapacity:
         ]
 
     def test_per_class_hit_rates(self):
-        r = targeting_capacity(self.waves(), [150, 550], [45.0, 120.0])
+        r = targeting_capacity(self.waves(), [150, 550])
         assert r.low_capacity_pct == pytest.approx(100.0)
         assert r.high_capacity_pct == pytest.approx(0.0)
-        assert r.up_phase_pct == pytest.approx(50.0)
         assert (r.n_low, r.n_high) == (1, 1)
 
     def test_interval_is_half_open(self):
-        r = targeting_capacity(self.waves(), [200], [45.0])
+        r = targeting_capacity(self.waves(), [200])
         assert r.low_capacity_pct == pytest.approx(0.0)    # end is exclusive
         assert r.high_capacity_pct == pytest.approx(0.0)
-        r = targeting_capacity(self.waves(), [300], [45.0])
+        r = targeting_capacity(self.waves(), [300])
         assert r.high_capacity_pct == pytest.approx(100.0)  # start inclusive
 
     def test_empty_class_is_nan(self):
         lows = [w for w in self.waves() if w.amp_class == "low"]
-        r = targeting_capacity(lows, [150], [45.0])
+        r = targeting_capacity(lows, [150])
         assert math.isnan(r.high_capacity_pct)
         assert r.n_high == 0
 
     def test_no_triggers(self):
-        r = targeting_capacity(self.waves(), [], [])
+        r = targeting_capacity(self.waves(), [])
         assert r.low_capacity_pct == pytest.approx(0.0)
-        assert math.isnan(r.up_phase_pct)
 
 
     def test_hits_match_per_wave_reference(self):
@@ -317,7 +315,7 @@ class TestTargetingCapacity:
                      zip(starts, rng.integers(1, 30, len(starts)),
                          rng.choice(["sub20", "low", "high"], len(starts)))]
             idx = rng.integers(0, 230, rng.integers(0, 10))
-            r = targeting_capacity(waves, idx, np.zeros(len(idx)))
+            r = targeting_capacity(waves, idx)
             for cls, pct, n in (("low", r.low_capacity_pct, r.n_low),
                                 ("high", r.high_capacity_pct, r.n_high)):
                 members = [w for w in waves if w.amp_class == cls]

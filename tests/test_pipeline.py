@@ -6,6 +6,7 @@ import pytest
 
 from swphase.dsp import PreprocessChain
 from swphase.errors import ConfigurationError
+from swphase.oracle import compute_phase_track, phase_at_triggers
 from swphase.gate import (DELIVERED, REASONS, GateConfig, GateFlags,
                           candidate_reasons, window_reasons)
 from swphase.pipeline import (
@@ -197,8 +198,11 @@ class TestEvaluateSession:
         assert report.n_delivered == len(s.delivered())
         assert report.n_delivered > 100
 
-    def test_oracle_phases_are_angles(self, report):
-        p = report.trigger_phases_deg
+    def test_oracle_phases_are_angles(self, report, short_synth, batch_sessions):
+        rec = short_synth.recording
+        p, dropped = phase_at_triggers(compute_phase_track(rec.samples, rec.fs),
+                                       batch_sessions["pv"].delivered())
+        assert dropped == report.n_oracle_dropped
         assert len(p) == report.n_delivered - report.n_oracle_dropped
         assert np.all((p >= 0.0) & (p < 360.0))
 
@@ -206,12 +210,11 @@ class TestEvaluateSession:
         assert report.circular_mean_deg is not None
         assert report.cmae45_deg < 45.0
         assert report.circular_sd_deg < 90.0
-        assert report.pas_report is not None
-        r = report.pas_report
-        assert r.pas_all == r.pas_in_up + r.pas_not_up
-        assert 0.0 < r.pas_all <= 100.0
-        assert report.targeting is not None
-        assert report.targeting.up_phase_pct > 50.0
+        assert report.pas_all is not None
+        assert report.pas_all == report.pas_in_up + report.pas_not_up
+        assert 0.0 < report.pas_all <= 100.0
+        assert report.n_low_waves is not None
+        assert report.up_phase_pct > 50.0
         assert report.median_interval_s > 0.25
 
     def test_suppression_counts_passed_through(self, report, batch_sessions):
