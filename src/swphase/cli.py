@@ -152,9 +152,10 @@ def cmd_evaluate(args) -> int:
             f"qualifying windows   {report.qualifying_windows}",
         ]
     if report.n_low_waves is not None:
-        lines.append(f"wave capacity        low {report.low_capacity_pct:.1f} % "
-                     f"({report.n_low_waves} waves), high {report.high_capacity_pct:.1f} % "
-                     f"({report.n_high_waves} waves)")
+        low, high = (("undefined" if pct is None else f"{pct:.1f} %")
+                     for pct in (report.low_capacity_pct, report.high_capacity_pct))
+        lines.append(f"wave capacity        low {low} ({report.n_low_waves} waves), "
+                     f"high {high} ({report.n_high_waves} waves)")
     if report.median_interval_s is not None:
         lines.append(f"median interval      {report.median_interval_s:.3f} s")
     lines.append(f"suppressed           {report.suppression_counts}")

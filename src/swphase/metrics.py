@@ -179,8 +179,8 @@ def detect_waves(filtered: np.ndarray, fs: float, mask: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class TargetingReport:
-    low_capacity_pct: float      # share of low-amplitude waves hit
-    high_capacity_pct: float
+    low_capacity_pct: Optional[float]   # share of low-amplitude waves hit
+    high_capacity_pct: Optional[float]  # None for a class with no waves
     n_low: int
     n_high: int
 
@@ -189,7 +189,8 @@ def targeting_capacity(waves, trigger_indices) -> TargetingReport:
     """Wave-hit rates per amplitude class.
 
     A wave is hit iff at least one trigger index falls in [start, end).
-    Sub-20 uV waves are excluded from both classes.
+    Sub-20 uV waves are excluded from both classes. A class with no waves
+    has no capacity (None).
     """
     idx = np.sort(np.asarray(trigger_indices, dtype=int))
     bounds = np.array([(w.start, w.end) for w in waves], dtype=int).reshape(-1, 2)
@@ -201,7 +202,7 @@ def targeting_capacity(waves, trigger_indices) -> TargetingReport:
         member = classes == amp_class
         n = int(np.count_nonzero(member))
         hits = int(np.count_nonzero(hit & member))
-        return (100.0 * hits / n if n else float("nan")), n
+        return (100.0 * hits / n if n else None), n
 
     (low_pct, n_low), (high_pct, n_high) = capacity("low"), capacity("high")
     return TargetingReport(low_pct, high_pct, n_low, n_high)

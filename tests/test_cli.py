@@ -121,6 +121,27 @@ class TestEvaluate:
         assert payload["pas_all"] == pytest.approx(
             payload["pas_in_up"] + payload["pas_not_up"])
 
+    def test_empty_amplitude_class_is_left_out_of_strict_json(self, tmp_path, capsys):
+        # a night of 20-40 uV waves, the paper's low-amplitude population,
+        # holds no "high" wave, so that class has no capacity
+        night, hyp = tmp_path / "n.swp", tmp_path / "n.hyp.csv"
+        log, out = tmp_path / "n.trig.csv", tmp_path / "n.json"
+        assert main(["simulate", "--out", str(night), "--hypnogram-out", str(hyp),
+                     "--stages", "W*4 N2*10 N3*20 N2*4",
+                     "--synth-set", "sw_pp_range_uv=20,40"]) == 0
+        assert main(["track", "--input", str(night), "--out", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(night), "--triggers", str(log),
+                     "--hypnogram", str(hyp), "--json", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["n_high_waves"] == 0
+        assert payload["n_low_waves"] > 0
+        assert "high_capacity_pct" not in payload
+        assert "high undefined (0 waves)" in capsys.readouterr().out
+
     @pytest.fixture
     def empty_log(self, corpus, tmp_path):
         """An AT log whose threshold no wave reaches: no rows."""

@@ -296,10 +296,10 @@ class TestTargetingCapacity:
         r = targeting_capacity(self.waves(), [300])
         assert r.high_capacity_pct == pytest.approx(100.0)  # start inclusive
 
-    def test_empty_class_is_nan(self):
+    def test_empty_class_is_none(self):
         lows = [w for w in self.waves() if w.amp_class == "low"]
         r = targeting_capacity(lows, [150])
-        assert math.isnan(r.high_capacity_pct)
+        assert r.high_capacity_pct is None
         assert r.n_high == 0
 
     def test_no_triggers(self):
@@ -324,7 +324,7 @@ class TestTargetingCapacity:
                 if members:
                     assert pct == 100.0 * hits / len(members)
                 else:
-                    assert math.isnan(pct)
+                    assert pct is None
 
 
 class TestUpPhasePct:
