@@ -229,7 +229,7 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
             cnorm, cdeg = cmae45(phases)
             circular = (summary.mean_deg, summary.sd_deg, cdeg, cnorm, up_phase_pct(phases))
         except UndefinedStatisticError:
-            pass   # an undefined mean leaves the five circular fields None
+            pass   # an undefined mean leaves these five fields None
 
     q_count, _, qual = qualifying_windows(
         recording, session.window_flags, session.gate_config, track.valid)
