@@ -15,9 +15,8 @@ from .bench import DEFAULT_REPS, OP_COUNTS, measure_pipeline_cost
 from .errors import ConfigurationError, FileFormatError, SwphaseError
 from .gate import GateConfig, calibrate_gate
 from .io import (apply_config, config_echo, hash_file, parse_config_echo, parse_grid,
-                 parse_stage_runs, read_config, read_hypnogram, read_recording,
-                 read_trigger_log, split_key_value, write_hypnogram, write_phase_track,
-                 write_recording, write_trigger_log)
+                 parse_pairs, parse_stage_runs, read_config, read_hypnogram, read_recording,
+                 read_trigger_log, write_hypnogram, write_recording, write_trigger_log)
 from .optimize import default_grid, grid_search_cv, make_pipeline_evaluator
 from .pipeline import evaluate_session, logged_session, run_session
 from .recording import epoch_samples
@@ -27,18 +26,6 @@ from .trackers import ALGORITHMS, TrackerConfig
 # configuration keys that a command's own options or its input set
 _TRACKER_FIXED = ("algorithm", "sample_rate_hz")
 _SYNTH_FIXED = ("seed", "hypnogram")
-
-
-def _pairs(values) -> dict:
-    out = {}
-    for item in values or []:
-        if "=" not in item:
-            raise ConfigurationError(f"expected key=value, got {item!r}")
-        key, val = split_key_value(item)
-        if key in out:
-            raise ConfigurationError(f"key {key!r} given twice")
-        out[key] = val
-    return out
 
 
 def _read_hypnogram_into(recording, path) -> None:
@@ -56,20 +43,13 @@ def _write_json(path, payload, sort_keys=True) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.stages is not None and args.cycles is not None:
-        raise ConfigurationError("--cycles cannot be combined with --stages")
-    if args.stages is not None:
-        hyp = parse_stage_runs(args.stages)
-    else:
-        hyp = default_hypnogram(4 if args.cycles is None else args.cycles)
+    hyp = default_hypnogram() if args.stages is None else parse_stage_runs(args.stages)
     spec = SynthSpec(hypnogram=hyp, seed=args.seed)
-    spec = apply_config(spec, _pairs(args.synth_set), _SYNTH_FIXED)
+    spec = apply_config(spec, parse_pairs(args.synth_set), _SYNTH_FIXED)
     out = generate(spec)
     write_recording(args.out, out.recording)
     if args.hypnogram_out:
         write_hypnogram(args.hypnogram_out, hyp)
-    if args.phase_out:
-        write_phase_track(args.phase_out, out.true_phase)
     dur = out.recording.duration_s
     print(f"wrote {args.out}: {len(out.recording.samples)} samples, "
           f"fs={out.recording.fs:g} Hz, {dur / 3600:.2f} h, "
@@ -79,9 +59,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     recording = read_recording(args.input)
-    cfg = apply_config(TrackerConfig(algorithm=args.algorithm), _pairs(args.set),
+    cfg = apply_config(TrackerConfig(algorithm=args.algorithm), parse_pairs(args.set),
                        _TRACKER_FIXED)
-    gate_cfg = apply_config(GateConfig(), _pairs(args.gate_set))
+    gate_cfg = apply_config(GateConfig(), parse_pairs(args.gate_set))
     session = run_session(recording, cfg, gate_cfg)
     provenance = {
         "input_sha256": hash_file(args.input),
@@ -186,7 +166,7 @@ def cmd_optimize(args) -> int:
                           TrackerConfig(algorithm=args.algorithm), _TRACKER_FIXED)
     else:
         grid = default_grid(args.algorithm)
-    gate_cfg = apply_config(GateConfig(), _pairs(args.gate_set))
+    gate_cfg = apply_config(GateConfig(), parse_pairs(args.gate_set))
     evaluate = make_pipeline_evaluator(recordings, args.algorithm, gate_cfg)
     outcome = grid_search_cv(recordings, grid, evaluate, k=args.k,
                              seed=args.seed)
@@ -251,11 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic recording")
     sim.add_argument("--out", required=True)
     sim.add_argument("--hypnogram-out")
-    sim.add_argument("--phase-out", help="true phase sidecar file")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--cycles", type=int,
-                     help="sleep cycles in place of --stages (default 4)")
-    sim.add_argument("--stages", help='run-length stages, e.g. "W*10 N2*30"')
+    sim.add_argument("--stages", help='run-length stages, e.g. "W*10 N2*30" '
+                                      "(default: four sleep cycles)")
     sim.add_argument("--synth-set", action="append", metavar="KEY=VALUE")
     sim.set_defaults(func=cmd_simulate)
 

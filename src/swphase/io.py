@@ -12,10 +12,8 @@ Recording container, binary flavor (little-endian throughout):
 
 The CSV flavor carries the same header fields as ``# key=value`` comment
 lines followed by one sample per line. Readers sniff the magic, so either
-flavor can be handed to any command.
-
-Phase tracks reuse the binary container with label "phase_deg"; invalid
-samples are NaN, which a recording would refuse.
+flavor can be handed to any command. Either holds a recording only: every
+sample finite.
 
 Trigger logs are CSV with a ``#``-prefixed provenance header (library
 version, SHA-256 of the input file, configuration echo). No timestamps:
@@ -26,6 +24,8 @@ the only form ``read_hypnogram`` reads. The compact run-length form
 "W*10 N1*3 N2*30" (parse_stage_runs) is read only by ``simulate --stages``.
 
 Grid files (``optimize --grid``) are ``key = v1,v2,...`` lines, no key twice.
+Overrides (``--set`` and kin) and provenance echoes are ``key=value`` items,
+each key once (``parse_pairs``).
 Every text file is read by ``_lines``: lines stripped; blank lines, ``#``
 comments and a leading byte-order mark skipped. Where a file carries
 ``# key=value`` header lines (CSV recordings, trigger logs), they come
@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import ConfigurationError, FileFormatError, StreamIntegrityError
 from .gate import REASONS
-from .oracle import PhaseTrack
 from .recording import MAX_STAGE_EPOCHS, EegRecording, STAGES
 from .trackers import ALGORITHMS
 
@@ -65,6 +64,20 @@ def split_key_value(text: str) -> tuple:
     """("key", "value") from "key = value", both sides stripped."""
     key, _, val = text.partition("=")
     return key.strip(), val.strip()
+
+
+def parse_pairs(items) -> dict:
+    """{key: value} from "key=value" items (None: no items); an item without
+    "=" or a key given twice is refused."""
+    out = {}
+    for item in items or []:
+        if "=" not in item:
+            raise ConfigurationError(f"expected key=value, got {item!r}")
+        key, val = split_key_value(item)
+        if key in out:
+            raise ConfigurationError(f"key {key!r} given twice")
+        out[key] = val
+    return out
 
 
 def _lines(path, header: Optional[dict] = None):
@@ -107,8 +120,8 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 
 def _float32_samples(path, samples) -> np.ndarray:
-    """The samples as stored, little-endian float32; a finite sample past
-    the float32 range is refused. NaN (a phase track's invalid sample) passes."""
+    """The samples as stored, little-endian float32; a sample past the
+    float32 range is refused."""
     try:
         with np.errstate(over="raise"):
             return np.asarray(samples, dtype="<f4")
@@ -117,20 +130,17 @@ def _float32_samples(path, samples) -> np.ndarray:
                                    f"(|x| > {np.finfo(np.float32).max:.4g} uV)") from None
 
 
-def _write_binary(path, samples, fs: float, label: str, start_time: float) -> None:
-    """The binary container, for a recording or a phase track."""
-    label = label.encode("utf-8")
-    samples = _float32_samples(path, samples)
+def write_recording_binary(path, recording: EegRecording) -> None:
+    label = recording.label.encode("utf-8")
+    samples = _float32_samples(path, recording.samples)
     with open(path, "wb") as f:
-        f.write(_HEAD.pack(MAGIC, FORMAT_VERSION, fs, len(label)))
+        f.write(_HEAD.pack(MAGIC, FORMAT_VERSION, recording.fs, len(label)))
         f.write(label)
-        f.write(_TAIL.pack(len(samples), start_time))
+        f.write(_TAIL.pack(len(samples), recording.start_time))
         f.write(samples.tobytes())
 
 
-def _read_binary(path):
-    """(samples, fs, label, start time) of the binary container, the samples
-    as float64 and unchecked: a recording or a phase track checks its own."""
+def read_recording_binary(path) -> EegRecording:
     with open(path, "rb") as f:
         magic, version, fs, label_len = _HEAD.unpack(_read_exact(f, _HEAD.size, "header"))
         if magic != MAGIC:
@@ -145,19 +155,10 @@ def _read_binary(path):
         body_bytes = os.fstat(f.fileno()).st_size - f.tell()
         if count > body_bytes // 4:
             raise FileFormatError(f"{path}: truncated file: {count} samples in the header")
-        body = _read_exact(f, 4 * count, "sample data")
-        extra = f.read(1)
-        if extra:
+        samples = np.frombuffer(_read_exact(f, 4 * count, "sample data"),
+                                dtype="<f4").astype(np.float64)
+        if f.read(1):
             raise FileFormatError(f"{path}: trailing bytes after sample data")
-    return np.frombuffer(body, dtype="<f4").astype(np.float64), fs, label, start
-
-
-def write_recording_binary(path, recording: EegRecording) -> None:
-    _write_binary(path, recording.samples, recording.fs, recording.label, recording.start_time)
-
-
-def read_recording_binary(path) -> EegRecording:
-    samples, fs, label, start = _read_binary(path)
     return _recording(path, samples=samples, fs=fs, label=label, start_time=start)
 
 
@@ -203,21 +204,6 @@ def write_recording(path, recording: EegRecording) -> None:
         write_recording_csv(path, recording)
     else:
         write_recording_binary(path, recording)
-
-
-def write_phase_track(path, track: PhaseTrack) -> None:
-    phase = np.where(track.valid, track.phase_deg, math.nan)
-    _write_binary(path, phase, track.fs, "phase_deg", 0.0)
-
-
-def read_phase_track(path) -> PhaseTrack:
-    phase, fs, label, _ = _read_binary(path)
-    if label != "phase_deg":
-        raise FileFormatError(f"{path}: not a phase track (label {label!r})")
-    valid = np.isfinite(phase)
-    # an invalid sample reads as 0 deg, and the rate passes a recording's check
-    rec = _recording(path, samples=np.where(valid, phase, 0.0), fs=fs)
-    return PhaseTrack(phase_deg=rec.samples, valid=valid, fs=rec.fs)
 
 
 def write_hypnogram(path, stages) -> None:
@@ -424,4 +410,4 @@ def parse_config_echo(echo: Optional[str], base):
     itself when there is no echo (None)."""
     if echo is None:
         return base
-    return apply_config(base, dict(map(split_key_value, echo.split(";"))))
+    return apply_config(base, parse_pairs(echo.split(";")))

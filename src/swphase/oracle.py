@@ -28,7 +28,6 @@ class PhaseTrack:
     """Per-sample phase in degrees [0, 360) plus a validity mask."""
     phase_deg: np.ndarray
     valid: np.ndarray
-    fs: float
 
     def __len__(self):
         return len(self.phase_deg)
@@ -77,7 +76,7 @@ def hilbert_phase(filtered, fs: float) -> PhaseTrack:
     crop = int(CROP_S * fs)
     if n > 2 * crop:
         valid[crop:n - crop] = True
-    return PhaseTrack(phase, valid, fs)
+    return PhaseTrack(phase, valid)
 
 
 def compute_phase_track(x, fs: float, order: int = FILTER_ORDER,

@@ -101,7 +101,6 @@ class SynthOutput:
     recording: EegRecording
     true_phase: PhaseTrack       # valid only where the oscillator runs at
                                  # full amplitude
-    sw_gain: np.ndarray          # envelope gate, 0..1 per sample
 
 
 def _reflected_walk(rng, n_steps, start, lo, hi, sigma):
@@ -226,4 +225,4 @@ def generate(spec: SynthSpec) -> SynthOutput:
     phase_deg %= 360.0
     valid = gain >= 0.999
     recording = EegRecording(x, fs, label="synthetic", hypnogram=list(spec.hypnogram))
-    return SynthOutput(recording, PhaseTrack(phase_deg, valid, fs), gain)
+    return SynthOutput(recording, PhaseTrack(phase_deg, valid))

@@ -238,11 +238,7 @@ class AmplitudeThresholdTracker(_TrackerBase):
 
     def band(self, x) -> np.ndarray:
         """The kernel: x through the band-pass, as ``step`` isolates it."""
-        x = finite_samples(x)
-        v = np.empty(len(x))
-        for a in range(0, len(x), BLOCK_SAMPLES):
-            v[a:a + BLOCK_SAMPLES] = self._iso.run(x[a:a + BLOCK_SAMPLES])
-        return v
+        return self._iso.run(x)
 
     def run(self, x) -> list:
         x = np.asarray(x, dtype=float)

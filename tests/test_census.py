@@ -51,14 +51,13 @@ SRC = ROOT / "src" / "swphase"
 
 # public names that no program line reads, each kept for its reason
 ALLOWED = {
-    "read_phase_track": "the only reader of the sidecar `simulate --phase-out` writes",
     "BETA": "a reason code, unpacked with the other four from range(len(REASONS))",
 }
 
 # the types that carry results out of a run, and the fields of theirs that
 # no program line reads, each kept for its reason
 REPORTS = ("SessionResult", "MetricsReport", "CircularSummary", "PasReport",
-           "TargetingReport", "SlowWave", "CostReport")
+           "TargetingReport", "SlowWave", "CostReport", "SynthOutput", "PhaseTrack")
 ALLOWED_FIELDS = {
     "frequency_hz": "each wave's frequency, which the paper's frequency axis "
                     "(ROADMAP item 4) reports",

@@ -33,17 +33,14 @@ class TestSimulate:
     def test_writes_requested_artifacts(self, tmp_path, capsys):
         out = tmp_path / "rec.swp"
         hyp = tmp_path / "rec.hyp.csv"
-        phase = tmp_path / "rec.phase.swp"
         rc = main(["simulate", "--out", str(out), "--hypnogram-out", str(hyp),
-                   "--phase-out", str(phase), "--stages", "W*6 N2*30",
-                   "--seed", "1"])
+                   "--stages", "W*6 N2*30", "--seed", "1"])
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
         rec = read_recording(out)
         assert rec.fs == 250.0
         assert len(rec.samples) == 36 * 20 * 250
         assert hyp.read_text().splitlines()[1] == "0,W"
-        assert phase.exists()
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.swp", tmp_path / "b.swp"
@@ -51,7 +48,8 @@ class TestSimulate:
             main(["simulate", "--out", str(p), "--stages", "N2*36", "--seed", "7"])
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("extra, epochs", [([], 4 * 133), (["--cycles", "1"], 133)])
+    # --stages states the night; without it, the night is four default cycles
+    @pytest.mark.parametrize("extra, epochs", [([], 4 * 133), (["--stages", "N2*133"], 133)])
     def test_cycles_without_stages_set_the_night(self, tmp_path, monkeypatch,
                                                  extra, epochs):
         specs = []
@@ -358,6 +356,22 @@ class TestExitCodes:
         assert f"appended.trig.csv:{n + 1}: header key 'input_sha256' after the data" in err
         assert "differs" not in err
 
+    @pytest.mark.parametrize("line, item", [("gate_config", "swa_threshold_uv2=50.0"),
+                                            ("tracker_config", "phi_target_deg=90.0")])
+    def test_echo_key_given_twice_is_3(self, corpus, tmp_path, capsys, line, item):
+        # read as the last value, it would score the log under another config
+        lines = (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "twice.trig.csv"
+        bad.write_text("".join(ln.replace("\n", f";{item}\n") if ln.startswith(f"# {line}=")
+                               else ln for ln in lines))
+        rc = main(["evaluate", "--input", str(corpus / "r0.swp"),
+                   "--triggers", str(bad), "--hypnogram", str(corpus / "r0.hyp.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "FileFormatError" in err
+        key = item.partition("=")[0]
+        assert f"twice.trig.csv: unreadable provenance: key {key!r} given twice" in err
+
     def test_log_without_input_hash_still_evaluates(self, corpus, tmp_path):
         lines = (corpus / "r0.trig.csv").read_text().splitlines(keepends=True)
         bare = tmp_path / "bare.trig.csv"
@@ -377,11 +391,10 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "ConfigurationError" in err
         assert not (tmp_path / "x.swp").exists()
 
-    @pytest.mark.parametrize("extra", [[], ["--cycles", "1"]], ids=["alone", "with_cycles"])
-    def test_empty_stages_is_2(self, tmp_path, capsys, extra):
+    def test_empty_stages_is_2(self, tmp_path, capsys):
         # an empty --stages names no night; it must not fall back to the default
         out = tmp_path / "x.swp"
-        assert main(["simulate", "--out", str(out), "--stages", "", *extra]) == 2
+        assert main(["simulate", "--out", str(out), "--stages", ""]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "ConfigurationError" in err
         assert not out.exists()
@@ -474,9 +487,6 @@ class TestExitCodes:
         # sizes refused before anything of that size is allocated
         ("track", ["--set", "maf_span=1000000000000"]),
         ("optimize", ["maf_span = 25, 1000000000000"]),
-        ("simulate", ["--cycles", "1000000000000"]),
-        # --cycles has no meaning next to --stages
-        ("simulate", ["--stages", "N2*40", "--cycles", "2"]),
         # an override key given twice, as in a grid file
         ("track", ["--set", "refractory_s=1", "--set", "refractory_s=2"]),
         ("track", ["--gate-set", "swa_threshold_uv2=40", "--gate-set", "swa_threshold_uv2 = 50"]),
@@ -493,8 +503,7 @@ class TestExitCodes:
             extra = ["--grid", str(grid)]
         argv = {
             "track": ["track", "--input", str(corpus / "r0.swp"), "--out", str(out)],
-            "simulate": ["simulate", "--out", str(out)]
-            + ([] if "--cycles" in extra else ["--stages", "N2*40"]),
+            "simulate": ["simulate", "--out", str(out), "--stages", "N2*40"],
             "optimize": ["optimize", str(corpus / "r0.swp"), str(corpus / "r1.swp"),
                          "--algorithm", "pv", "-k", "2", "--json", str(out)],
         }[command]

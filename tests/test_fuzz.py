@@ -3,9 +3,8 @@
 Each valid seed input is mutated a few bytes at a time (bit flips, byte
 changes, insertions, deletions, truncation). Every mutant must either parse
 or raise a SwphaseError subclass; any other exception is a crash the command
-line would show as a traceback. A parsed dataclass (a config, a recording,
-a phase track) must hold finite numbers only, in its float fields and its
-float arrays; a parsed config is also used. Non-finite spellings are
+line would show as a traceback. A parsed dataclass (a config, a recording)
+must hold finite numbers only, in its float fields and its float arrays; a parsed config is also used. Non-finite spellings are
 substituted into every key of every config text, since byte mutations
 seldom produce one.
 """
@@ -20,11 +19,10 @@ import swphase.io
 from swphase.errors import SwphaseError
 from swphase.gate import GateConfig, StimulationGate
 from swphase.io import (apply_config, config_echo, parse_config_echo, parse_grid,
-                        parse_stage_runs, read_config, read_hypnogram, read_phase_track,
-                        read_recording, read_recording_binary, read_recording_csv,
-                        read_trigger_log, write_hypnogram, write_phase_track,
-                        write_recording, write_recording_csv, write_trigger_log)
-from swphase.oracle import PhaseTrack
+                        parse_stage_runs, read_config, read_hypnogram, read_recording,
+                        read_recording_binary, read_recording_csv, read_trigger_log,
+                        write_hypnogram, write_recording, write_recording_csv,
+                        write_trigger_log)
 from swphase.pipeline import LoggedTrigger
 from swphase.recording import EegRecording
 from swphase.synth import SynthSpec
@@ -64,9 +62,6 @@ def seed_file(tmp_path, kind) -> bytes:
         write_recording(path, recording())
     elif kind in ("csv", "text"):
         write_recording_csv(path, recording(12))
-    elif kind == "phase":
-        phase = np.linspace(0.0, 359.0, 20)
-        write_phase_track(path, PhaseTrack(phase_deg=phase, valid=phase > 30.0, fs=250.0))
     elif kind == "hyp":
         write_hypnogram(path, ["W", "N1", "N2", "N3", "REM", "N2"])
     elif kind == "trig":
@@ -97,7 +92,6 @@ FILE_READERS = {
                                     ("algorithm", "sample_rate_hz")),
     "binary": read_recording_binary,
     "text": read_recording_csv,
-    "phase": read_phase_track,
 }
 
 

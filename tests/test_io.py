@@ -1,5 +1,5 @@
-"""File formats: recording container, phase tracks, hypnograms, trigger
-logs, config files. Round-trips and rejection of malformed input."""
+"""File formats: recording container, hypnograms, trigger logs, config
+files. Round-trips and rejection of malformed input."""
 import math
 import struct
 
@@ -17,19 +17,16 @@ from swphase.io import (
     parse_stage_runs,
     read_config,
     read_hypnogram,
-    read_phase_track,
     read_recording,
     read_recording_binary,
     read_recording_csv,
     read_trigger_log,
     write_hypnogram,
-    write_phase_track,
     write_recording,
     write_recording_binary,
     write_recording_csv,
     write_trigger_log,
 )
-from swphase.oracle import PhaseTrack
 from swphase.pipeline import LoggedTrigger
 from swphase.recording import EegRecording
 from swphase.trackers import TrackerConfig
@@ -195,25 +192,6 @@ class TestRecordingCsv:
         for p in (bin_path, csv_path):
             back = read_recording(p)
             np.testing.assert_allclose(back.samples, rec.samples, atol=1e-6)
-
-
-class TestPhaseTrack:
-    def test_round_trip_with_invalid_samples(self, tmp_path):
-        path = tmp_path / "track.swp"
-        phase = np.array([10.0, 180.0, 350.0, 42.0])
-        valid = np.array([True, False, True, True])
-        write_phase_track(path, PhaseTrack(phase_deg=phase, valid=valid, fs=250.0))
-        back = read_phase_track(path)
-        np.testing.assert_array_equal(back.valid, valid)
-        np.testing.assert_allclose(back.phase_deg[valid], phase[valid], atol=1e-4)
-        assert back.phase_deg[1] == 0.0          # NaN mapped to a safe value
-        assert back.fs == 250.0
-
-    def test_rejects_other_labels(self, tmp_path):
-        path = tmp_path / "notatrack.swp"
-        write_recording_binary(path, sample_recording(10))
-        with pytest.raises(FileFormatError, match="label"):
-            read_phase_track(path)
 
 
 class TestHypnogram:

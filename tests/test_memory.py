@@ -60,8 +60,7 @@ class TestPeakMemory:
         assert traced_peak(lambda: local_minima(filtered, spec.fs)) <= unit
 
     def test_at_run_within_one_and_a_half_signal_units(self, night):
-        # the band is the one signal-length array: the filter writes into
-        # it block by block
+        # the band is the one signal-length array: lfilter's output
         spec, filtered, unit = night
         tracker = AmplitudeThresholdTracker(TrackerConfig(algorithm="at",
                                                           sample_rate_hz=spec.fs))

@@ -1,12 +1,11 @@
 """SHA-256 digests of what the commands write, on two 760 s nights.
 
 The nights are the ones CI's "Installed command" step makes (seeds 0 and
-1). Pinned: the ``simulate`` recording in both flavors and its phase-track
-sidecar, each tracker's trigger log with its ``evaluate --json`` report
-and ``evaluate`` stdout, ``calibrate``'s stdout, and ``optimize --json``
-over both nights. A change that moves any byte fails here. A change meant
-to move an output updates its digest in the same commit and names it in
-CHANGES.md.
+1). Pinned: the ``simulate`` recording in both flavors, each tracker's
+trigger log with its ``evaluate --json`` report and ``evaluate`` stdout,
+``calibrate``'s stdout, and ``optimize --json`` over both nights. A change
+that moves any byte fails here. A change meant to move an output updates
+its digest in the same commit and names it in CHANGES.md.
 
 Like ``test_synth.PINNED_NIGHTS``, the digests depend on libm (``math.sin``,
 ``cos``, ``atan2``) and on the numpy and scipy builds.
@@ -30,7 +29,6 @@ PINNED = {
     "night0.at.trig.csv": "e6cf0d9b05570eb36560e135f3290e859edcef38bc79b6a7cf93d1e04d0cffe8",
     "night0.calibrate.stdout": "98a7659ca7697524a6630e29858edb6ab5f19e257e35c2ed5655f1f835cafd99",
     "night0.csv": "d4f3627de77959fbaf2b31cbebe4e6b7a6582de5f68b06d3b06f0c456ce97308",
-    "night0.phase": "132dd196c8f1a88bca2ba03a38755b265821fd9e22114f800f5071fa6110f6a3",
     "night0.pll.evaluate.stdout": "e78a54b78a84641233d948d4b3db0f77feadf1442ac51c0396fe5d8bff412441",
     "night0.pll.json": "8776d7f26e0a66ad54ed94afad80d2bc871c3b804c9761b393f5477ee013755a",
     "night0.pll.trig.csv": "1cf002c3df1c5ffbd85b057def8b4ccfbcccd0e1e5d4b4c95baf75e00f8f9406",
@@ -43,7 +41,6 @@ PINNED = {
     "night1.at.trig.csv": "222f7f9d807c3a571cccf003a2d787c15a48143ce9272f7a00935de385dc8de7",
     "night1.calibrate.stdout": "ab524b22c1112cedd42dc3945f47884dd3c4b2f38e6fd6bf86176f79719d506c",
     "night1.csv": "a5f76646822ed5505b43024d8bbcbcca56e07b4902ff82dce50c7e6fefd082cf",
-    "night1.phase": "268f6396adea73d363d2e36ca0aa7cb6937904945e35c0d02ea4d901bc283fc6",
     "night1.pll.evaluate.stdout": "2df7e0f6d385dc95738142e747bef05d63911e411470d42e017e1197f6361fef",
     "night1.pll.json": "312bee1b28b5a99816de8ca237c19865cd2ff839f1540be707f7dff3a336815f",
     "night1.pll.trig.csv": "67941894fae2a5860168aacf0b5ef650ab3a779800ab51d7105705aff4e27f07",
@@ -73,12 +70,11 @@ def digests(tmp_path_factory):
     out = {}
     for seed in SEEDS:
         night, hyp = root / f"night{seed}.swp", root / f"night{seed}.hyp.csv"
-        phase, csv = root / f"night{seed}.phase", root / f"night{seed}.csv"
+        csv = root / f"night{seed}.csv"
         common = ["--stages", STAGES, "--seed", str(seed)]
-        _run(["simulate", "--out", str(night), "--hypnogram-out", str(hyp),
-              "--phase-out", str(phase), *common])
+        _run(["simulate", "--out", str(night), "--hypnogram-out", str(hyp), *common])
         _run(["simulate", "--out", str(csv), *common])
-        files = [night, csv, phase]
+        files = [night, csv]
         for algo in ALGORITHMS:
             log, report = root / f"night{seed}.{algo}.trig.csv", root / f"night{seed}.{algo}.json"
             _run(["track", "--input", str(night), "--out", str(log), "--algorithm", algo])

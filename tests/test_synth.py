@@ -5,8 +5,8 @@ import pytest
 
 from swphase.dsp import band_powers
 from swphase.errors import ConfigurationError
-from swphase.recording import EPOCH_S, MAX_STAGE_EPOCHS
-from swphase.synth import SynthSpec, default_hypnogram, generate
+from swphase.recording import EPOCH_S, MAX_STAGE_EPOCHS, NREM_STAGES, epoch_samples
+from swphase.synth import SynthSpec, _stage_gain, default_hypnogram, generate
 
 from conftest import FS
 
@@ -22,6 +22,13 @@ def amplitude_class_split(spec):
     low = max(0.0, min(phi, 60.0) - max(plo, 20.0)) / width
     high = max(0.0, phi - max(plo, 60.0)) / width
     return low, high
+
+
+def stage_gain(rec):
+    """The slow-wave envelope gate (0..1 per sample) of rec's night, as
+    ``generate`` computes it."""
+    nrem = np.repeat(np.isin(rec.hypnogram, NREM_STAGES), epoch_samples(rec.fs))
+    return _stage_gain(nrem, rec.fs)
 
 
 def stage_windows(rec, stage, band, window_s=4.0, agg=np.median):
@@ -58,13 +65,11 @@ PINNED_NIGHTS = {
         "samples": "34a160ebb0982fe86caa8016c51111390f24fae53a6a5a3df740d3e1132b1a19",
         "phase_deg": "66f394342fd7062783d022f0e3881278b3b4ade3df4f9ca00d1a42db8bb59225",
         "valid": "4bc9ec226fc20126f944191f92497e09fd345a4bd53d186fee6d6a781ad25e6f",
-        "sw_gain": "c5fdfe669287625f9625d668af6e77106bfd0fd03856a1292998a296f92473b4",
     },
     7919: {
         "samples": "d8711437a668cc8d4d84d6a1bc870557e11210e7fe7e0491c9bbc486d4eec252",
         "phase_deg": "8589a964f46a2d0268e1922d6cc05dda368e56b0284e1599e8b96a91f3fa0604",
         "valid": "4bc9ec226fc20126f944191f92497e09fd345a4bd53d186fee6d6a781ad25e6f",
-        "sw_gain": "c5fdfe669287625f9625d668af6e77106bfd0fd03856a1292998a296f92473b4",
     },
 }
 
@@ -74,7 +79,7 @@ def test_one_cycle_night_is_pinned(seed):
     out = generate(SynthSpec(hypnogram=default_hypnogram(1), seed=seed))
     arrays = {"samples": out.recording.samples,
               "phase_deg": out.true_phase.phase_deg,
-              "valid": out.true_phase.valid, "sw_gain": out.sw_gain}
+              "valid": out.true_phase.valid}
     digests = {name: hashlib.sha256(np.ascontiguousarray(a, a.dtype.newbyteorder("<"))
                                     .tobytes()).hexdigest()
                for name, a in arrays.items()}
@@ -103,13 +108,13 @@ class TestShape:
 
     def test_true_phase_valid_only_while_oscillator_active(self, short_synth):
         valid = short_synth.true_phase.valid
-        gain = short_synth.sw_gain
+        gain = stage_gain(short_synth.recording)
         assert np.array_equal(valid, gain >= 0.999)
         nrem = short_synth.recording.nrem_mask()
         assert not valid[~nrem].any()
 
     def test_gain_ramps_are_smooth(self, short_synth):
-        steps = np.abs(np.diff(short_synth.sw_gain))
+        steps = np.abs(np.diff(stage_gain(short_synth.recording)))
         assert steps.max() < 0.01
 
 
