@@ -8,7 +8,7 @@ from .errors import (ConfigurationError, FileFormatError,
                      SwphaseError, TimerResolutionError,
                      UndefinedStatisticError)
 from .gate import GateConfig, GateFlags, StimulationGate, calibrate_gate
-from .metrics import (CircularSummary, PasReport, SlowWave, TargetingReport,
+from .metrics import (CircularSummary, PasReport, SlowWaves, TargetingReport,
                       circular_mean_sd, cmae45, detect_waves, pas,
                       targeting_capacity, trigger_intervals)
 from .oracle import (PhaseTrack, compute_phase_track, hilbert_phase,
@@ -29,7 +29,7 @@ __all__ = [
     "IirFilter", "LoggedTrigger", "MetricsReport",
     "ObjectiveTally", "PasReport", "PhaseTrack", "PllTracker",
     "PreprocessChain", "PvTracker", "RecordingTooShortError", "SessionResult",
-    "SlowWave", "StimulationGate", "StreamIntegrityError", "SwphaseError",
+    "SlowWaves", "StimulationGate", "StreamIntegrityError", "SwphaseError",
     "SynthOutput", "SynthSpec", "TargetingReport", "TimerResolutionError",
     "TrackerConfig", "TriggerEvent", "UndefinedStatisticError",
     "calibrate_gate", "circular_mean_sd", "cmae45", "compute_phase_track",

@@ -181,10 +181,6 @@ class StimulationGate:
         self._flags = CLOSED
         self.window_log = []   # GateFlags per completed window
 
-    @property
-    def flags(self) -> GateFlags:
-        return self._flags
-
     def step(self, x: float) -> GateFlags:
         self._buf.append(x)
         if len(self._buf) == self._window_n:

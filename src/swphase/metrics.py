@@ -20,8 +20,7 @@ TARGET_PHASE_DEG = 45.0
 PAS_WINDOW_S = 2.0
 MAX_STIM_PER_WINDOW = round(PAS_WINDOW_S / REFRACTORY_S)   # 8 at the 4 Hz ceiling
 UP_PHASE_DEG = (0.0, 90.0)    # half-open: (0, 90]
-LOW_AMP_UV = (20.0, 60.0)     # peak-to-peak class bounds
-MIN_WAVE_AMP_UV = 20.0        # below this a wave is uncounted ("sub20")
+LOW_AMP_UV = (20.0, 60.0)     # p2p class bounds: low inside, high above, none below
 
 RESULTANT_EPS = 1e-9
 PLATEAU_MAX_S = 0.05          # flat-run tolerance in minima detection
@@ -93,7 +92,6 @@ class PasReport:
     pas_all: float
     pas_in_up: float
     pas_not_up: float
-    qualifying_windows: int
 
 
 def pas(trigger_phases_deg, qualifying_windows: int) -> PasReport:
@@ -112,16 +110,19 @@ def pas(trigger_phases_deg, qualifying_windows: int) -> PasReport:
     pas_in = 100.0 * n_up / budget
     pas_not = 100.0 * (n_all - n_up) / budget
     pas_all = pas_in + pas_not
-    return PasReport(pas_all, pas_in, pas_not, qualifying_windows)
+    return PasReport(pas_all, pas_in, pas_not)
 
 
-@dataclass(frozen=True)
-class SlowWave:
-    start: int           # index of the first minimum
-    end: int             # index of the next minimum
-    frequency_hz: float  # reciprocal minima spacing
-    p2p_uv: float        # first minimum to the maximum between the minima
-    amp_class: str       # sub20 | low | high
+@dataclass
+class SlowWaves:
+    """Slow-wave inventory, one entry per wave. A wave runs from one minimum
+    (start) to the next (end); its frequency is fs / (end - start)."""
+    start: np.ndarray    # index of the first minimum
+    end: np.ndarray      # index of the next minimum
+    p2p_uv: np.ndarray   # first minimum to the maximum between the minima
+
+    def __len__(self):
+        return len(self.start)
 
 
 def local_minima(x: np.ndarray, fs: float) -> np.ndarray:
@@ -156,7 +157,7 @@ def local_minima(x: np.ndarray, fs: float) -> np.ndarray:
     return start[x[end + 1] > level]
 
 
-def detect_waves(filtered: np.ndarray, fs: float, mask: np.ndarray) -> list:
+def detect_waves(filtered: np.ndarray, fs: float, mask: np.ndarray) -> SlowWaves:
     """Slow-wave inventory of a 0.5-4 Hz filtered signal.
 
     Each adjacent pair of minima with both ends inside the mask yields one
@@ -170,11 +171,7 @@ def detect_waves(filtered: np.ndarray, fs: float, mask: np.ndarray) -> list:
     inside = np.asarray(mask, dtype=bool)
     keep = inside[a] & inside[b]
     a, b, peak = a[keep], b[keep], peak[keep]
-    p2p = peak - filtered[a]
-    amp_class = np.where(p2p < MIN_WAVE_AMP_UV, "sub20",
-                         np.where(p2p <= LOW_AMP_UV[1], "low", "high"))
-    return list(map(SlowWave, a.tolist(), b.tolist(), (fs / (b - a)).tolist(),
-                    p2p.tolist(), amp_class.tolist()))
+    return SlowWaves(a, b, peak - filtered[a])
 
 
 @dataclass(frozen=True)
@@ -185,26 +182,25 @@ class TargetingReport:
     n_high: int
 
 
-def targeting_capacity(waves, trigger_indices) -> TargetingReport:
+def targeting_capacity(waves: SlowWaves, trigger_indices) -> TargetingReport:
     """Wave-hit rates per amplitude class.
 
     A wave is hit iff at least one trigger index falls in [start, end).
-    Sub-20 uV waves are excluded from both classes. A class with no waves
-    has no capacity (None).
+    The low class is p2p inside LOW_AMP_UV (bounds included), the high
+    class p2p above it; waves below it are in neither. A class with no
+    waves has no capacity (None).
     """
     idx = np.sort(np.asarray(trigger_indices, dtype=int))
-    bounds = np.array([(w.start, w.end) for w in waves], dtype=int).reshape(-1, 2)
-    before_start, before_end = np.searchsorted(idx, bounds.T)
-    hit = before_end > before_start
-    classes = np.array([w.amp_class for w in waves], dtype=str)
+    hit = np.searchsorted(idx, waves.end) > np.searchsorted(idx, waves.start)
+    p2p = waves.p2p_uv
 
-    def capacity(amp_class):
-        member = classes == amp_class
+    def capacity(member):
         n = int(np.count_nonzero(member))
         hits = int(np.count_nonzero(hit & member))
         return (100.0 * hits / n if n else None), n
 
-    (low_pct, n_low), (high_pct, n_high) = capacity("low"), capacity("high")
+    low_pct, n_low = capacity((p2p >= LOW_AMP_UV[0]) & (p2p <= LOW_AMP_UV[1]))
+    high_pct, n_high = capacity(p2p > LOW_AMP_UV[1])
     return TargetingReport(low_pct, high_pct, n_low, n_high)
 
 

@@ -160,9 +160,6 @@ class ComboResult:
 class CvOutcome:
     best: ComboResult
     results: list
-    k: int
-    seed: int
-    folds: list
 
 
 def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
@@ -207,7 +204,7 @@ def grid_search_cv(recordings: Sequence[EegRecording], grid: dict,
             val_objectives=objectives_from_tally(val_pool)))
 
     best = min(results, key=lambda r: (r.ed_error, r.mean_val_ed))  # first of equals
-    return CvOutcome(best, results, k, seed, folds)
+    return CvOutcome(best, results)
 
 
 PLL_TARGET_GRID_DEG = [float(v) for v in range(0, 360, 15)]

@@ -100,9 +100,8 @@ def valid_samples(track: PhaseTrack, sample_index) -> np.ndarray:
 def phase_at_triggers(track: PhaseTrack, triggers):
     """Ground-truth phase for each trigger inside the valid region.
 
-    Returns (phases_deg, dropped_count); triggers outside the mask are
-    dropped, not errors.
+    Returns (phases_deg, sample_indices) of the kept triggers, in order;
+    triggers outside the mask are dropped, not errors.
     """
-    idx = trigger_samples(triggers)
-    kept = valid_samples(track, idx)
-    return track.phase_deg[kept], len(idx) - len(kept)
+    kept = valid_samples(track, trigger_samples(triggers))
+    return track.phase_deg[kept], kept

@@ -22,7 +22,7 @@ from .metrics import (circular_mean_sd, cmae45, detect_waves, pas,
                       pas_window_samples, targeting_capacity, trigger_intervals,
                       up_phase_pct)
 from .oracle import (hilbert_phase, phase_at_triggers, trigger_samples,
-                     valid_samples, zero_phase_bandpass)
+                     zero_phase_bandpass)
 from .recording import EegRecording
 from .trackers import (PllTracker, PvTracker, TrackerConfig, forward_arcs,
                        make_tracker, phase_hits, refractory)
@@ -219,8 +219,7 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
         filtered = zero_phase_bandpass(recording.samples, fs)
     track = hilbert_phase(filtered, fs)
     delivered = session.delivered()
-    phases, dropped = phase_at_triggers(track, delivered)
-    valid_idx = valid_samples(track, trigger_samples(delivered))
+    phases, valid_idx = phase_at_triggers(track, delivered)
 
     circular = (None,) * 5
     if len(phases):
@@ -236,7 +235,7 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
     pas_figures = (None,) * 4
     if q_count >= 1:
         p = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count)
-        pas_figures = (p.pas_all, p.pas_in_up, p.pas_not_up, p.qualifying_windows)
+        pas_figures = (p.pas_all, p.pas_in_up, p.pas_not_up, q_count)
 
     n = len(recording.samples)
     gate_win = session.gate_config.window_samples(fs)
@@ -251,6 +250,7 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
         capacity = (t.low_capacity_pct, t.high_capacity_pct, t.n_low, t.n_high)
 
     return MetricsReport(session.tracker_config.algorithm, len(session.log),
-                         len(delivered), dropped, *circular, *pas_figures, *capacity,
+                         len(delivered), len(delivered) - len(valid_idx),
+                         *circular, *pas_figures, *capacity,
                          trigger_intervals([e.time_s for e in delivered]),
                          session.suppression_counts())

@@ -57,12 +57,9 @@ ALLOWED = {
 # the types that carry results out of a run, and the fields of theirs that
 # no program line reads, each kept for its reason
 REPORTS = ("SessionResult", "MetricsReport", "CircularSummary", "PasReport",
-           "TargetingReport", "SlowWave", "CostReport", "SynthOutput", "PhaseTrack")
-ALLOWED_FIELDS = {
-    "frequency_hz": "each wave's frequency, which the paper's frequency axis "
-                    "(ROADMAP item 4) reports",
-    "p2p_uv": "the amplitude each wave's class is cut from, pinned by tests",
-}
+           "TargetingReport", "SlowWaves", "CostReport", "SynthOutput", "PhaseTrack",
+           "CvOutcome", "ComboResult", "ObjectiveTally", "LoggedTrigger", "TriggerEvent")
+ALLOWED_FIELDS = {}
 
 
 # the config types, and the fields of theirs that no program line sets by

@@ -167,8 +167,8 @@ class TestStreamingGate:
         x = nrem_like_window_signal(cfg.history_windows + 2)
         nrem_at = None
         for i, v in enumerate(x):
-            gate.step(float(v))
-            if nrem_at is None and gate.flags.nrem:
+            flags = gate.step(float(v))
+            if nrem_at is None and flags.nrem:
                 nrem_at = i
         # nrem turns on exactly when the 20th window completes (80 s)
         assert nrem_at == cfg.history_windows * WINDOW_N - 1
@@ -180,13 +180,11 @@ class TestStreamingGate:
     def test_swa_flag_reacts_per_window(self):
         gate = StimulationGate(GateConfig().validate(), FS)
         for v in gate_window((1.25, 30.0)):          # strong SWA window
-            gate.step(float(v))
-        assert gate.flags.swa is True
+            flags = gate.step(float(v))
+        assert flags.swa is True
         for v in np.zeros(WINDOW_N - 1):             # silence, window open
-            gate.step(0.0)
-            assert gate.flags.swa is True            # still governed by window 0
-        gate.step(0.0)                               # boundary sample
-        assert gate.flags.swa is False
+            assert gate.step(0.0).swa is True        # still governed by window 0
+        assert gate.step(0.0).swa is False           # boundary sample
 
     def test_decide_reports_first_failing_condition(self):
         cfg = GateConfig(onoff_enabled=True).validate()

@@ -2,7 +2,9 @@
 
 No linter ships with the package, so this stands in for the unused-import
 check: each ``src/swphase`` module except ``__init__.py`` (whose imports
-are the package's exports) is parsed with ``ast``.
+are the package's exports) is parsed with ``ast``. For ``__init__.py`` the
+rule is that ``swphase.__all__`` names exactly what it imports, each name
+resolving on the package.
 """
 import ast
 from pathlib import Path
@@ -38,3 +40,21 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_names(source: str) -> set:
+    """Names a module binds with ``from ... import``."""
+    return {a.asname or a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for a in node.names}
+
+
+def test_the_package_exports_what_it_imports():
+    init = Path(swphase.__file__).read_text(encoding="utf-8")
+    assert sorted(swphase.__all__) == sorted(imported_names(init))
+    assert [name for name in swphase.__all__ if not hasattr(swphase, name)] == []
+
+
+def test_the_export_check_reads_every_from_import():
+    assert imported_names("from __future__ import annotations\nimport os\n"
+                          "from .a import X, Y as Z\n") == {"X", "Z"}

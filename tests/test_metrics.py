@@ -1,13 +1,12 @@
 """Circular statistics, target error, stimulation percentages, wave metrics."""
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from swphase.errors import UndefinedStatisticError
 from swphase.metrics import (
-    SlowWave,
+    SlowWaves,
     circular_distance_deg,
     circular_mean_sd,
     cmae45,
@@ -148,22 +147,35 @@ def reference_local_minima(x, fs):
 
 
 def reference_amp_class(p2p):
-    if p2p < 20.0:
-        return "sub20"
-    return "low" if p2p <= 60.0 else "high"
+    """The paper's classes one wave at a time: low is 20-60 uV, bounds
+    included, high is above; anything else (NaN too) is in neither."""
+    if 20.0 <= p2p <= 60.0:
+        return "low"
+    return "high" if p2p > 60.0 else None
 
 
 def reference_waves(x, fs, mask):
-    """One wave per adjacent pair of reference minima, judged pair by pair."""
+    """(start, end, p2p) per adjacent pair of reference minima, judged pair
+    by pair."""
     mins = reference_local_minima(x, fs)
     waves = []
     for a, b in zip(mins[:-1], mins[1:]):
         if not (mask[a] and mask[b]):
             continue
-        p2p = float(x[a:b + 1].max() - x[a])
-        waves.append(SlowWave(int(a), int(b), fs / (b - a), p2p,
-                              reference_amp_class(p2p)))
+        waves.append((int(a), int(b), float(x[a:b + 1].max() - x[a])))
     return waves
+
+
+def class_counts(waves) -> tuple:
+    """(n_low, n_high) that targeting_capacity reports for waves."""
+    r = targeting_capacity(waves, [])
+    return r.n_low, r.n_high
+
+
+def waves_of(rows) -> SlowWaves:
+    """A SlowWaves table from (start, end, p2p) rows."""
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    return SlowWaves(table[:, 0].astype(int), table[:, 1].astype(int), table[:, 2])
 
 
 def run_sequences(seed, count=300, max_len=60):
@@ -231,27 +243,31 @@ class TestDetectWaves:
         return detect_waves(x, self.FS, np.ones(len(x), dtype=bool))
 
     def test_amplitude_classes(self):
-        for amp, cls in [(8.0, "sub20"), (15.0, "low"), (40.0, "high")]:
+        for amp, low, high in [(8.0, 0, 0), (15.0, 1, 0), (40.0, 0, 1)]:
             waves = self.unmasked(self.two_cycle_sine(amp))
-            assert len(waves) >= 1
-            for w in waves:
-                assert w.amp_class == cls
-                assert w.p2p_uv == pytest.approx(2 * amp, rel=0.01)
-                assert w.frequency_hz == pytest.approx(1.0, rel=0.02)
+            n = len(waves)
+            assert n >= 1
+            assert class_counts(waves) == (low * n, high * n)
+            np.testing.assert_allclose(waves.p2p_uv, 2 * amp, rtol=0.01)
+            np.testing.assert_allclose(self.FS / (waves.end - waves.start), 1.0, rtol=0.02)
 
     def test_mask_drops_waves_touching_excluded_samples(self):
         x = self.two_cycle_sine(15.0)
         full = self.unmasked(x)
         mask = np.ones(len(x), dtype=bool)
-        mask[full[0].start] = False
+        mask[full.start[0]] = False
         masked = detect_waves(x, self.FS, mask=mask)
         assert len(masked) == len(full) - 1
-        assert masked[0].start == full[1].start
+        assert masked.start[0] == full.start[1]
 
     def test_low_class_bounds_are_inclusive(self):
         x = np.array([70.0, 0.0, 60.0, 0.0, 20.0, 0.0, 19.5, 0.0, 60.5, 0.0, 70.0])
         waves = self.unmasked(x)
-        assert [w.amp_class for w in waves] == ["low", "low", "sub20", "high"]
+        assert waves.p2p_uv.tolist() == [60.0, 20.0, 19.5, 60.5]
+        # 60 and 20 are low, 19.5 is in neither class and 60.5 is high
+        r = targeting_capacity(waves, [waves.start[0], waves.start[3]])
+        assert (r.n_low, r.n_high) == (2, 1)
+        assert (r.low_capacity_pct, r.high_capacity_pct) == (50.0, 100.0)
 
     @pytest.mark.parametrize("fs", [100.0, 250.0])
     def test_masked_waves_match_pairwise_reference(self, fs):
@@ -264,24 +280,25 @@ class TestDetectWaves:
         mask = np.repeat(rng.random(len(x) // 100 + 1) < 0.7, 100)[:len(x)]
         for m in (np.ones(len(x), dtype=bool), mask):
             got = detect_waves(x, fs, m)
-            assert all(isinstance(w, SlowWave) for w in got)
-            np.testing.assert_equal([astuple(w) for w in got],   # NaN p2p equal
-                                    [astuple(w) for w in reference_waves(x, fs, m)])
+            want = reference_waves(x, fs, m)
+            assert isinstance(got, SlowWaves)
+            assert got.start.dtype.kind == got.end.dtype.kind == "i"
+            np.testing.assert_equal(   # NaN p2p equal
+                list(zip(got.start.tolist(), got.end.tolist(), got.p2p_uv.tolist())), want)
+            classes = [reference_amp_class(p2p) for _, _, p2p in want]
+            assert class_counts(got) == (classes.count("low"), classes.count("high"))
             assert len(got) > 20
 
     def test_wave_bounds_are_adjacent_minima(self):
         waves = self.unmasked(self.two_cycle_sine(15.0))
-        for a, b in zip(waves[:-1], waves[1:]):
-            assert a.end == b.start
+        np.testing.assert_array_equal(waves.end[:-1], waves.start[1:])
 
 
 class TestTargetingCapacity:
+    ROWS = [(100, 200, 30.0), (300, 400, 80.0), (500, 600, 10.0)]   # low, high, neither
+
     def waves(self):
-        return [
-            SlowWave(100, 200, 1.0, 30.0, "low"),
-            SlowWave(300, 400, 1.0, 80.0, "high"),
-            SlowWave(500, 600, 1.0, 10.0, "sub20"),
-        ]
+        return waves_of(self.ROWS)
 
     def test_per_class_hit_rates(self):
         r = targeting_capacity(self.waves(), [150, 550])
@@ -297,7 +314,7 @@ class TestTargetingCapacity:
         assert r.high_capacity_pct == pytest.approx(100.0)  # start inclusive
 
     def test_empty_class_is_none(self):
-        lows = [w for w in self.waves() if w.amp_class == "low"]
+        lows = waves_of([row for row in self.ROWS if reference_amp_class(row[2]) == "low"])
         r = targeting_capacity(lows, [150])
         assert r.high_capacity_pct is None
         assert r.n_high == 0
@@ -311,15 +328,16 @@ class TestTargetingCapacity:
         rng = np.random.default_rng(3)
         for _ in range(200):
             starts = np.sort(rng.integers(0, 200, rng.integers(0, 12)))
-            waves = [SlowWave(int(a), int(a + d), 1.0, 0.0, c) for a, d, c in
-                     zip(starts, rng.integers(1, 30, len(starts)),
-                         rng.choice(["sub20", "low", "high"], len(starts)))]
+            rows = list(zip(starts.tolist(),
+                            (starts + rng.integers(1, 30, len(starts))).tolist(),
+                            rng.choice([10.0, 19.9, 20.0, 40.0, 60.0, 60.1, 90.0],
+                                       len(starts)).tolist()))
             idx = rng.integers(0, 230, rng.integers(0, 10))
-            r = targeting_capacity(waves, idx)
+            r = targeting_capacity(waves_of(rows), idx)
             for cls, pct, n in (("low", r.low_capacity_pct, r.n_low),
                                 ("high", r.high_capacity_pct, r.n_high)):
-                members = [w for w in waves if w.amp_class == cls]
-                hits = sum(any(w.start <= i < w.end for i in idx) for w in members)
+                members = [(a, b) for a, b, p2p in rows if reference_amp_class(p2p) == cls]
+                hits = sum(any(a <= i < b for i in idx) for a, b in members)
                 assert n == len(members)
                 if members:
                     assert pct == 100.0 * hits / len(members)

@@ -111,8 +111,8 @@ class TestValidity:
         track = compute_phase_track(x, FS)
         events = [TriggerEvent(10, 10 / FS, "pv", 45.0, 1.0),
                   TriggerEvent(int(240 * FS), 240.0, "pv", 45.0, 1.0)]
-        phases, dropped = phase_at_triggers(track, events)
-        assert dropped == 1
+        phases, kept = phase_at_triggers(track, events)
+        assert kept.tolist() == [int(240 * FS)]
         assert len(phases) == 1
         want = (360.0 * 240.0) % 360.0
         d = abs(phases[0] - want) % 360.0

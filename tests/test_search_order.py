@@ -46,7 +46,7 @@ def combo_major_search(recordings, grid, evaluate, k, seed):
             ed_error=mean_val + abs(mean_opt - mean_val),
             val_objectives=objectives_from_tally(val_pool)))
     best = min(results, key=lambda r: (r.ed_error, r.mean_val_ed))
-    return CvOutcome(best, results, k, seed, folds)
+    return CvOutcome(best, results)
 
 
 KERNEL_NAMES = tuple(dict.fromkeys(n for fields in KERNEL_FIELDS.values() for n in fields))
@@ -98,9 +98,6 @@ def test_recording_major_equals_combo_major(search):
                                    k, seed)
     assert outcome.results == reference.results
     assert outcome.best == reference.best
-    assert (outcome.k, outcome.seed) == (k, seed)
-    assert all(np.array_equal(a, c) and np.array_equal(b, d)
-               for (a, b), (c, d) in zip(outcome.folds, reference.folds))
     # each recording sees every combo before the next: the names in any
     # kernel list vary slowest, the others faster, each group in declaration
     # order
