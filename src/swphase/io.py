@@ -172,14 +172,18 @@ def write_recording_csv(path, recording: EegRecording) -> None:
             f.write(f"{float(v)!r}\n")
 
 
-def read_recording_csv(path) -> EegRecording:
-    header = {}
-    values = []
+def _csv_values(path, header: dict):
+    """The sample values of a CSV recording, one float per data line."""
     for ln, line in _lines(path, header):
         try:
-            values.append(float(line))
+            yield float(line)
         except ValueError:
             raise FileFormatError(f"{path}:{ln}: not a number: {line!r}")
+
+
+def read_recording_csv(path) -> EegRecording:
+    header = {}
+    samples = np.fromiter(_csv_values(path, header), dtype=np.float64)
     if "fs" not in header:
         raise FileFormatError(f"{path}: missing '# fs=' header line")
     try:
@@ -187,7 +191,7 @@ def read_recording_csv(path) -> EegRecording:
         start = float(header.get("start_time", 0.0))
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad header value ({exc})")
-    return _recording(path, samples=np.asarray(values, dtype=np.float64), fs=fs,
+    return _recording(path, samples=samples, fs=fs,
                       label=header.get("label", "EEG"), start_time=start)
 
 

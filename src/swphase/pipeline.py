@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import trackers
 from .dsp import PreprocessChain
 from .errors import ConfigurationError, UndefinedStatisticError
 from .gate import (DELIVERED, REASONS, SUPPRESSION_ORDER, GateConfig,
@@ -107,18 +108,21 @@ def _run_streaming(recording, cfg, gate_config):
     gate = StimulationGate(gate_config, fs)
     preprocess, track, gate_step = chain.step, tracker.step, gate.step
     log = []
-    for x in np.asarray(recording.samples, dtype=float).tolist():
-        y = preprocess(x)
-        ev = track(y)
-        if type(ev) is tuple:   # the phase trackers put the event last
-            ev = ev[-1]
-        if ev is not None:
-            ok, reason = gate.decide(ev.time_s)   # completed windows only
-            log.append(LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
-                                     ev.tracker_phase_deg, ev.amplitude_uv,
-                                     ok, reason,
-                                     on_window_at(ev.time_s, gate_config)))
-        gate_step(y)
+    samples = np.asarray(recording.samples, dtype=float)
+    block = trackers.BLOCK_SAMPLES   # read here, so that a test can shrink it
+    for a in range(0, len(samples), block):   # one block held as Python floats
+        for x in samples[a:a + block].tolist():
+            y = preprocess(x)
+            ev = track(y)
+            if type(ev) is tuple:   # the phase trackers put the event last
+                ev = ev[-1]
+            if ev is not None:
+                ok, reason = gate.decide(ev.time_s)   # completed windows only
+                log.append(LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
+                                         ev.tracker_phase_deg, ev.amplitude_uv,
+                                         ok, reason,
+                                         on_window_at(ev.time_s, gate_config)))
+            gate_step(y)
     return SessionResult(log, list(gate.window_log), cfg, gate_config,
                          slip_count=tracker.slip_count)
 

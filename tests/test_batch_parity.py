@@ -3,9 +3,10 @@
 ``run`` is a kernel (``phase_stream``, or the AT isolation filter) plus one
 vectorised scan. These tests hold it equal to a ``step`` loop, counters
 included, over uneven chunks, kernel block boundaries and PLL reset
-samples; they hold the optimizer's phase streams equal to streams built
-with ``step``; and they hold every entry point's refusal of a non-finite
-sample.
+samples, and the streaming session, fed in blocks of the same size, equal
+to the batch session across those boundaries; they hold the optimizer's
+phase streams equal to streams built with ``step``; and they hold every
+entry point's refusal of a non-finite sample.
 """
 import copy
 import math
@@ -16,7 +17,7 @@ import pytest
 
 import swphase.pipeline as pipeline
 import swphase.trackers as trackers
-from swphase import SynthSpec, generate
+from swphase import EegRecording, GateConfig, SynthSpec, generate
 from swphase.dsp import IirFilter, design_sw_isolation
 from swphase.errors import StreamIntegrityError, UndefinedStatisticError
 from swphase.pipeline import evaluate_session, run_session, tracker_phase_stream
@@ -105,6 +106,12 @@ def test_at_chunk_starting_above_threshold():
     assert chunks.run(x[:cut]) + chunks.run(x[cut:]) == whole
 
 
+# every window passes every condition
+OPEN_GATE = GateConfig(nrem_low_threshold_uv2=1e-9, nrem_mid_threshold_uv2=1e-9,
+                       nrem_beta_threshold_uv2=1e9, swa_threshold_uv2=1e-9,
+                       beta_threshold_uv2=1e9, onoff_enabled=True)
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_kernel_block_boundaries(monkeypatch, name):
     monkeypatch.setattr(trackers, "BLOCK_SAMPLES", 257)
@@ -118,6 +125,19 @@ def test_kernel_block_boundaries(monkeypatch, name):
         stepped = make_tracker(cfg)
         assert blocked.run(x) == step_loop(stepped, x)[0]
         assert counters(blocked) == counters(stepped)
+    # the streaming session is fed in blocks too, and 257 does not divide
+    # the 1,000-sample gate window; past the 80 s cold start the open gate
+    # delivers and the ON-OFF protocol suppresses
+    x = signal(25000, seed=9)
+    x[[518, 1285, 24999]] = 400.0
+    rec = EegRecording(samples=x, fs=FS)
+    streamed = run_session(rec, cfg, OPEN_GATE, streaming=True)
+    batch = run_session(rec, cfg, OPEN_GATE)
+    assert streamed.log == batch.log
+    assert streamed.window_flags == batch.window_flags
+    assert streamed.slip_count == batch.slip_count
+    assert all(streamed.suppression_counts()[r] for r in ("nrem", "onoff"))
+    assert streamed.delivered()
 
 
 def test_events_carry_python_numbers():

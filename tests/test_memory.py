@@ -2,10 +2,11 @@
 plain formulas it replaced.
 
 ``tracemalloc`` counts numpy's data allocations exactly. A peak is given in
-signal units (8 bytes per sample of the one-cycle night) and includes what
-the call returns. The bounds sit below the earlier formulas' peaks
+signal units (8 bytes per sample of the night the call reads) and includes
+what the call returns. The bounds sit below the earlier formulas' peaks
 (``generate`` 14.6, ``hilbert_phase`` 4.0, ``local_minima`` 4.25, AT's
-``run`` 2.0 units).
+``run`` 2.0, ``read_recording_csv`` 5.24 units, and 4.2 units for a
+streaming session that held the whole night as Python floats).
 """
 import tracemalloc
 
@@ -15,8 +16,10 @@ from scipy import signal
 
 from swphase.dsp import MAX_FS
 from swphase.gate import GateConfig, gate_flags_batch
+from swphase.io import read_recording_csv, write_recording_csv
 from swphase.metrics import PLATEAU_MAX_S, local_minima
 from swphase.oracle import hilbert_phase, zero_phase_bandpass
+from swphase.pipeline import run_session
 from swphase.synth import SynthSpec, default_hypnogram, generate
 from swphase.trackers import AmplitudeThresholdTracker, TrackerConfig
 
@@ -65,6 +68,24 @@ class TestPeakMemory:
         tracker = AmplitudeThresholdTracker(TrackerConfig(algorithm="at",
                                                           sample_rate_hz=spec.fs))
         assert traced_peak(lambda: tracker.run(filtered)) <= 1.5 * unit
+
+    def test_csv_read_within_two_and_a_half_signal_units(self, night, tmp_path):
+        # the samples are parsed into the array, not into a list first
+        spec, _, unit = night
+        path = tmp_path / "night.csv"
+        write_recording_csv(path, generate(spec).recording)
+        assert traced_peak(lambda: read_recording_csv(path)) <= 2.5 * unit
+
+
+def test_streaming_session_holds_one_block_of_the_night():
+    # a 760 s night is about three blocks: a session that held the whole
+    # night as Python floats would peak near 4 units
+    rec = generate(SynthSpec(hypnogram=["W"] * 2 + ["N2"] * 12 + ["N3"] * 24,
+                             seed=4)).recording
+    unit = 8 * len(rec.samples)
+    peak = traced_peak(lambda: run_session(rec, TrackerConfig(algorithm="at"),
+                                           streaming=True))
+    assert peak <= 2 * unit
 
 
 def test_largest_gate_window_at_the_highest_rate_stays_small():
