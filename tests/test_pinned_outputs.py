@@ -3,6 +3,7 @@
 The nights are the ones CI's "Installed command" step makes (seeds 0 and
 1). Pinned: the ``simulate`` recording in both flavors, each tracker's
 trigger log with its ``evaluate --json`` report and ``evaluate`` stdout,
+the PV's log and report on night 0 with the ON-OFF protocol on,
 ``calibrate``'s stdout, and ``optimize --json`` over both nights. A change
 that moves any byte fails here. A change meant to move an output updates
 its digest in the same commit and names it in CHANGES.md.
@@ -34,6 +35,8 @@ PINNED = {
     "night0.pll.trig.csv": "1cf002c3df1c5ffbd85b057def8b4ccfbcccd0e1e5d4b4c95baf75e00f8f9406",
     "night0.pv.evaluate.stdout": "b9f008d22ec79abf7bd297e93fea87fb7c4ebc873d816efb525d7eb700d018f5",
     "night0.pv.json": "0371e5229636870bf3cc7f0d9a0d3d454c6a202f8888c98ae5df3bfa663b0eb6",
+    "night0.pv.onoff.json": "7902779b19be6cfe577a3a2fa537ddd46ebcead6eadf7a7021f4c4931180c4ad",
+    "night0.pv.onoff.trig.csv": "11d8447b118e40433f5f5577cd83e4d1f0020e9278b968aab72a5ed7c82accd7",
     "night0.pv.trig.csv": "e67d2bb03591b6a926c4d0c71764f02a435b528a75be06c2d57179b952d35c49",
     "night0.swp": "206cc5ffcb17aa4d6a12b2e15aeb660c9de1232c6d6d9e50d35dd9273bfba07d",
     "night1.at.evaluate.stdout": "1f08a55c1f0b5779963a4b84ca7fc9e42613273b39cb6336d0aa62374e98819e",
@@ -81,6 +84,13 @@ def digests(tmp_path_factory):
             text = _run(["evaluate", "--input", str(night), "--triggers", str(log),
                          "--hypnogram", str(hyp), "--json", str(report)])
             out[f"night{seed}.{algo}.evaluate.stdout"] = _sha256(text.encode())
+            files += [log, report]
+        if seed == 0:   # the ON-OFF protocol's half of the gate verdict
+            log, report = root / "night0.pv.onoff.trig.csv", root / "night0.pv.onoff.json"
+            _run(["track", "--input", str(night), "--out", str(log),
+                  "--gate-set", "onoff_enabled=true"])
+            _run(["evaluate", "--input", str(night), "--triggers", str(log),
+                  "--hypnogram", str(hyp), "--json", str(report)])
             files += [log, report]
         out.update((p.name, _sha256(p.read_bytes())) for p in files)
         text = _run(["calibrate", "--input", str(night), "--hypnogram", str(hyp)])
