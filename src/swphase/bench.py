@@ -53,7 +53,7 @@ SPAN_S = 0.5                 # vocoder moving-average span; 125 samples at 250 H
 OP_COUNTS = {
     "preprocess": {"mul": 11, "add": 8, "trig": 0, "atan2": 0, "fmod": 0, "cmp": 3},
     "at":         {"mul": 5,  "add": 4, "trig": 0, "atan2": 0, "fmod": 0, "cmp": 4},
-    "pll":        {"mul": 4,  "add": 5, "trig": 1, "atan2": 0, "fmod": 3, "cmp": 7},
+    "pll":        {"mul": 3,  "add": 5, "trig": 1, "atan2": 0, "fmod": 3, "cmp": 6},
     "pv":         {"mul": 9,  "add": 12, "trig": 2, "atan2": 1, "fmod": 5, "cmp": 10},
 }
 

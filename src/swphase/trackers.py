@@ -340,10 +340,10 @@ class PllTracker(_PhaseTracker):
         phi_p = self.phi_p
         thetas = []
         for xi in xs:
-            e = xi * cos(theta)
-            phi_p -= k * e
-            theta = (theta + omega_dt - k * e) % TAU
-            if not (isfinite(theta) and isfinite(phi_p)):
+            ke = k * (xi * cos(theta))
+            phi_p -= ke
+            theta = (theta + omega_dt - ke) % TAU
+            if not isfinite(phi_p):   # theta is finite whenever phi_p is
                 theta = phi_p = 0.0
                 self.reset_count += 1
             thetas.append(theta)
