@@ -8,6 +8,7 @@ from .errors import (ConfigurationError, FileFormatError,
                      SwphaseError, TimerResolutionError,
                      UndefinedStatisticError)
 from .gate import GateConfig, GateFlags, StimulationGate, calibrate_gate
+from .io import LoggedTrigger
 from .metrics import (CircularSummary, PasReport, SlowWaves, TargetingReport,
                       circular_mean_sd, cmae45, detect_waves, pas,
                       targeting_capacity, trigger_intervals)
@@ -16,8 +17,7 @@ from .oracle import (PhaseTrack, compute_phase_track, hilbert_phase,
 from .optimize import (CvOutcome, ObjectiveTally, euclidean_distance,
                        grid_search_cv, kfold_split, make_pipeline_evaluator,
                        objectives_from_tally)
-from .pipeline import (LoggedTrigger, MetricsReport, SessionResult,
-                       evaluate_session, run_session)
+from .pipeline import MetricsReport, SessionResult, evaluate_session, run_session
 from .recording import EegRecording
 from .synth import SynthOutput, SynthSpec, default_hypnogram, generate
 from .trackers import (AmplitudeThresholdTracker, PllTracker, PvTracker,

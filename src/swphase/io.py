@@ -37,10 +37,12 @@ import hashlib
 import math
 import os
 import struct
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigurationError, FileFormatError, StreamIntegrityError
 from .gate import REASONS
 from .recording import MAX_STAGE_EPOCHS, EegRecording, STAGES
@@ -264,14 +266,24 @@ def parse_stage_runs(text: str) -> list:
     return out
 
 
-TRIGGER_COLUMNS = ("sample_index", "time_s", "algorithm", "tracker_phase_deg",
-                   "amplitude_uv", "delivered", "suppression_reason",
-                   "on_window")
+@dataclass(frozen=True)
+class LoggedTrigger:
+    """One row of a trigger log, its fields in column order."""
+    sample_index: int
+    time_s: float
+    algorithm: str
+    tracker_phase_deg: Optional[float]
+    amplitude_uv: float
+    delivered: bool
+    suppression_reason: str   # "" when delivered
+    on_window: bool           # protocol phase at the timestamp
+
+
+TRIGGER_COLUMNS = tuple(f.name for f in fields(LoggedTrigger))
 
 
 def write_trigger_log(path, log, provenance: Optional[dict] = None) -> None:
     """CSV trigger log; provenance keys become '# key=value' header lines."""
-    from . import __version__
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# swphase={__version__}\n")
         for key, val in (provenance or {}).items():
@@ -292,7 +304,6 @@ def read_trigger_log(path, n_samples: Optional[int] = None):
     be known, the delivered and on_window flags must be 0 or 1, the numbers
     finite, and a row is delivered exactly when its suppression_reason is empty.
     """
-    from .pipeline import LoggedTrigger
     provenance = {}
     rows = []
     saw_header = False

@@ -19,6 +19,7 @@ from .errors import ConfigurationError, UndefinedStatisticError
 from .gate import (DELIVERED, REASONS, SUPPRESSION_ORDER, GateConfig,
                    StimulationGate, candidate_reasons, gate_flags_batch,
                    in_window, on_window_at, staged_nrem, window_reasons)
+from .io import LoggedTrigger
 from .metrics import (circular_mean_sd, cmae45, detect_waves, pas,
                       pas_window_samples, targeting_capacity, trigger_intervals,
                       up_phase_pct)
@@ -27,18 +28,6 @@ from .oracle import (hilbert_phase, phase_at_triggers, trigger_samples,
 from .recording import EegRecording
 from .trackers import (PllTracker, PvTracker, TrackerConfig, forward_arcs,
                        make_tracker, phase_hits, refractory)
-
-
-@dataclass(frozen=True)
-class LoggedTrigger:
-    sample_index: int
-    time_s: float
-    algorithm: str
-    tracker_phase_deg: Optional[float]
-    amplitude_uv: float
-    delivered: bool
-    suppression_reason: str   # "" when delivered
-    on_window: bool           # protocol phase at the timestamp
 
 
 @dataclass

@@ -1,10 +1,13 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and
+every import sits outside any function.
 
 No linter ships with the package, so this stands in for the unused-import
 check: each ``src/swphase`` module except ``__init__.py`` (whose imports
 are the package's exports) is parsed with ``ast``. For ``__init__.py`` the
 rule is that ``swphase.__all__`` names exactly what it imports, each name
-resolving on the package.
+resolving on the package. An import inside a function hides a dependency
+from the module's header, often one on a layer above it, so no module of
+the package makes one.
 """
 import ast
 from pathlib import Path
@@ -58,3 +61,21 @@ def test_the_package_exports_what_it_imports():
 def test_the_export_check_reads_every_from_import():
     assert imported_names("from __future__ import annotations\nimport os\n"
                           "from .a import X, Y as Z\n") == {"X", "Z"}
+
+
+def local_imports(source: str) -> list:
+    """Lines of the imports made inside a function."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_check_sees_a_local_import():
+    assert local_imports("import os\ndef f():\n    import sys\n"
+                         "    def g():\n        from . import x\n") == [3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(Path(swphase.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_at_the_top(path):
+    assert local_imports(path.read_text(encoding="utf-8")) == []
