@@ -12,8 +12,9 @@ A candidate trigger is delivered iff nrem and swa hold, beta does not, and
 (when the ON-OFF protocol is enabled) the candidate's timestamp falls in an
 ON window. Suppression reports the first failing condition in the fixed
 order nrem, swa, beta, onoff. The first 80 s never deliver (cold start).
-Batch callers run these functions on arrays for a whole recording; the
-streaming gate runs them as each window completes.
+The streaming gate runs these functions as each window completes; batch
+callers map a recording's ``window_reasons`` onto samples with
+``candidate_codes`` (verdicts) and ``staged_mask`` (the device's staging).
 """
 from __future__ import annotations
 
@@ -136,11 +137,6 @@ def window_reasons(window_flags) -> np.ndarray:
     return np.concatenate(([NREM], failing.argmax(axis=1)))
 
 
-def staged_nrem(reasons) -> np.ndarray:
-    """Windows staged as NREM with slow-wave activity: nrem and swa hold."""
-    return np.asarray(reasons) > SWA
-
-
 def in_window(per_window, sample_index, window_n: int):
     """The per_window entry of each sample's window (the last past the end)."""
     k = np.asarray(sample_index, dtype=np.intp) // window_n
@@ -154,6 +150,21 @@ def candidate_reasons(reasons, time_s, config: GateConfig) -> np.ndarray:
     if config.onoff_enabled:
         deliver &= on_window_at(time_s, config)
     return np.where(deliver, DELIVERED, reasons)
+
+
+def candidate_codes(reasons, sample_index, fs: float, config: GateConfig) -> np.ndarray:
+    """DELIVERED or the first failing condition per candidate sample, under
+    ``window_reasons``; the ON-OFF time is sample_index / fs."""
+    idx = np.asarray(sample_index, dtype=np.intp)
+    return candidate_reasons(in_window(reasons, idx, config.window_samples(fs)),
+                             idx / fs, config)
+
+
+def staged_mask(reasons, window_n: int, n: int) -> np.ndarray:
+    """Per sample of n, under the reasons of ``window_reasons``: the device
+    staged NREM with slow-wave activity (nrem and swa hold)."""
+    staged = in_window(np.asarray(reasons) > SWA, np.arange(0, n, window_n), window_n)
+    return np.repeat(staged, window_n)[:n]
 
 
 def on_window_at(time_s, config: GateConfig):

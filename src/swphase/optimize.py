@@ -25,8 +25,7 @@ import numpy as np
 
 from .dsp import PreprocessChain
 from .errors import ConfigurationError
-from .gate import (DELIVERED, GateConfig, candidate_reasons, gate_flags_batch,
-                   in_window, window_reasons)
+from .gate import DELIVERED, GateConfig, candidate_codes, gate_flags_batch, window_reasons
 from .metrics import (MAX_STIM_PER_WINDOW, TARGET_PHASE_DEG,
                       circular_distance_deg, in_up_phase)
 from .oracle import compute_phase_track, valid_samples
@@ -241,7 +240,6 @@ class _RecordingCache:
         self.y = PreprocessChain(fs).run(recording.samples)
         flags = gate_flags_batch(self.y, fs, gate_config)
         self.reasons = window_reasons(flags)
-        self.gate_win = gate_config.window_samples(fs)
         self.track = compute_phase_track(recording.samples, fs)
         self.end = len(self.track) - int(np.argmax(self.track.valid[::-1]))
         self.q_count, _, self.qual = qualifying_windows(
@@ -250,9 +248,8 @@ class _RecordingCache:
 
     def delivered_filter(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=int)
-        reasons = in_window(self.reasons, idx, self.gate_win)
-        return idx[candidate_reasons(reasons, idx / self.fs,
-                                     self.gate_config) == DELIVERED]
+        return idx[candidate_codes(self.reasons, idx, self.fs,
+                                   self.gate_config) == DELIVERED]
 
     def tally(self, delivered_idx: np.ndarray) -> ObjectiveTally:
         valid = valid_samples(self.track, delivered_idx)

@@ -17,8 +17,8 @@ from . import trackers
 from .dsp import PreprocessChain
 from .errors import ConfigurationError, UndefinedStatisticError
 from .gate import (DELIVERED, REASONS, SUPPRESSION_ORDER, GateConfig,
-                   StimulationGate, candidate_reasons, gate_flags_batch,
-                   in_window, on_window_at, staged_nrem, window_reasons)
+                   StimulationGate, candidate_codes, gate_flags_batch,
+                   in_window, on_window_at, staged_mask, window_reasons)
 from .io import LoggedTrigger
 from .metrics import (circular_mean_sd, cmae45, detect_waves, pas,
                       pas_window_samples, targeting_capacity, trigger_intervals,
@@ -64,14 +64,13 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
     if streaming:
         return _run_streaming(recording, cfg, gate_config)
 
-    window_n = gate_config.window_samples(fs)   # refused before any tracker work
     y = PreprocessChain(fs).run(recording.samples)
     tracker = make_tracker(cfg)
     events = tracker.run(y)
     window_flags = gate_flags_batch(y, fs, gate_config)
+    codes = candidate_codes(window_reasons(window_flags), trigger_samples(events),
+                            fs, gate_config).tolist()
     times = np.array([ev.time_s for ev in events], dtype=float)
-    reasons = in_window(window_reasons(window_flags), trigger_samples(events), window_n)
-    codes = candidate_reasons(reasons, times, gate_config).tolist()
     on = on_window_at(times, gate_config).tolist()
     log = [LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
                          ev.tracker_phase_deg, ev.amplitude_uv,
@@ -150,26 +149,20 @@ def candidates_from_phase_stream(stream_deg: np.ndarray, target_deg: float,
     return np.asarray(kept, dtype=int)
 
 
-def scored_nrem_window_mask(recording: EegRecording, n_windows: int,
-                            fs: float) -> np.ndarray:
-    """Per-2 s-window flag: hypnogram stage at the window start is N2/N3."""
-    return recording.nrem_mask()[np.arange(n_windows) * pas_window_samples(fs)]
-
-
 def qualifying_windows(recording: EegRecording, window_flags,
                        gate_config: GateConfig, valid_mask):
-    """Count PAS windows: 2 s, hypnogram NREM, device nrem+swa, fully
-    inside valid_mask (the oracle-valid samples).
+    """Count PAS windows: 2 s, hypnogram N2/N3 at the window start, device
+    nrem+swa, fully inside valid_mask (the oracle-valid samples).
 
     Returns (qualifying_count, scored_count, per_window_bool).
     """
     fs = recording.fs
+    n = len(recording.samples)
     win = pas_window_samples(fs)
-    starts = np.arange(len(recording.samples) // win) * win
-    scored = scored_nrem_window_mask(recording, len(starts), fs)
-    qual = scored & in_window(staged_nrem(window_reasons(window_flags)), starts,
-                              gate_config.window_samples(fs))
-    qual &= valid_mask[starts] & valid_mask[starts + win - 1]
+    starts = np.arange(n // win) * win
+    scored = recording.nrem_mask()[starts]
+    staged = staged_mask(window_reasons(window_flags), gate_config.window_samples(fs), n)
+    qual = scored & staged[starts] & valid_mask[starts] & valid_mask[starts + win - 1]
     return int(qual.sum()), int(scored.sum()), qual
 
 
@@ -230,11 +223,9 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
         p = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count)
         pas_figures = (p.pas_all, p.pas_in_up, p.pas_not_up, q_count)
 
-    n = len(recording.samples)
-    gate_win = session.gate_config.window_samples(fs)
-    staged = in_window(staged_nrem(window_reasons(session.window_flags)),
-                       np.arange(0, n, gate_win), gate_win)
-    device_mask = np.repeat(staged, gate_win)[:n]
+    device_mask = staged_mask(window_reasons(session.window_flags),
+                              session.gate_config.window_samples(fs),
+                              len(recording.samples))
     wave_mask = recording.nrem_mask() & device_mask & track.valid
     waves = detect_waves(filtered, fs, wave_mask)
     capacity = (None,) * 4

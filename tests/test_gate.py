@@ -3,20 +3,26 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swphase.dsp import PreprocessChain, band_powers
 from swphase.errors import ConfigurationError
 from swphase.gate import (
     CLOSED,
+    DELIVERED,
     GATE_BANDS_HZ,
+    REASONS,
     GateConfig,
     GateFlags,
     StimulationGate,
     calibrate_gate,
+    candidate_codes,
     gate_flags_batch,
     in_window,
     on_window_at,
+    staged_mask,
     window_powers,
+    window_reasons,
     window_rule,
 )
 
@@ -284,6 +290,43 @@ class TestFlagsAtSample:
         assert flags_at_sample(flags, 2 * WINDOW_N, WINDOW_N) == flags[1]
         # past the log: clamped to the last known window
         assert flags_at_sample(flags, 9 * WINDOW_N, WINDOW_N) == flags[1]
+
+
+flag_lists = st.lists(st.builds(GateFlags, st.booleans(), st.booleans(), st.booleans()),
+                      max_size=8)
+
+
+def governing(flags, sample_index, window_n):
+    """Per sample, one at a time: the flags of the last window completed
+    before it, the last window's past the end, CLOSED before the first."""
+    return ([CLOSED] + flags)[min(sample_index // window_n, len(flags))]
+
+
+class TestSampleMapping:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(flags=flag_lists, fs=st.sampled_from((125.0, 250.0, 500.0)),
+           onoff=st.booleans(), data=st.data())
+    def test_candidate_codes_equal_the_streaming_verdict(self, flags, fs, onoff, data):
+        cfg = GateConfig(onoff_enabled=onoff)
+        window_n = cfg.window_samples(fs)
+        idx = data.draw(st.lists(st.integers(0, (len(flags) + 3) * window_n), max_size=30))
+        gate = StimulationGate(cfg, fs)
+        expect = []
+        for s in idx:
+            gate._flags = governing(flags, s, window_n)
+            expect.append(gate.decide(s / fs))
+        codes = candidate_codes(window_reasons(flags), idx, fs, cfg).tolist()
+        assert [(c == DELIVERED, REASONS[c]) for c in codes] == expect
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(flags=flag_lists, window_n=st.integers(1, 7), data=st.data())
+    def test_staged_mask_equals_the_flags_per_sample(self, flags, window_n, data):
+        # whole windows in the session: below, at and above the flag count
+        windows = len(flags) + data.draw(st.integers(-len(flags), 3))
+        n = windows * window_n + data.draw(st.integers(0, window_n - 1))
+        expect = [f.nrem and f.swa for f in (governing(flags, s, window_n)
+                                             for s in range(n))]
+        assert staged_mask(window_reasons(flags), window_n, n).tolist() == expect
 
 
 class TestCalibration:

@@ -14,7 +14,6 @@ from swphase.pipeline import (
     evaluate_session,
     qualifying_windows,
     run_session,
-    scored_nrem_window_mask,
     tracker_phase_stream,
 )
 from swphase.recording import EegRecording
@@ -150,18 +149,13 @@ def make_recording(stages, fs=250.0):
 
 
 class TestQualifyingWindows:
-    def test_scored_mask_follows_hypnogram(self):
-        rec = make_recording(["W", "N2", "N3"])
-        mask = scored_nrem_window_mask(rec, 30, rec.fs)
-        assert mask.sum() == 20
-        assert not mask[:10].any() and mask[10:].all()
-
     def test_device_flags_gate_the_count(self):
         rec = make_recording(["W", "N2", "N3"])
         valid = np.ones(len(rec.samples), dtype=bool)
         open_flags = [GateFlags(True, True, False)] * 15
         q, scored, qual = qualifying_windows(rec, open_flags, GateConfig(), valid)
         assert (q, scored) == (20, 20)
+        assert not qual[:10].any() and qual[10:].all()   # the W epoch is out
         shut = [GateFlags(True, False, False)] * 15
         q2, scored2, _ = qualifying_windows(rec, shut, GateConfig(), valid)
         assert (q2, scored2) == (0, 20)
