@@ -14,6 +14,7 @@ from swphase.gate import (
     REASONS,
     GateConfig,
     GateFlags,
+    OPEN,
     StimulationGate,
     calibrate_gate,
     candidate_codes,
@@ -292,7 +293,9 @@ class TestFlagsAtSample:
         assert flags_at_sample(flags, 9 * WINDOW_N, WINDOW_N) == flags[1]
 
 
-flag_lists = st.lists(st.builds(GateFlags, st.booleans(), st.booleans(), st.booleans()),
+# OPEN, the one flag set the ON-OFF protocol judges, as often as the seven others
+flag_lists = st.lists(st.one_of(st.just(OPEN), st.builds(GateFlags, st.booleans(),
+                                                         st.booleans(), st.booleans())),
                       max_size=8)
 
 
@@ -309,7 +312,12 @@ class TestSampleMapping:
     def test_candidate_codes_equal_the_streaming_verdict(self, flags, fs, onoff, data):
         cfg = GateConfig(onoff_enabled=onoff)
         window_n = cfg.window_samples(fs)
-        idx = data.draw(st.lists(st.integers(0, (len(flags) + 3) * window_n), max_size=30))
+        # anywhere, and within two samples of a window or ON-OFF boundary
+        near_boundary = st.builds(lambda step, k, d: max(step * k + d, 0),
+                                  st.sampled_from((window_n, round(cfg.onoff_period_s * fs))),
+                                  st.integers(0, len(flags) + 3), st.integers(-2, 2))
+        idx = data.draw(st.lists(st.one_of(st.integers(0, (len(flags) + 3) * window_n),
+                                           near_boundary), max_size=30))
         gate = StimulationGate(cfg, fs)
         expect = []
         for s in idx:
