@@ -46,7 +46,7 @@ from . import __version__
 from .errors import ConfigurationError, FileFormatError, StreamIntegrityError
 from .gate import REASONS
 from .recording import MAX_STAGE_EPOCHS, EegRecording, STAGES
-from .trackers import ALGORITHMS
+from .trackers import ALGORITHMS, TriggerEvent
 
 MAGIC = b"SWPH"
 FORMAT_VERSION = 1
@@ -267,13 +267,9 @@ def parse_stage_runs(text: str) -> list:
 
 
 @dataclass(frozen=True)
-class LoggedTrigger:
-    """One row of a trigger log, its fields in column order."""
-    sample_index: int
-    time_s: float
-    algorithm: str
-    tracker_phase_deg: Optional[float]
-    amplitude_uv: float
+class LoggedTrigger(TriggerEvent):
+    """One row of a trigger log, its fields in column order: the tracker's
+    event, then the gate's verdict on it."""
     delivered: bool
     suppression_reason: str   # "" when delivered
     on_window: bool           # protocol phase at the timestamp

@@ -68,13 +68,11 @@ def run_session(recording: EegRecording, tracker_config: TrackerConfig,
     tracker = make_tracker(cfg)
     events = tracker.run(y)
     window_flags = gate_flags_batch(y, fs, gate_config)
-    codes = candidate_codes(window_reasons(window_flags), trigger_samples(events),
-                            fs, gate_config).tolist()
-    times = np.array([ev.time_s for ev in events], dtype=float)
-    on = on_window_at(times, gate_config).tolist()
-    log = [LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
-                         ev.tracker_phase_deg, ev.amplitude_uv,
-                         code == DELIVERED, REASONS[code], on_window)
+    idx = trigger_samples(events)
+    codes = candidate_codes(window_reasons(window_flags), idx, fs, gate_config).tolist()
+    on = on_window_at(idx / fs, gate_config).tolist()
+    log = [LoggedTrigger(**vars(ev), delivered=code == DELIVERED,
+                         suppression_reason=REASONS[code], on_window=on_window)
            for ev, code, on_window in zip(events, codes, on)]
     return SessionResult(log, window_flags, cfg, gate_config,
                          slip_count=tracker.slip_count)
@@ -106,10 +104,9 @@ def _run_streaming(recording, cfg, gate_config):
                 ev = ev[-1]
             if ev is not None:
                 ok, reason = gate.decide(ev.time_s)   # completed windows only
-                log.append(LoggedTrigger(ev.sample_index, ev.time_s, ev.algorithm,
-                                         ev.tracker_phase_deg, ev.amplitude_uv,
-                                         ok, reason,
-                                         on_window_at(ev.time_s, gate_config)))
+                log.append(LoggedTrigger(**vars(ev), delivered=ok,
+                                         suppression_reason=reason,
+                                         on_window=on_window_at(ev.time_s, gate_config)))
             gate_step(y)
     return SessionResult(log, list(gate.window_log), cfg, gate_config,
                          slip_count=tracker.slip_count)

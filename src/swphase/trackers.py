@@ -8,11 +8,12 @@ Three algorithms over the common preprocessed stream:
 - phase vocoder (PV): quadrature demodulation with moving-average smoothing,
   tracking instantaneous frequency and phase.
 
-All trackers keep triggers at least REFRACTORY_S apart and are
-strictly causal: ``step`` consumes one sample and never looks ahead. A
-non-finite sample raises StreamIntegrityError and leaves the tracker as it
-was: the recurrences define no recovery from one, and every recording
-refuses one on construction.
+All trackers keep triggers at least REFRACTORY_S apart through
+``refractory``, the one spacing rule, which ``step``, ``run`` and the search
+all call. They are strictly causal: ``step`` consumes one sample and never
+looks ahead. A non-finite sample raises StreamIntegrityError and leaves the
+tracker as it was: the recurrences define no recovery from one, and every
+recording refuses one on construction.
 
 ``run`` is the batch path and yields exactly the events of a ``step`` loop.
 The PLL and PV write their recurrence once, as a loop over a sequence of
@@ -189,13 +190,15 @@ class _TrackerBase:
         self._last_trigger = NEVER
         self.slip_count = 0
 
-    def _emit(self, phase_deg, amplitude) -> Optional[TriggerEvent]:
-        n = self._n
-        if n - self._last_trigger < self._refr:
-            return None
-        self._last_trigger = n
+    def _event(self, n: int, phase_deg, amplitude) -> TriggerEvent:
         return TriggerEvent(n, n / self.config.sample_rate_hz,
                             self.config.algorithm, phase_deg, amplitude)
+
+    def _emit(self, phase_deg, amplitude) -> Optional[TriggerEvent]:
+        """The event at the current sample, unless within the refractory."""
+        kept, self._last_trigger = refractory((self._n,), self._refr,
+                                              self._last_trigger)
+        return self._event(self._n, phase_deg, amplitude) if kept else None
 
     def _events(self, hits, x, phase_deg) -> list:
         """Events for the local hit indices of block x, past the refractory
@@ -208,10 +211,7 @@ class _TrackerBase:
         local = np.asarray(kept, dtype=np.intp) - n0
         amps = x[local].tolist()
         phases = [None] * len(kept) if phase_deg is None else phase_deg[local].tolist()
-        fs = self.config.sample_rate_hz
-        algo = self.config.algorithm
-        return [TriggerEvent(n, n / fs, algo, ph, amp)
-                for n, ph, amp in zip(kept, phases, amps)]
+        return [self._event(n, ph, amp) for n, ph, amp in zip(kept, phases, amps)]
 
 
 class AmplitudeThresholdTracker(_TrackerBase):

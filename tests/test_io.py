@@ -1,15 +1,19 @@
 """File formats: recording container, hypnograms, trigger logs, config
 files. Round-trips and rejection of malformed input."""
+import functools
 import math
 import struct
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
+from swphase.dsp import PreprocessChain
 from swphase.errors import ConfigurationError, FileFormatError
 from swphase.gate import GateConfig
 from swphase.io import (
     MAGIC,
+    TRIGGER_COLUMNS,
     apply_config,
     config_echo,
     hash_file,
@@ -27,9 +31,10 @@ from swphase.io import (
     write_recording_csv,
     write_trigger_log,
 )
-from swphase.pipeline import LoggedTrigger
+from swphase.pipeline import LoggedTrigger, run_session
 from swphase.recording import EegRecording
-from swphase.trackers import TrackerConfig
+from swphase.synth import SynthSpec, generate
+from swphase.trackers import ALGORITHMS, TrackerConfig, TriggerEvent, make_tracker
 
 
 def sample_recording(n=1000, label="EEG Fpz-Cz", start=12.5):
@@ -248,6 +253,32 @@ def sample_log():
         LoggedTrigger(1300, 5.2, "pv", None, 12.0, False, "swa", True),
         LoggedTrigger(1700, 6.8, "pv", 46.5, 60.1, False, "onoff", False),
     ]
+
+
+@functools.cache
+def night():
+    """The 760 s night 0 of CI's "Installed command" step."""
+    return generate(SynthSpec(hypnogram=parse_stage_runs("W*4 N2*10 N3*20 N2*4"),
+                              seed=0)).recording
+
+
+class TestTriggerRow:
+    """A trigger-log row is the tracker's event plus the gate's verdict."""
+
+    def test_row_is_an_event_then_the_gate_columns(self):
+        assert issubclass(LoggedTrigger, TriggerEvent)
+        assert TRIGGER_COLUMNS[:5] == tuple(f.name for f in fields(TriggerEvent))
+        assert TRIGGER_COLUMNS[5:] == ("delivered", "suppression_reason", "on_window")
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["batch", "streaming"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_event_part_of_each_row_is_the_trackers_event(self, algorithm, streaming):
+        rec = night()
+        cfg = TrackerConfig(algorithm=algorithm, sample_rate_hz=rec.fs)
+        events = make_tracker(cfg).run(PreprocessChain(rec.fs).run(rec.samples))
+        log = run_session(rec, cfg, streaming=streaming).log
+        assert events
+        assert [astuple(row)[:5] for row in log] == [astuple(ev) for ev in events]
 
 
 class TestTriggerLog:

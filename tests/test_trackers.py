@@ -5,7 +5,8 @@ import pytest
 
 from swphase.errors import ConfigurationError, StreamIntegrityError
 from swphase.trackers import (MAX_MAF_SPAN, REFRACTORY_S, AmplitudeThresholdTracker,
-                              PllTracker, PvTracker, TrackerConfig, make_tracker)
+                              PllTracker, PvTracker, TrackerConfig, make_tracker,
+                              refractory)
 
 from conftest import FS, phase_crossed, sinusoid
 
@@ -45,6 +46,18 @@ class TestCrossing:
     def test_large_jump_is_never_a_crossing(self):
         assert not phase_crossed(0.0, 180.0, 90.0)
         assert not phase_crossed(10.0, 350.0, 180.0)
+
+    @pytest.mark.parametrize("hits,last,kept,new_last", [
+        ([10, 160], None, [10, 160], 160),   # exactly the spacing after the kept hit
+        ([10, 159], None, [10], 10),         # one sample short of it
+        ([150], 0, [150], 150),
+        ([149], 0, [], 0),
+        ([149, 150, 299, 300], 0, [150, 300], 300),
+    ])
+    def test_refractory_boundary(self, hits, last, kept, new_last):
+        # the one spacing rule of step, run and the search, at 150 samples
+        args = () if last is None else (last,)
+        assert refractory(np.array(hits), 150, *args) == (kept, new_last)
 
 
 class TestConfig:
