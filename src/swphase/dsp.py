@@ -9,6 +9,7 @@ angle array into [0, 360) degrees.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -162,12 +163,19 @@ def band_powers(windows, fs: float, bands) -> np.ndarray:
     sinusoid of amplitude A sums to about A^2/2. Bands are slices of the
     spectrum, which numpy sums in the same order for one window as for many."""
     x = np.asarray(windows, dtype=float)
-    n = x.shape[-1]
-    w = np.hanning(n)
+    w, scale, slices = _taper(x.shape[-1], fs, tuple(map(tuple, bands)))
     spectrum = np.abs(np.fft.rfft(x * w)) ** 2
-    scale = 2.0 / (n * np.sum(w * w))
     return np.stack([spectrum[..., bins].sum(axis=-1) * scale
-                     for bins in band_bins(n, fs, bands)], axis=-1)
+                     for bins in slices], axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _taper(n: int, fs: float, bands: tuple):
+    """Hann taper of an n-sample window, its power normalization and the
+    band slices: built once per (n, fs, bands), not once per window."""
+    w = np.hanning(n)
+    w.flags.writeable = False
+    return w, 2.0 / (n * np.sum(w * w)), tuple(band_bins(n, fs, bands))
 
 
 def band_bins(n: int, fs: float, bands) -> list:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -137,19 +138,25 @@ def window_reasons(window_flags) -> np.ndarray:
     return np.concatenate(([NREM], failing.argmax(axis=1)))
 
 
+# the window_reasons code each of the eight flag sets leaves for the samples after it
+_FLAG_SETS = list(map(GateFlags._make, product((False, True), repeat=3)))
+_REASON_AFTER = dict(zip(_FLAG_SETS, window_reasons(_FLAG_SETS)[1:].tolist()))
+
+
 def in_window(per_window, sample_index, window_n: int):
     """The per_window entry of each sample's window (the last past the end)."""
     k = np.asarray(sample_index, dtype=np.intp) // window_n
     return np.asarray(per_window)[np.minimum(k, len(per_window) - 1)]
 
 
-def candidate_reasons(reasons, time_s, config: GateConfig) -> np.ndarray:
-    """Code per candidate from its governing window's reason: an open window
-    delivers unless the protocol is on and time_s is in an OFF half."""
-    deliver = np.asarray(reasons) == ONOFF
+def candidate_reasons(reasons, time_s, config: GateConfig):
+    """Code per candidate (an array, or one int) from its governing window's
+    reason: an open window delivers unless the protocol is on and time_s is
+    in an OFF half. DELIVERED follows ONOFF, so delivering adds one."""
+    deliver = reasons == ONOFF
     if config.onoff_enabled:
-        deliver &= on_window_at(time_s, config)
-    return np.where(deliver, DELIVERED, reasons)
+        deliver = deliver & on_window_at(time_s, config)
+    return reasons + deliver
 
 
 def candidate_codes(reasons, sample_index, fs: float, config: GateConfig) -> np.ndarray:
@@ -168,8 +175,11 @@ def staged_mask(reasons, window_n: int, n: int) -> np.ndarray:
 
 
 def on_window_at(time_s, config: GateConfig):
-    """ON-OFF protocol phase at a timestamp (or an array of them)."""
+    """ON-OFF protocol phase at a timestamp (or an array of them). A float
+    takes math.fmod, the C fmod that np.fmod applies per element."""
     period = config.onoff_period_s
+    if isinstance(time_s, float):
+        return math.fmod(time_s, 2.0 * period) < period
     on = np.fmod(time_s, 2.0 * period) < period
     return on if isinstance(on, np.ndarray) else bool(on)
 
@@ -208,8 +218,7 @@ class StimulationGate:
         reason is "" when delivered, otherwise the first failing condition
         in the order nrem, swa, beta, onoff.
         """
-        code = int(candidate_reasons(window_reasons(self._flags)[-1], time_s,
-                                     self.config))
+        code = candidate_reasons(_REASON_AFTER[self._flags], time_s, self.config)
         return code == DELIVERED, REASONS[code]
 
 

@@ -45,9 +45,14 @@ class EegRecording:
 
     def stage_mask(self, stages) -> np.ndarray:
         """Boolean per-sample mask of the given hypnogram stages; False past
-        the last scored epoch."""
-        scored = np.repeat(np.isin(self.hypnogram or [], stages), epoch_samples(self.fs))
-        mask = np.zeros(len(self.samples), dtype=bool)
+        the last scored epoch. Only the epochs the samples cover are repeated,
+        each at most len(samples) times, so the mask is sized by the
+        recording at any rate."""
+        n = len(self.samples)
+        per_epoch = min(epoch_samples(self.fs), n)
+        covered = (self.hypnogram or [])[:-(-n // per_epoch)] if per_epoch else []
+        scored = np.repeat(np.isin(covered, stages), per_epoch)
+        mask = np.zeros(n, dtype=bool)
         mask[:len(scored)] = scored[:len(mask)]
         return mask
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import signal
 
 from swphase.dsp import (IirFilter, PreprocessChain, band_powers,
@@ -281,6 +282,23 @@ class TestSlowWaveIsolation:
         assert abs(h[2]) < 0.3      # drift attenuated
 
 
+# the gate's five bands as a tuple, one band in a list, and two in a list
+BAND_SETS = (((0.5, 2.0), (2.0, 4.0), (20.0, 30.0), (0.5, 4.0), (17.0, 22.0)),
+             [(0.5, 2.0)], [(1.0, 9.99), (10.0, 20.0)])
+
+
+def rebuilt_band_powers(x, fs, bands):
+    """``band_powers`` with its taper, normalization and band slices built
+    on every call."""
+    n = x.shape[-1]
+    w = np.hanning(n)
+    spectrum = np.abs(np.fft.rfft(x * w)) ** 2
+    scale = 2.0 / (n * np.sum(w * w))
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    return np.stack([spectrum[..., freqs.searchsorted(lo):freqs.searchsorted(hi, "right")]
+                     .sum(axis=-1) * scale for lo, hi in bands], axis=-1)
+
+
 class TestBandPower:
     """``band_powers`` over one window and one band."""
 
@@ -308,6 +326,20 @@ class TestBandPower:
         left = self.power(x, (1.0, 9.99))
         right = self.power(x, (10.0, 20.0))
         assert left + right == pytest.approx(whole, rel=1e-9)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(calls=st.lists(st.tuples(st.sampled_from((250, 500, 501, 1000)),
+                                    st.sampled_from((125.0, 250.0, 500.0)),
+                                    st.sampled_from(BAND_SETS),
+                                    st.integers(0, 3), st.integers(0, 2**32 - 1)),
+                          min_size=2, max_size=12))
+    def test_interleaved_calls_equal_a_taper_built_per_call(self, calls):
+        # window lengths, rates and band sets interleave, more of them than
+        # band_powers keeps built; one window (1-D) or a stack of them
+        for n, fs, bands, rows, seed in calls:
+            x = np.random.default_rng(seed).standard_normal((rows, n) if rows else n)
+            got = band_powers(x.tolist(), fs, bands)
+            assert got.tobytes() == rebuilt_band_powers(x, fs, bands).tobytes()
 
 
 class TestMod360:

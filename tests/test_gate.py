@@ -1,4 +1,5 @@
 """Stimulation gate: band powers, NREM vote, suppression order, causality."""
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -133,6 +134,21 @@ class TestOnOffProtocol:
         base = 12.0 * 10_000
         assert on_window_at(base + 3.0, cfg) is True
         assert on_window_at(base + 9.0, cfg) is False
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_a_float_takes_the_array_verdict(self, data):
+        # on each ON/OFF boundary of one day, one ulp either side, and between
+        cfg = GateConfig(onoff_enabled=True)
+        boundary = st.integers(0, round(86400.0 / cfg.onoff_period_s)).map(
+            lambda k: k * cfg.onoff_period_s)
+        near = st.tuples(boundary, st.sampled_from((-math.inf, None, math.inf))).map(
+            lambda tb: tb[0] if tb[1] is None else math.nextafter(tb[0], tb[1]))
+        times = data.draw(st.lists(near | st.floats(0.0, 86400.0), min_size=1,
+                                   max_size=20))
+        on = on_window_at(np.array(times), cfg).tolist()
+        assert [on_window_at(t, cfg) for t in times] == on
+        assert all(type(on_window_at(t, cfg)) is bool for t in times)
 
 
 class TestConfigValidation:

@@ -8,6 +8,10 @@ what the call returns. The bounds sit below the earlier formulas' peaks
 ``run`` 2.0, ``read_recording_csv`` 5.24 units, and 4.2 units for a
 streaming session that held the whole night as Python floats).
 """
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -20,6 +24,7 @@ from swphase.io import read_recording_csv, write_recording_csv
 from swphase.metrics import PLATEAU_MAX_S, local_minima
 from swphase.oracle import hilbert_phase, zero_phase_bandpass
 from swphase.pipeline import run_session
+from swphase.recording import STAGES, EegRecording, epoch_samples
 from swphase.synth import SynthSpec, default_hypnogram, generate
 from swphase.trackers import AmplitudeThresholdTracker, TrackerConfig
 
@@ -141,3 +146,50 @@ def test_local_minima_matches_the_diff_rule(case):
     got = local_minima(x, fs)
     np.testing.assert_array_equal(got, diff_local_minima(x, fs))
     assert got.dtype == np.intp
+
+
+# A qualifying_windows call at a rate no check has bounded yet, run in a child
+# whose address space is capped 256 MiB above its imports, so that a mask
+# sized by the rate fails there as a MemoryError, not in the test's process.
+UNBOUNDED_RATE_CALL = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from swphase.gate import GateConfig
+    from swphase.pipeline import qualifying_windows
+    from swphase.recording import EegRecording
+    with open("/proc/self/statm") as f:
+        cap = int(f.read().split()[0]) * resource.getpagesize() + (256 << 20)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    rec = EegRecording(np.zeros(1000), 1e12, hypnogram=["N2"])
+    try:
+        qualifying_windows(rec, [], GateConfig(), np.ones(1000, dtype=bool))
+    except Exception as e:
+        print(type(e).__name__)
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
+def test_stage_mask_is_sized_by_the_recording_at_any_rate():
+    # one epoch at 1e12 Hz is 2e13 samples: repeated whole, 18.2 TiB
+    child = subprocess.run([sys.executable, "-c", UNBOUNDED_RATE_CALL],
+                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                           capture_output=True, text=True, timeout=120)
+    assert child.stdout.strip() == "ConfigurationError", child.stderr
+
+
+def repeated_stage_mask(rec, stages):
+    """The earlier rule: every epoch repeated whole, then cropped."""
+    scored = np.repeat(np.isin(rec.hypnogram or [], stages), epoch_samples(rec.fs))
+    mask = np.zeros(len(rec.samples), dtype=bool)
+    mask[:len(scored)] = scored[:len(mask)]
+    return mask
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(0, 400), fs=st.floats(0.01, 30.0),
+       hypnogram=st.none() | st.lists(st.sampled_from(STAGES), max_size=12),
+       stages=st.lists(st.sampled_from(STAGES), max_size=3))
+def test_stage_mask_matches_the_repeated_epochs(n, fs, hypnogram, stages):
+    # epochs of 0 to 600 samples, longer and shorter than the recording
+    rec = EegRecording(np.zeros(n), fs, hypnogram=hypnogram)
+    np.testing.assert_array_equal(rec.stage_mask(stages), repeated_stage_mask(rec, stages))
