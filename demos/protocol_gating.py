@@ -5,11 +5,8 @@ Runs the vocoder over a night that starts awake, prints when the gate
 first opens, what suppressed every candidate, and an ASCII timeline of
 protocol windows around the first deliveries.
 """
-import math
-
-import numpy as np
-
 from swphase import GateConfig, SynthSpec, TrackerConfig, generate, run_session
+from swphase.gate import on_window_at
 
 
 def main():
@@ -19,8 +16,8 @@ def main():
     rec = out.recording
     wake_end_s = 30 * 20.0
 
-    session = run_session(rec, TrackerConfig(algorithm="pv"),
-                          GateConfig(onoff_enabled=True))
+    gate_config = GateConfig(onoff_enabled=True)
+    session = run_session(rec, TrackerConfig(algorithm="pv"), gate_config)
     delivered = session.delivered()
     first = delivered[0].time_s
     print(f"night: {len(hyp)} epochs, wake until {wake_end_s:.0f} s")
@@ -29,16 +26,15 @@ def main():
     print(f"first delivery at {first:.1f} s (wake blocks the gate; the vote "
           "re-opens once deep-sleep windows dominate its 80 s history)")
 
-    times = np.asarray([e.time_s for e in delivered])
-    offsets = np.mod(times, 12.0)
-    print(f"protocol check: {np.count_nonzero(offsets < 6.0)}/{len(times)} "
-          f"deliveries inside ON windows")
+    inside = sum(e.on_window for e in delivered)
+    print(f"protocol check: {inside}/{len(delivered)} deliveries inside ON windows")
 
     # one-character-per-second timeline: ON/off protocol vs deliveries
-    start = int(first // 12) * 12
+    cycle = int(2 * gate_config.onoff_period_s)
+    start = int(first // cycle) * cycle
     span = 96
-    marks = set(int(t) for t in times if start <= t < start + span)
-    protocol = "".join("N" if math.fmod(s, 12.0) < 6.0 else "f"
+    marks = set(int(e.time_s) for e in delivered if start <= e.time_s < start + span)
+    protocol = "".join("N" if on_window_at(s, gate_config) else "f"
                        for s in range(start, start + span))
     hits = "".join("*" if s in marks else "." for s in range(start, start + span))
     print(f"\ntimeline from {start} s (N=ON window, f=OFF window, *=delivery):")

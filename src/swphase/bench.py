@@ -6,7 +6,7 @@ static per-sample operation counts derived from the step arithmetic. All
 stages take turns in one run, and each keeps one statistic: its fastest
 time per slice, in ns per sample. The same run also times the phase
 vocoder at the other rates of ``SWEEP_FS``, its moving-average span scaled
-to SPAN_S; at ``fs`` the sweep point is the ``pv`` stage itself. Every
+to SPAN_S; at ``FS`` the sweep point is the ``pv`` stage itself. Every
 headline figure derives from those numbers:
 
 - rcr: real-time consumption ratio, per-sample cost of preprocess, one
@@ -38,7 +38,12 @@ MAX_REPS = 1000              # a minute or two of timing
 CHUNK_SAMPLES = 4000         # timed samples of every stage, per repetition
 SLICE_SAMPLES = 250          # streams take turns at this granularity
 PRIME_SAMPLES = 100          # untimed lead of each slice, run by a twin stage
-SWEEP_FS = (125.0, 250.0, 500.0)
+# Every stage is timed at one rate. Its gate window (1,000 samples) divides
+# CHUNK_SAMPLES, so each repetition's window transforms fall in the same
+# slices and _fastest_ns keeps them; at most other rates they would drift
+# between repetitions and be dropped.
+FS = 250.0
+SWEEP_FS = (125.0, FS, 500.0)
 SPAN_S = 0.5                 # vocoder moving-average span; 125 samples at 250 Hz
 
 # Static per-sample floating-point operation counts of each stage's inner
@@ -74,12 +79,9 @@ class CostReport:
     algorithm's pipeline is preprocess, its tracker and the gate; its
     total, rcr and efficiency, the PV/PLL ratio and the vocoder's cost vs
     fs derive from these."""
-    fs: float
     stage_ns: dict           # preprocess, gate, each tracker, "pv@<rate>"
 
-    @property
-    def sample_period_ns(self) -> float:
-        return 1e9 / self.fs
+    sample_period_ns = 1e9 / FS   # a class constant, not a field
 
     def stages(self, algorithm: str) -> dict:
         return {"preprocess": self.stage_ns["preprocess"],
@@ -102,14 +104,13 @@ class CostReport:
     @property
     def pv_ns_vs_fs(self) -> dict:
         """Vocoder tracker ns per sample by rate, span scaled; the point at
-        fs is the pv stage."""
-        return {rate: self.stage_ns[_pv_stage(rate, self.fs)]
-                for rate in sorted({self.fs, *SWEEP_FS})}
+        FS is the pv stage."""
+        return {rate: self.stage_ns[_pv_stage(rate)] for rate in SWEEP_FS}
 
 
-def _pv_stage(rate: float, fs: float) -> str:
-    """Name of the vocoder stage at rate in a run at fs."""
-    return "pv" if rate == fs else f"pv@{rate:g}"
+def _pv_stage(rate: float) -> str:
+    """Name of the vocoder stage at rate."""
+    return "pv" if rate == FS else f"pv@{rate:g}"
 
 
 def _interleaved_ns(streams: dict, reps: int) -> dict:
@@ -179,14 +180,14 @@ def _test_signal(fs: float, n: int):
     return x.tolist()
 
 
-def measure_pipeline_cost(fs: float = 250.0, reps: int = DEFAULT_REPS) -> CostReport:
-    """Time the preprocess, gate and every tracker step at fs, and the
+def measure_pipeline_cost(reps: int = DEFAULT_REPS) -> CostReport:
+    """Time the preprocess, gate and every tracker step at FS, and the
     vocoder at the other rates of SWEEP_FS, all in one interleaved run;
     each stage keeps its fastest slices."""
     if not 3 <= reps <= MAX_REPS:
         raise ConfigurationError(f"need 3 to {MAX_REPS} repetitions, got {reps}")
     check_timer()
-    w = WARMUP_SAMPLES
+    fs, w = FS, WARMUP_SAMPLES
     raw = _test_signal(fs, w + CHUNK_SAMPLES)
     clean = PreprocessChain(fs).run(raw).tolist()
     streams = {
@@ -204,9 +205,9 @@ def measure_pipeline_cost(fs: float = 250.0, reps: int = DEFAULT_REPS) -> CostRe
             PreprocessChain(rate).run(_test_signal(rate, w + CHUNK_SAMPLES)).tolist()
         cfg = TrackerConfig(algorithm="pv", sample_rate_hz=rate,
                             maf_span=int(round(SPAN_S * rate)))
-        streams[_pv_stage(rate, fs)] = tracker(cfg, x)
+        streams[_pv_stage(rate)] = tracker(cfg, x)
     stage_ns = {name: _fastest_ns(ns, CHUNK_SAMPLES)
                 for name, ns in _interleaved_ns(streams, reps).items()}
     if stage_ns["pll"] <= 0:
         raise TimerResolutionError("PLL tracker stage timed at zero cost")
-    return CostReport(fs, stage_ns)
+    return CostReport(stage_ns)

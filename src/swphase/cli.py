@@ -192,7 +192,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = measure_pipeline_cost(fs=args.fs, reps=args.reps)
+    report = measure_pipeline_cost(reps=args.reps)
     for algo in ALGORITHMS:
         stages = " ".join(f"{name}={ns:.0f}ns"
                           for name, ns in report.stages(algo).items())
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.set_defaults(func=cmd_optimize)
 
     ben = sub.add_parser("bench", help="per-sample cost measurement")
-    ben.add_argument("--fs", type=float, default=250.0)
     ben.add_argument("--reps", type=int, default=DEFAULT_REPS)
     ben.add_argument("--json")
     ben.set_defaults(func=cmd_bench)

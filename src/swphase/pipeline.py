@@ -148,19 +148,22 @@ def candidates_from_phase_stream(stream_deg: np.ndarray, target_deg: float,
 
 def qualifying_windows(recording: EegRecording, window_flags,
                        gate_config: GateConfig, valid_mask):
-    """Count PAS windows: 2 s, hypnogram N2/N3 at the window start, device
-    nrem+swa, fully inside valid_mask (the oracle-valid samples).
+    """PAS windows (2 s) of the evaluation's per-sample mask: hypnogram
+    N2/N3, device nrem+swa and valid_mask (the oracle-valid samples). A
+    window qualifies when the mask holds at its start and valid_mask at its
+    end.
 
-    Returns (qualifying_count, scored_count, per_window_bool).
+    Returns (qualifying_count, per_sample_mask, per_window_bool).
     """
     fs = recording.fs
     n = len(recording.samples)
     win = pas_window_samples(fs)
     starts = np.arange(n // win) * win
-    scored = recording.nrem_mask()[starts]
-    staged = staged_mask(window_reasons(window_flags), gate_config.window_samples(fs), n)
-    qual = scored & staged[starts] & valid_mask[starts] & valid_mask[starts + win - 1]
-    return int(qual.sum()), int(scored.sum()), qual
+    mask = recording.nrem_mask()
+    mask &= staged_mask(window_reasons(window_flags), gate_config.window_samples(fs), n)
+    mask &= valid_mask
+    qual = mask[starts] & valid_mask[starts + win - 1]
+    return int(qual.sum()), mask, qual
 
 
 def in_pas_window(qual, sample_index, fs: float) -> np.ndarray:
@@ -213,17 +216,13 @@ def evaluate_session(recording: EegRecording, session: SessionResult,
         except UndefinedStatisticError:
             pass   # an undefined mean leaves these five fields None
 
-    q_count, _, qual = qualifying_windows(
+    q_count, wave_mask, qual = qualifying_windows(
         recording, session.window_flags, session.gate_config, track.valid)
     pas_figures = (None,) * 4
     if q_count >= 1:
         p = pas(phases[in_pas_window(qual, valid_idx, fs)], q_count)
         pas_figures = (p.pas_all, p.pas_in_up, p.pas_not_up, q_count)
 
-    device_mask = staged_mask(window_reasons(session.window_flags),
-                              session.gate_config.window_samples(fs),
-                              len(recording.samples))
-    wave_mask = recording.nrem_mask() & device_mask & track.valid
     waves = detect_waves(filtered, fs, wave_mask)
     capacity = (None,) * 4
     if len(waves):

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swphase.dsp import PreprocessChain
 from swphase.errors import ConfigurationError
 from swphase.oracle import compute_phase_track, phase_at_triggers
-from swphase.gate import (DELIVERED, REASONS, GateConfig, GateFlags,
+from swphase.gate import (CLOSED, DELIVERED, OPEN, REASONS, GateConfig, GateFlags,
                           candidate_reasons, window_reasons)
 from swphase.pipeline import (
     candidates_from_phase_stream,
@@ -16,7 +18,7 @@ from swphase.pipeline import (
     run_session,
     tracker_phase_stream,
 )
-from swphase.recording import EegRecording
+from swphase.recording import STAGES, EegRecording
 from swphase.trackers import REFRACTORY_S, TrackerConfig, forward_arcs
 
 ALGOS = ("at", "pll", "pv")
@@ -153,12 +155,13 @@ class TestQualifyingWindows:
         rec = make_recording(["W", "N2", "N3"])
         valid = np.ones(len(rec.samples), dtype=bool)
         open_flags = [GateFlags(True, True, False)] * 15
-        q, scored, qual = qualifying_windows(rec, open_flags, GateConfig(), valid)
-        assert (q, scored) == (20, 20)
+        q, mask, qual = qualifying_windows(rec, open_flags, GateConfig(), valid)
+        assert q == 20
         assert not qual[:10].any() and qual[10:].all()   # the W epoch is out
+        assert not mask[:5000].any() and mask[5000:].all()
         shut = [GateFlags(True, False, False)] * 15
-        q2, scored2, _ = qualifying_windows(rec, shut, GateConfig(), valid)
-        assert (q2, scored2) == (0, 20)
+        q2, mask2, _ = qualifying_windows(rec, shut, GateConfig(), valid)
+        assert q2 == 0 and not mask2.any()
 
     def test_valid_mask_excludes_windows(self):
         rec = make_recording(["W", "N2", "N3"])
@@ -178,6 +181,38 @@ class TestQualifyingWindows:
         assert not qual[10]
         assert q == 19
 
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(fs=st.sampled_from((125.0, 250.0)), data=st.data())
+    def test_mask_and_windows_follow_the_rule_per_sample(self, fs, data):
+        epoch_n, window_n, win = int(20 * fs), GateConfig.window_samples(fs), int(2 * fs)
+        n = data.draw(st.integers(0, 3 * epoch_n + epoch_n // 2))
+        # hypnograms shorter than the recording, as long and one epoch longer
+        epochs = data.draw(st.integers(0, -(-n // epoch_n) + 1))
+        hyp = data.draw(st.lists(st.sampled_from(STAGES), min_size=epochs, max_size=epochs))
+        flags = data.draw(st.lists(st.one_of(st.just(OPEN), st.builds(
+            GateFlags, st.booleans(), st.booleans(), st.booleans())),
+            max_size=n // window_n + 2))
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        valid = np.zeros(n, dtype=bool)
+        valid[lo:hi] = True
+        rec = EegRecording(samples=np.zeros(n), fs=fs, hypnogram=hyp)
+
+        def stage(s):
+            return hyp[s // epoch_n] if s // epoch_n < len(hyp) else None
+
+        def governing(s):   # the last window completed before s, as in test_gate.py
+            return ([CLOSED] + flags)[min(s // window_n, len(flags))]
+
+        expect = [stage(s) in ("N2", "N3") and governing(s).nrem and governing(s).swa
+                  and lo <= s < hi for s in range(n)]
+        expect_qual = [expect[s] and lo <= s + win - 1 < hi
+                       for s in range(0, n - win + 1, win)]
+        q, mask, qual = qualifying_windows(rec, flags, GateConfig(), valid)
+        assert mask.tolist() == expect
+        assert qual.tolist() == expect_qual
+        assert q == sum(expect_qual)
 
 @pytest.fixture(scope="module")
 def report(short_synth, batch_sessions):
