@@ -21,6 +21,7 @@ Timing refuses to run on clocks coarser than 1 microsecond.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -184,8 +185,9 @@ def measure_pipeline_cost(reps: int = DEFAULT_REPS) -> CostReport:
     """Time the preprocess, gate and every tracker step at FS, and the
     vocoder at the other rates of SWEEP_FS, all in one interleaved run;
     each stage keeps its fastest slices."""
-    if not 3 <= reps <= MAX_REPS:
-        raise ConfigurationError(f"need 3 to {MAX_REPS} repetitions, got {reps}")
+    if not isinstance(reps, numbers.Integral) or not 3 <= reps <= MAX_REPS:
+        raise ConfigurationError(
+            f"need a whole number of repetitions from 3 to {MAX_REPS}, got {reps!r}")
     check_timer()
     fs, w = FS, WARMUP_SAMPLES
     raw = _test_signal(fs, w + CHUNK_SAMPLES)

@@ -27,6 +27,7 @@ def test_timer_is_fine_grained_here():
 
 @pytest.mark.parametrize("kw", [
     {"reps": 2},
+    {"reps": 3.5},
     {"reps": MAX_REPS + 1},
 ])
 def test_measurement_guards(kw):
