@@ -228,20 +228,21 @@ def default_grid(algorithm: str) -> dict:
 class _RecordingCache:
     """One recording's intermediates, shared by every combo of the grid.
 
-    ``end`` is one past the oracle track's last valid sample. ``tally``
-    drops every trigger from there on, and the trackers are causal, so
-    kernels and trigger scans stop there.
+    ``end`` is one past the oracle track's last valid sample. ``tally`` drops
+    every trigger from there on, and the trackers are causal, so kernels and
+    trigger scans stop there. The chain is built before the oracle to refuse a
+    bad rate first, and run after it so the oracle's transients are freed first.
     """
 
     def __init__(self, recording: EegRecording, gate_config: GateConfig):
-        fs = recording.fs
-        self.fs = fs
+        self.fs = fs = recording.fs
         self.gate_config = gate_config
-        self.y = PreprocessChain(fs).run(recording.samples)
-        flags = gate_flags_batch(self.y, fs, gate_config)
-        self.reasons = window_reasons(flags)
+        chain = PreprocessChain(fs)
         self.track = compute_phase_track(recording.samples, fs)
         self.end = len(self.track) - int(np.argmax(self.track.valid[::-1]))
+        self.y = chain.run(recording.samples)
+        flags = gate_flags_batch(self.y, fs, gate_config)
+        self.reasons = window_reasons(flags)
         self.q_count, _, self.qual = qualifying_windows(
             recording, flags, gate_config, self.track.valid)
         self.kernel = (None, None)  # (kernel field values, band or (stream, arcs))

@@ -47,7 +47,8 @@ PV_FREQ_RANGE_HZ = (0.5, 4.0)  # clamp on the vocoder's tracked frequency
 PV_EPSILON_UV = 0.1          # below this demodulated magnitude the angle is noise
 REFRACTORY_S = 0.25          # minimum trigger spacing: 4 Hz stimulation ceiling
 MAX_MAF_SPAN = 1 << 20       # length of each of the vocoder's two ring buffers
-BLOCK_SAMPLES = 1 << 16      # samples per kernel block held as Python floats
+BLOCK_SAMPLES = 1 << 14      # samples per kernel block held as Python floats: small for
+                             # memory, yet per-block scan overhead is not measurable
 NEVER = -(1 << 60)           # last-trigger index before the first trigger
 NO_ARC = -1.0                # arc of a slip: no target hits it
 

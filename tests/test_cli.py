@@ -9,7 +9,7 @@ import swphase.cli as cli
 from swphase.cli import main
 from swphase.gate import GateConfig
 from swphase.io import (read_hypnogram, read_recording, read_trigger_log,
-                        write_recording)
+                        write_hypnogram, write_recording)
 from swphase.pipeline import evaluate_session, run_session
 from swphase.recording import EegRecording
 from swphase.trackers import TrackerConfig
@@ -522,6 +522,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["bench", "--reps", str(10 ** 21)],
         ["track"],
+        ["optimize"],
     ], ids=" ".join)
     def test_rate_or_reps_sized_beyond_the_input_is_2(self, tmp_path, capsys, argv):
         # past 20 kHz, buffers sized by the rate would outgrow memory: a
@@ -531,6 +532,14 @@ class TestExitCodes:
             rec = tmp_path / "fast.swp"
             write_recording(rec, EegRecording(samples=np.zeros(1000), fs=1e9))
             argv = argv + ["--input", str(rec), "--out", str(out)]
+        elif argv[0] == "optimize":
+            # the search refuses the rate before its oracle judges the length
+            for name in ("fast0", "fast1"):
+                write_recording(tmp_path / f"{name}.swp",
+                                EegRecording(samples=np.zeros(1000), fs=1e9))
+                write_hypnogram(tmp_path / f"{name}.hyp.csv", ["N2"])
+            argv = argv + [str(tmp_path / "fast0.swp"), str(tmp_path / "fast1.swp"),
+                           "--algorithm", "at", "-k", "2", "--json", str(out)]
         else:
             argv = argv + ["--json", str(out)]
         assert main(argv) == 2

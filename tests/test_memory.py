@@ -18,15 +18,16 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from swphase.dsp import MAX_FS
+from swphase.dsp import MAX_FS, PreprocessChain
 from swphase.gate import GateConfig, gate_flags_batch
 from swphase.io import read_recording_csv, write_recording_csv
 from swphase.metrics import PLATEAU_MAX_S, local_minima
 from swphase.oracle import hilbert_phase, zero_phase_bandpass
-from swphase.pipeline import run_session
+from swphase.optimize import _RecordingCache
+from swphase.pipeline import run_session, tracker_phase_stream
 from swphase.recording import STAGES, EegRecording, epoch_samples
 from swphase.synth import SynthSpec, default_hypnogram, generate
-from swphase.trackers import AmplitudeThresholdTracker, TrackerConfig
+from swphase.trackers import AmplitudeThresholdTracker, PllTracker, TrackerConfig
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -83,14 +84,43 @@ class TestPeakMemory:
 
 
 def test_streaming_session_holds_one_block_of_the_night():
-    # a 760 s night is about three blocks: a session that held the whole
+    # a 760 s night is about twelve blocks: a session that held the whole
     # night as Python floats would peak near 4 units
     rec = generate(SynthSpec(hypnogram=["W"] * 2 + ["N2"] * 12 + ["N3"] * 24,
                              seed=4)).recording
     unit = 8 * len(rec.samples)
     peak = traced_peak(lambda: run_session(rec, TrackerConfig(algorithm="at"),
                                            streaming=True))
-    assert peak <= 2 * unit
+    assert peak <= unit
+
+
+@pytest.fixture(scope="module")
+def short_night():
+    rec = generate(SynthSpec(hypnogram=["W"] * 4 + ["N2"] * 10 + ["N3"] * 20
+                             + ["N2"] * 4, seed=0)).recording
+    return rec, PreprocessChain(rec.fs).run(rec.samples), 8 * len(rec.samples)
+
+
+class TestSearchPeakMemory:
+    def test_recording_cache_within_four_and_a_half_signal_units(self, short_night):
+        # the oracle's transients are freed before the preprocessed copy is
+        # made; with both held at once the cache peaked at 5.0 units
+        rec, _, unit = short_night
+        assert traced_peak(lambda: _RecordingCache(rec, GateConfig())) <= 4.5 * unit
+
+    def test_pv_phase_stream_within_three_signal_units(self, short_night):
+        # the stream and one block of Python floats: 3.8 units with
+        # blocks of 65,536 samples
+        _, y, unit = short_night
+        peak = traced_peak(lambda: tracker_phase_stream(y, TrackerConfig(algorithm="pv")))
+        assert peak <= 3 * unit
+
+    def test_pll_run_within_two_signal_units(self, short_night):
+        # one block's stream, arcs and Python floats at a time: 3.9 units
+        # with blocks of 65,536 samples
+        _, y, unit = short_night
+        tracker = PllTracker(TrackerConfig(algorithm="pll"))
+        assert traced_peak(lambda: tracker.run(y)) <= 2 * unit
 
 
 def test_largest_gate_window_at_the_highest_rate_stays_small():
